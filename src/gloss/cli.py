@@ -151,7 +151,6 @@ def _build_train_config(args, config: dict, schema: str) -> TrainConfig:
         epochs=_setting(args, config, "epochs", 5, int),
         seed=_setting(args, config, "seed", 0, int),
         predictor_freeze_threshold=threshold,
-        ef_gradient_mode=_setting(args, config, "ef_mode", "", str) or "",
         loss_weights=weights,
         kl_anneal_frac=_setting(args, config, "kl_anneal_frac", 0.2, float),
     )
@@ -205,7 +204,6 @@ def cmd_train(args, config: dict) -> int:
         "train_config": {"batch_size": train_config.batch_size,
                          "lr": train_config.lr, "epochs": train_config.epochs,
                          "seed": train_config.seed,
-                         "ef_gradient_mode": train_config.ef_gradient_mode,
                          "loss_weights": list(train_config.loss_weights)}})
     _info(args, f"saved model to {args.out}")
     return EXIT_OK
@@ -220,9 +218,12 @@ def cmd_eval(args, config: dict) -> int:
     part = {"train": split.train, "dev": split.dev, "test": split.test}[args.split]
     classifier = None
     if args.classifier:
-        classifier, _, cls_meta = framework.load_classifier(args.classifier)
+        classifier, cls_vocab, cls_meta = framework.load_classifier(args.classifier)
         if cls_meta["schema"] != schema:
             raise CliError(f"classifier schema {cls_meta['schema']} != {schema}")
+        if cls_vocab is not None and cls_vocab.itos != bundle.vocab.itos:
+            raise CliError("classifier vocabulary does not match the checkpoint's; "
+                           "pretrain-c and train must see the same corpus and split seed")
     seed = _setting(args, config, "seed", 0, int)
     report = framework.evaluate(bundle, part, classifier=classifier, seed=seed)
 
@@ -328,7 +329,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=None)
     p.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
     p.add_argument("--decoder-hidden", dest="decoder_hidden", type=int, default=None)
-    p.add_argument("--ef-mode", dest="ef_mode", choices=("soft", "stop"), default=None)
     p.add_argument("--loss-weights", dest="loss_weights", default=None,
                    help="two comma-separated weights for (loss, risk loss)")
     p.add_argument("--freeze-threshold", dest="freeze_threshold", type=float, default=None)

@@ -53,7 +53,8 @@ def extract_gold_prob(prob_vector, true_label: int) -> float:
 class ProbTriple:
     """Ground-truth probabilities under the predictor, the explanation
     classifier on generated explanations, and the classifier on golden
-    explanations."""
+    explanations: floats for one example, or equal-length arrays for a
+    batch (the functions below then apply elementwise)."""
 
     p_pred: float
     p_classified: float
@@ -76,10 +77,6 @@ def final_loss(loss: float, risk_loss: float,
     return weights[0] * loss + weights[1] * risk_loss
 
 
-def _factor_vector(p_classified: Tensor, p_gold: Tensor, p_pred: Tensor) -> Tensor:
-    return ad.absolute(p_classified - p_gold) + ad.absolute(p_classified - p_pred)
-
-
 # -- configuration ----------------------------------------------------------------
 
 
@@ -93,22 +90,12 @@ class TrainConfig:
     epochs: int = 5
     seed: int = 0
     predictor_freeze_threshold: float | None = None
-    ef_gradient_mode: str = ""  # "soft" or "stop"; schema default if empty
     loss_weights: tuple[float, float] = (1.0, 1.0)
     kl_anneal_frac: float = 0.2
 
     def __post_init__(self):
         if self.schema not in FORM_BY_SCHEMA:
             raise ValueError(f"unknown schema {self.schema!r}")
-        if not self.ef_gradient_mode:
-            # constant-weight risk for both forms: letting gradients flow
-            # through the classifier drags generated explanations toward
-            # label-consistent prototypes instead of the golden ones, which
-            # measurably wrecks sub-field accuracy; "soft" stays available
-            # as an ablation switch
-            self.ef_gradient_mode = "stop"
-        if self.ef_gradient_mode not in ("soft", "stop"):
-            raise ValueError(f"ef_gradient_mode must be 'soft' or 'stop'")
         if self.predictor_freeze_threshold is not None and self.predictor_freeze_threshold < 0:
             raise ValueError("freeze threshold must be >= 0")
         if min(self.loss_weights) < 0 or max(self.loss_weights) <= 0:
@@ -347,11 +334,10 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                 loss_vec = lp_vec + le_vec
 
                 if use_factor:
-                    factor_vec, mrt_vec = _risk_terms(
-                        bundle, classifier, v_e, logits, labels, batch,
-                        loss_vec, gold_cache[idx], config.ef_gradient_mode,
-                        factor_rng)
-                    sums["ef"] += float(factor_vec.data.sum())
+                    factor, mrt_vec = _risk_terms(
+                        bundle, classifier, v_e, logits, labels,
+                        loss_vec, gold_cache[idx], factor_rng)
+                    sums["ef"] += float(factor.sum())
                     sums["l_mrt"] += float(mrt_vec.data.sum())
                 else:
                     mrt_vec = None
@@ -426,47 +412,26 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
 
 
 def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
-                labels: np.ndarray, batch, loss_vec: Tensor,
-                gold_probs: np.ndarray, gradient_mode: str,
-                rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+                labels: np.ndarray, loss_vec: Tensor, gold_probs: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, Tensor]:
     """Explanation factor and risk-weighted loss for one batch.
 
-    In "soft" mode the classifier consumes the generator's output
-    distributions (expected embeddings), so gradients reach the generator
-    through p_classified. In "stop" mode generated explanations are
-    decoded hard and the factor acts as a constant per-example weight.
+    Generated explanations are decoded hard and the frozen classifier reads
+    them without recording a graph, so the factor is a constant
+    per-example weight on the loss: gradients reach the model only
+    through ``loss_vec``.
     """
-    p_pred = ad.pick(ad.softmax(logits), labels).detach()
-    p_gold = Tensor(gold_probs)
-
-    if bundle.form == "numeric":
-        if gradient_mode == "soft":
-            dists = bundle.generator.probs(v_e)
-            p_cls = ad.pick(classifier.probs_soft(dists), labels)
+    rows = np.arange(len(labels))
+    with ad.no_grad():
+        p_pred = ad.softmax(logits).data[rows, labels]
+        if bundle.form == "numeric":
+            explanation = bundle.generator.scores(v_e)
         else:
-            with ad.no_grad():
-                scores = bundle.generator.scores(v_e)
-                p_cls = ad.pick(classifier.probs_hard(scores), labels)
-    else:
-        if gradient_mode == "soft":
-            soft_comments = []
-            for polarity in POLARITIES:
-                ids, mask = bundle.comment_batch(batch, polarity)
-                dists, soft_mask = bundle.generator.teacher_soft_dists(
-                    v_e, polarity_control(polarity), ids, mask, rng)
-                soft_comments.append((dists, soft_mask))
-            p_cls = ad.pick(classifier.probs_soft(soft_comments), labels)
-        else:
-            with ad.no_grad():
-                decoded = []
-                for polarity in POLARITIES:
-                    token_lists = bundle.generator.decode(
-                        v_e, polarity_control(polarity), rng)
-                    decoded.append(pad_batch(token_lists))
-                p_cls = ad.pick(classifier.probs_hard(decoded), labels)
-
-    factor_vec = _factor_vector(p_cls, p_gold, p_pred)
-    return factor_vec, ad.mul(loss_vec, factor_vec)
+            explanation = [pad_batch(bundle.generator.decode(
+                v_e, polarity_control(polarity), rng)) for polarity in POLARITIES]
+        p_cls = classifier.probs_hard(explanation).data[rows, labels]
+    factor = explanation_factor(ProbTriple(p_pred, p_cls, gold_probs))
+    return factor, mrt_loss(loss_vec, Tensor(factor))
 
 
 # -- evaluation -------------------------------------------------------------------

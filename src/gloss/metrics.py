@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,29 +82,3 @@ def topk_accuracy(prob_rows, labels, k: int) -> float:
     hits = (order == labels[:, None]).any(axis=1)
     return 100.0 * float(hits.mean())
 
-
-@dataclass
-class AccuracyReport:
-    """Top-1/top-3 accuracy plus optional per-sub-field accuracies."""
-
-    top1: float
-    top3: float
-    fields: dict[str, float] | None = None
-
-    def as_dict(self) -> dict:
-        out = {"top1": self.top1, "top3": self.top3}
-        if self.fields is not None:
-            out["fields"] = dict(self.fields)
-        return out
-
-
-@dataclass
-class BleuReport:
-    """BLEU-1..4 per comment polarity and pooled over all polarities."""
-
-    polarity: dict[str, dict[str, float]] = field(default_factory=dict)
-    aggregate: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"polarity": {k: dict(v) for k, v in self.polarity.items()},
-                "aggregate": dict(self.aggregate)}

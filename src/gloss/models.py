@@ -44,7 +44,9 @@ class Module:
 
     def load_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, tensor in self.parameters().items():
-            source = arrays[prefix + name]
+            source = arrays.get(prefix + name)
+            if source is None:
+                raise ValueError(f"missing tensor {prefix + name}")
             if source.shape != tensor.data.shape:
                 raise ValueError(f"shape mismatch for {prefix + name}")
             tensor.data[...] = source
@@ -303,9 +305,6 @@ class NumericGenerator(Module):
     def logits(self, v_e: Tensor) -> list[Tensor]:
         return [head(v_e) for head in self.heads]
 
-    def probs(self, v_e: Tensor) -> list[Tensor]:
-        return [ad.softmax(l) for l in self.logits(v_e)]
-
     def scores(self, v_e: Tensor) -> np.ndarray:
         """Per-field argmax scores, shape (batch, n_fields)."""
         return np.stack([l.argmax(axis=1) for l in self.logits(v_e)], axis=1)
@@ -446,30 +445,6 @@ class TextCvae(Module):
         recon_mean = recon.mean()
         return kl_mean + recon_mean, kl_mean, recon_mean
 
-    def teacher_soft_dists(self, v_e: Tensor, control: int, comment_ids: np.ndarray,
-                           comment_mask: np.ndarray, rng: np.random.Generator,
-                           ) -> tuple[Tensor, np.ndarray]:
-        """Per-position vocabulary distributions under teacher forcing.
-
-        Returns the (B, T+1, V) distribution tensor and the matching mask
-        over real comment-token positions (the trailing EOS slot is
-        masked out).
-        """
-        cond = self.condition(v_e, control)
-        mu_q, logvar_q = self.posterior(cond, comment_ids, comment_mask)
-        eps = Tensor(rng.standard_normal(mu_q.shape))
-        z = mu_q + ad.mul(ad.exp(ad.mul(logvar_q, Tensor(0.5))), eps)
-        dec_in, _, _ = self._teacher_io(comment_ids, comment_mask)
-        ctrl_emb = self.ctrl(np.full(v_e.shape[0], control, dtype=np.int64))
-        h = self._decode_hidden(z, cond)
-        dists = []
-        batch = v_e.shape[0]
-        for t in range(dec_in.shape[1]):
-            logits, h = self._step_logits(self.embed(dec_in[:, t]), ctrl_emb, h)
-            dists.append(ad.softmax(logits).reshape(batch, 1, self.vocab_size))
-        soft_mask = np.concatenate([comment_mask, np.zeros((batch, 1))], axis=1)
-        return ad.concat(dists, axis=1), soft_mask
-
     def decode(self, v_e: Tensor, control: int, rng: np.random.Generator,
                max_len: int | None = None, z_mode: str = "mean") -> list[list[int]]:
         """Greedy decoding until EOS or the cap, latent taken from the prior.
@@ -517,9 +492,7 @@ class ClassifierNumeric(Module):
     """Maps five sub-field scores to an overall label.
 
     Each (field, score) pair owns its own embedding row; "cabin staff = 3"
-    and "food = 3" are different evidence. Soft inputs are distributions
-    over the six scores per field, consumed as expected embeddings so the
-    forward pass stays differentiable through a generator.
+    and "food = 3" are different evidence.
     """
 
     def __init__(self, rng, n_classes: int, emb_dim: int = 16, hidden: int = 64,
@@ -532,9 +505,6 @@ class ClassifierNumeric(Module):
         self.out = Linear(rng, hidden, n_classes)
         self.frozen = False
 
-    def _head(self, flat: Tensor) -> Tensor:
-        return self.out(ad.tanh(self.hidden(flat)))
-
     def logits_hard(self, subscores: np.ndarray) -> Tensor:
         subscores = np.asarray(subscores, dtype=np.int64)
         if subscores.ndim != 2 or subscores.shape[1] != self.n_fields:
@@ -542,23 +512,10 @@ class ClassifierNumeric(Module):
         offsets = np.arange(self.n_fields) * self.n_levels
         flat = self.embed(subscores + offsets).reshape(
             subscores.shape[0], self.n_fields * self.emb_dim)
-        return self._head(flat)
-
-    def logits_soft(self, dists: list[Tensor]) -> Tensor:
-        if len(dists) != self.n_fields:
-            raise ValueError(f"expected {self.n_fields} score distributions")
-        parts = []
-        for field, dist in enumerate(dists):
-            rows = ad.slice_axis(self.embed.w, 0, field * self.n_levels,
-                                 (field + 1) * self.n_levels)
-            parts.append(ad.matmul(dist, rows))
-        return self._head(ad.concat(parts, axis=1))
+        return self.out(ad.tanh(self.hidden(flat)))
 
     def probs_hard(self, subscores: np.ndarray) -> Tensor:
         return ad.softmax(self.logits_hard(subscores))
-
-    def probs_soft(self, dists: list[Tensor]) -> Tensor:
-        return ad.softmax(self.logits_soft(dists))
 
 
 class ClassifierText(Module):
@@ -587,36 +544,8 @@ class ClassifierText(Module):
         vecs = [self._comment_vec(self.embed(ids), mask) for ids, mask in comments]
         return self.out(ad.concat(vecs, axis=1))
 
-    def logits_soft(self, comments: list[tuple[Tensor, np.ndarray]]) -> Tensor:
-        if len(comments) != 3:
-            raise ValueError("expected exactly three comments")
-        vecs = []
-        for dists, mask in comments:
-            emb3 = ad.matmul(dists, self.embed.w)
-            vecs.append(self._comment_vec(emb3, mask))
-        return self.out(ad.concat(vecs, axis=1))
-
     def probs_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
         return ad.softmax(self.logits_hard(comments))
-
-    def probs_soft(self, comments: list[tuple[Tensor, np.ndarray]]) -> Tensor:
-        return ad.softmax(self.logits_soft(comments))
-
-
-def classify_explanations(classifier, explanation, form: str, soft: bool) -> Tensor:
-    """Frozen-classifier forward over an explanation, hard or soft.
-
-    Numeric form: ``explanation`` is a (batch, 5) int array of scores, or a
-    list of five (batch, 6) distribution tensors when ``soft``. Text form:
-    a list of three (ids, mask) pairs, with ids replaced by (batch, T, V)
-    distribution tensors when ``soft``.
-    """
-    if form == "numeric":
-        return classifier.probs_soft(explanation) if soft else classifier.probs_hard(explanation)
-    if form == "text":
-        return classifier.probs_soft(explanation) if soft else classifier.probs_hard(explanation)
-    raise ValueError(f"unknown explanation form {form!r}")
-
 
 # -- bundle ----------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gloss import checkpoint
 from gloss.cli import main
 from gloss.data import load_jsonl
 
@@ -207,6 +208,47 @@ class TestEvalAndExplain:
     def test_eval_missing_checkpoint(self, numeric_corpus, tmp_path):
         assert run_cli("eval", "--checkpoint", tmp_path / "missing.ckpt",
                        "--corpus", numeric_corpus, "--quiet") == 1
+
+    def test_eval_checkpoint_missing_tensor(self, numeric_corpus, trained_model,
+                                            tmp_path, capsys):
+        arrays, meta = checkpoint.load(trained_model[0])
+        del arrays["model.encoder.embed.w"]
+        broken = tmp_path / "broken.ckpt"
+        checkpoint.save(broken, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", broken,
+                       "--corpus", numeric_corpus, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "model.encoder.embed.w" in err and "Traceback" not in err
+
+    def test_eval_ignores_retired_train_config_keys(
+            self, numeric_corpus, trained_model, tmp_path):
+        arrays, meta = checkpoint.load(trained_model[0])
+        meta["train_config"]["retired_setting"] = "stop"
+        legacy = tmp_path / "legacy.ckpt"
+        checkpoint.save(legacy, arrays, meta)
+        assert run_cli("eval", "--checkpoint", legacy,
+                       "--corpus", numeric_corpus, "--quiet") == 0
+
+    def test_eval_rejects_classifier_with_other_vocabulary(self, text_corpus,
+                                                           tmp_path, capsys):
+        model = tmp_path / "tm.ckpt"
+        assert run_cli("train", "--corpus", text_corpus, "--schema", "pcmag",
+                       "--mode", "baseline", "--out", model, "--epochs", "1",
+                       "--encoder", "bow", "--hidden-dim", "16",
+                       "--embedding-dim", "12", "--latent-dim", "6",
+                       "--decoder-hidden", "16", "--seed", "2", "--quiet") == 0
+        other_corpus = tmp_path / "other.jsonl"
+        assert run_cli("synth", "--schema", "pcmag", "--n", "300", "--seed", "23",
+                       "--out", other_corpus, "--quiet") == 0
+        classifier = tmp_path / "other_cls.ckpt"
+        assert run_cli("pretrain-c", "--corpus", other_corpus, "--schema", "pcmag",
+                       "--out", classifier, "--max-epochs", "1", "--quiet") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", model, "--corpus", text_corpus,
+                       "--classifier", classifier, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "vocabulary" in err and "Traceback" not in err
 
 
 def test_unknown_argument_exits_1(capsys):

@@ -189,8 +189,7 @@ class TestTrainer:
         split, vocab, enc, classifier = numeric_world
         before = params_digest(classifier)
         bundle = ModelBundle("skytrax", vocab, enc, None, seed=2)
-        config = TrainConfig.for_schema("skytrax", epochs=1, seed=2,
-                                        ef_gradient_mode="soft")
+        config = TrainConfig.for_schema("skytrax", epochs=1, seed=2)
         train(bundle, split, config, classifier=classifier, mode="gef")
         assert params_digest(classifier) == before
 
@@ -206,15 +205,14 @@ class TestTrainer:
         le = fw._generation_loss(bundle, v_e, batch, 1.0, np.random.default_rng(0))
         loss_vec = lp + le
         factor, mrt = fw._risk_terms(bundle, classifier, v_e, logits, labels,
-                                     batch, loss_vec, gold, "soft",
-                                     np.random.default_rng(1))
+                                     loss_vec, gold, np.random.default_rng(1))
         p_pred = ad.softmax(logits).data[np.arange(3), labels]
-        dists = bundle.generator.probs(v_e)
-        p_cls = classifier.probs_soft(dists).data[np.arange(3), labels]
+        scores = bundle.generator.scores(v_e)
+        p_cls = classifier.probs_hard(scores).data[np.arange(3), labels]
         for i in range(3):
             expected = explanation_factor(
                 ProbTriple(p_pred[i], p_cls[i], gold[i]))
-            assert factor.data[i] == pytest.approx(expected, rel=1e-15)
+            assert factor[i] == pytest.approx(expected, rel=1e-15)
             assert mrt.data[i] == pytest.approx(
                 mrt_loss(loss_vec.data[i], expected), rel=1e-15)
 
@@ -233,16 +231,17 @@ class TestTrainer:
                                      np.random.default_rng(0))
             loss_vec = lp + le
             if substitute_constants:
+                rows = np.arange(len(batch))
                 with ad.no_grad():
                     scores = bundle.generator.scores(v_e)
-                    p_cls = ad.pick(classifier.probs_hard(scores), labels)
-                p_pred = ad.pick(ad.softmax(logits), labels).detach()
-                factor = fw._factor_vector(p_cls, Tensor(gold), p_pred)
-                mrt = ad.mul(loss_vec, factor)
+                    p_cls = classifier.probs_hard(scores).data[rows, labels]
+                p_pred = ad.softmax(logits).data[rows, labels]
+                factor = explanation_factor(ProbTriple(p_pred, p_cls, gold))
+                mrt = ad.mul(loss_vec, Tensor(factor))
             else:
                 factor, mrt = fw._risk_terms(
-                    bundle, classifier, v_e, logits, labels, batch, loss_vec,
-                    gold, "stop", np.random.default_rng(1))
+                    bundle, classifier, v_e, logits, labels, loss_vec,
+                    gold, np.random.default_rng(1))
             total = (loss_vec + mrt).mean()
             total.backward()
             return {k: t.grad.copy() for k, t in
@@ -334,24 +333,12 @@ class TestTextTrainer:
                                             max_epochs=10)
         bundle = ModelBundle("pcmag", vocab, enc, cvae, seed=5)
         config = TrainConfig.for_schema("pcmag", epochs=4, seed=5, lr=3e-3)
-        assert config.ef_gradient_mode == "stop"
         result = train(bundle, split, config, classifier=classifier, mode="gef")
         assert len(result.epochs) == 4
         # text runs auto-freeze the predictor once train L_p dips under the
         # dev-derived threshold
         if result.frozen_at_epoch is not None:
             assert result.frozen_at_epoch >= 0
-
-    def test_text_soft_mode_runs(self):
-        split, vocab, enc, cvae = small_text_setup(n=200)
-        classifier, _ = pretrain_classifier(split, "pcmag", seed=0, vocab=vocab,
-                                            max_epochs=4)
-        bundle = ModelBundle("pcmag", vocab, enc, cvae, seed=6)
-        config = TrainConfig.for_schema("pcmag", epochs=1, seed=6,
-                                        ef_gradient_mode="soft")
-        result = train(bundle, split, config, classifier=classifier, mode="gef")
-        assert result.epochs[0]["EF_mean"] > 0
-
 
 
 class TestEvaluate:
