@@ -3,8 +3,9 @@
 A small dynamic-graph engine: every operation wraps its output in a new
 :class:`Tensor` that remembers its inputs and a local backward rule, and
 ``Tensor.backward()`` replays the recorded graph in reverse topological
-order. The graph is rebuilt on every forward pass, which keeps unrolled
-recurrences over variable-length sequences simple.
+order. The graph is rebuilt on every forward pass. A whole LSTM or GRU
+recurrence over a padded batch is a single op (:func:`lstm_sequence`,
+:func:`gru_sequence`) with hand-written backprop through time.
 
 Everything is float64 and single-threaded by design: the models in this
 package are desk-scale and the test suite leans on finite-difference
@@ -44,6 +45,8 @@ __all__ = [
     "embedding_lookup",
     "pick",
     "slice_axis",
+    "lstm_sequence",
+    "gru_sequence",
     "Adam",
 ]
 
@@ -88,7 +91,9 @@ def _as_array(value) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    if _nan_checks and not np.all(np.isfinite(arr)):
+    # A finite sum proves every element finite; only a non-finite sum (which
+    # large finite values can also give, by overflow) needs the full scan.
+    if _nan_checks and not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite value produced by {where}")
 
 
@@ -228,8 +233,10 @@ def _lift(value) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # an owned copy: the same ``g`` may reach several parents
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -242,12 +249,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, opname: str) -> Tensor:
     _check_finite(data, opname)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -354,13 +366,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "tanh")
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    data = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -594,6 +607,207 @@ def pick(a: Tensor, idx) -> Tensor:
         _accumulate(a, full)
 
     return _make(data, (a,), backward, "pick")
+
+
+# -- recurrent sequences -----------------------------------------------------
+#
+# Each recurrence over a padded (B, T, E) batch is one op: the input
+# projection is one (T*B, E) @ W_x matmul outside the time loop, the
+# recurrence runs in numpy over time-major arrays, and backward is
+# hand-written backprop through time that gathers the weight gradients in
+# one matmul over all steps. A masked step carries the state:
+# h <- h + m * (h_new - h); with no mask every step replaces it. The
+# (B, T, H) output holds the state after each position, so the final state
+# of a forward pass is position T-1 and of a reverse pass position 0.
+
+
+def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str):
+    """Time-major flat input (T*B, E), projection (T, B, n), mask (T, B, 1)."""
+    if x.ndim != 3 or w_x.ndim != 2 or x.shape[2] != w_x.shape[0]:
+        raise ShapeError(f"{opname} expects (B, T, E) input and (E, n) weights, "
+                         f"got {x.shape} and {w_x.shape}")
+    batch, steps, dim = x.shape
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (batch, steps):
+            raise ShapeError(f"{opname} mask shape {mask.shape} != {(batch, steps)}")
+        mask = np.ascontiguousarray(mask.T)[:, :, None]
+    flat_x = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
+    proj = (flat_x @ w_x.data).reshape(steps, batch, -1)
+    _check_finite(proj, opname)
+    return flat_x, proj, mask
+
+
+def _input_grads(x: Tensor, w_x: Tensor, flat_x: np.ndarray, d_proj: np.ndarray) -> None:
+    """Gradients of x and W_x from the time-major pre-activation gradient."""
+    steps, batch, _ = d_proj.shape
+    flat = d_proj.reshape(steps * batch, -1)
+    if w_x.requires_grad:
+        _accumulate(w_x, flat_x.T @ flat)
+    if x.requires_grad:
+        _accumulate(x, (flat @ w_x.data.T).reshape(steps, batch, -1).transpose(1, 0, 2))
+
+
+def _batch_major(states: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(states.transpose(1, 0, 2))
+
+
+def _carry(h: np.ndarray, h_new: np.ndarray, mask, t: int, out: np.ndarray) -> None:
+    """out = h + m * (h_new - h) for step t; consumes ``h_new``."""
+    if mask is None:
+        out[...] = h_new
+    else:
+        h_new -= h
+        h_new *= mask[t]
+        np.add(h, h_new, out=out)
+
+
+def _split_carry(d, mask, t: int):
+    """Gradient of a carried state, split into (new state's, old state's)."""
+    if mask is None:
+        return d, 0.0
+    d_new = mask[t] * d
+    return d_new, d - d_new
+
+
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tensor:
+    """LSTM over a padded batch from a zero state; returns (B, T, H) states.
+
+    Gates are packed [input, forget, output, candidate] along the last
+    axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and ``b`` (4H,).
+    """
+    flat_x, proj, mask = _sequence_input(x, w_x, mask, "lstm_sequence")
+    parents = (x, w_x, w_h, b)
+    record = _recording(parents)
+    steps, batch, _ = proj.shape
+    nh = w_h.shape[0]
+    slots = steps if record else 1  # without a tape, one reused slot
+    states = np.empty((steps, batch, nh))
+    cells = np.empty((slots, batch, nh))
+    acts = np.empty((slots, batch, 4 * nh))  # sigmoid(i, f, o), tanh(g)
+    tanh_c = np.empty((slots, batch, nh))
+    h = c = np.zeros((batch, nh))
+    for t in range(steps):
+        k = t if record else 0
+        gates = h @ w_h.data
+        gates += proj[t]
+        gates += b.data
+        act = acts[k]
+        _sigmoid(gates[:, :3 * nh], out=act[:, :3 * nh])
+        np.tanh(gates[:, 3 * nh:], out=act[:, 3 * nh:])
+        c_new = act[:, nh:2 * nh] * c
+        c_new += act[:, :nh] * act[:, 3 * nh:]
+        h_new = act[:, 2 * nh:3 * nh] * np.tanh(c_new, out=tanh_c[k])
+        _carry(h, h_new, mask, t, states[t])
+        _carry(c, c_new, mask, t, cells[k])
+        h, c = states[t], cells[k]
+
+    def backward(grad):
+        grad = grad.transpose(1, 0, 2)
+        w_h_t = np.ascontiguousarray(w_h.data.T)
+        d_gates = np.empty((steps, batch, 4 * nh))
+        dh = dc = 0.0
+        for t in range(steps - 1, -1, -1):
+            dh_new, dh = _split_carry(dh + grad[t], mask, t)
+            dc_new, dc = _split_carry(dc, mask, t)
+            act = acts[t]
+            ifo, g = act[:, :3 * nh], act[:, 3 * nh:]
+            tc = tanh_c[t]
+            dc_new = dc_new + dh_new * act[:, 2 * nh:3 * nh] * (1.0 - tc * tc)
+            dg = d_gates[t]
+            np.multiply(dc_new, g, out=dg[:, :nh])
+            np.multiply(dc_new, cells[t - 1] if t else 0.0, out=dg[:, nh:2 * nh])
+            np.multiply(dh_new, tc, out=dg[:, 2 * nh:3 * nh])
+            dg[:, :3 * nh] *= ifo * (1.0 - ifo)
+            np.multiply(dc_new * act[:, :nh], 1.0 - g * g, out=dg[:, 3 * nh:])
+            dc = dc + dc_new * act[:, nh:2 * nh]
+            dh = dh + dg @ w_h_t
+        flat = d_gates.reshape(steps * batch, 4 * nh)
+        if w_h.requires_grad:
+            # step 0 starts from the zero state and adds nothing
+            _accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
+        if b.requires_grad:
+            _accumulate(b, flat.sum(axis=0))
+        _input_grads(x, w_x, flat_x, d_gates)
+
+    return _make(_batch_major(states), parents, backward if record else None,
+                 "lstm_sequence")
+
+
+def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
+                 mask=None, h0: Tensor | None = None, reverse: bool = False) -> Tensor:
+    """GRU over a padded batch; returns (B, T, H) states.
+
+    ``w_x`` (E, 3H) and ``b_x`` (3H,) pack [update, reset, candidate];
+    ``w_h`` (H, 2H) packs [update, reset] and ``w_hn`` (H, H) acts on the
+    reset-gated state. The state starts at ``h0`` (zeros when None), and
+    ``reverse`` runs from position T-1 down to 0.
+    """
+    flat_x, proj, mask = _sequence_input(x, w_x, mask, "gru_sequence")
+    parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
+    record = _recording(parents)
+    steps, batch, _ = proj.shape
+    nh = w_hn.shape[0]
+    proj += b_x.data
+    h_init = np.zeros((batch, nh)) if h0 is None else h0.data
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    slots = steps if record else 1  # without a tape, one reused slot
+    states = np.empty((steps, batch, nh))
+    zr_all = np.empty((slots, batch, 2 * nh))
+    cand_all = np.empty((slots, batch, nh))
+    rh_all = np.empty((slots, batch, nh))
+    h = h_init
+    for t in order:
+        k = t if record else 0
+        pre = h @ w_h.data
+        pre += proj[t, :, :2 * nh]
+        zr = _sigmoid(pre, out=zr_all[k])
+        rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
+        pre = rh @ w_hn.data
+        pre += proj[t, :, 2 * nh:]
+        cand = np.tanh(pre, out=cand_all[k])
+        h_new = h - cand
+        h_new *= zr[:, :nh]
+        h_new += cand
+        _carry(h, h_new, mask, t, states[t])
+        h = states[t]
+
+    def backward(grad):
+        grad = grad.transpose(1, 0, 2)
+        w_h_t = np.ascontiguousarray(w_h.data.T)
+        w_hn_t = np.ascontiguousarray(w_hn.data.T)
+        # the state each step started from
+        if reverse:
+            h_prev = np.concatenate([states[1:], h_init[None]])
+        else:
+            h_prev = np.concatenate([h_init[None], states[:-1]])
+        d_proj = np.empty((steps, batch, 3 * nh))
+        dh = 0.0
+        for t in reversed(order):
+            dh_new, dh = _split_carry(dh + grad[t], mask, t)
+            zr = zr_all[t]
+            z, r = zr[:, :nh], zr[:, nh:]
+            hp, cand = h_prev[t], cand_all[t]
+            dp = d_proj[t]
+            np.multiply(dh_new - dh_new * z, 1.0 - cand * cand, out=dp[:, 2 * nh:])
+            d_rh = dp[:, 2 * nh:] @ w_hn_t
+            np.multiply(dh_new, hp - cand, out=dp[:, :nh])
+            np.multiply(d_rh, hp, out=dp[:, nh:2 * nh])
+            dp[:, :2 * nh] *= zr * (1.0 - zr)
+            dh = dh + z * dh_new + d_rh * r + dp[:, :2 * nh] @ w_h_t
+        flat = d_proj.reshape(steps * batch, 3 * nh)
+        if w_h.requires_grad:
+            _accumulate(w_h, h_prev.reshape(-1, nh).T @ flat[:, :2 * nh])
+        if w_hn.requires_grad:
+            _accumulate(w_hn, rh_all.reshape(-1, nh).T @ flat[:, 2 * nh:])
+        if b_x.requires_grad:
+            _accumulate(b_x, flat.sum(axis=0))
+        if h0 is not None and h0.requires_grad:
+            _accumulate(h0, dh)
+        _input_grads(x, w_x, flat_x, d_proj)
+
+    return _make(_batch_major(states), parents, backward if record else None,
+                 "gru_sequence")
 
 
 # -- optimizer ---------------------------------------------------------------

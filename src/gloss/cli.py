@@ -52,20 +52,35 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+# every key some command reads through _setting; any other key in a
+# --config file is a typo or a retired setting and is rejected
+CONFIG_KEYS = frozenset({
+    "n", "seed", "split_seed", "lr", "batch_size", "max_epochs", "schema",
+    "encoder", "embedding_dim", "hidden_dim", "latent_dim", "decoder_hidden",
+    "epochs", "loss_weights", "freeze_threshold", "kl_anneal_frac",
+})
+
+
 def _read_config(path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise CliError(f"config file {path}: {err}") from err
     if not read:
         raise CliError(f"config file {path} not found")
     flat = {}
     for section in parser.sections():
         for key, value in parser.items(section):
+            if key not in CONFIG_KEYS:
+                raise CliError(f"unknown config key {key!r}")
             flat[key] = value
     return flat
 
 
 def _setting(args, config: dict, key: str, default=None, cast=None):
     """Precedence: CLI flag, then config file, then default."""
+    assert key in CONFIG_KEYS, key
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key, default)

@@ -85,25 +85,11 @@ class GRU(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 2 * n_hidden), requires_grad=True)
         self.w_hn = Tensor(_xavier(rng, n_hidden, n_hidden), requires_grad=True)
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        nh = self.n_hidden
-        gx = ad.matmul(x, self.w_x) + self.b_x
-        gh = ad.matmul(h, self.w_h)
-        z = ad.sigmoid(ad.slice_axis(gx, 1, 0, nh) + ad.slice_axis(gh, 1, 0, nh))
-        r = ad.sigmoid(ad.slice_axis(gx, 1, nh, 2 * nh) + ad.slice_axis(gh, 1, nh, 2 * nh))
-        cand = ad.tanh(ad.slice_axis(gx, 1, 2 * nh, 3 * nh) + ad.matmul(ad.mul(r, h), self.w_hn))
-        return cand + ad.mul(z, h - cand)
-
-    def run(self, steps: list[Tensor], mask: np.ndarray, reverse: bool = False) -> Tensor:
-        """Final hidden state over a padded batch; masked steps carry state."""
-        batch = steps[0].shape[0]
-        h = Tensor(np.zeros((batch, self.n_hidden)))
-        order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
-        for t in order:
-            h_new = self.step(steps[t], h)
-            m = Tensor(mask[:, t:t + 1])
-            h = h + ad.mul(m, h_new - h)
-        return h
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 h0: Tensor | None = None, reverse: bool = False) -> Tensor:
+        """(B, T, H) states over a padded (B, T, E) batch; masked steps carry state."""
+        return ad.gru_sequence(x, self.w_x, self.b_x, self.w_h, self.w_hn, mask,
+                               h0=h0, reverse=reverse)
 
 
 class LSTM(Module):
@@ -113,26 +99,16 @@ class LSTM(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 4 * n_hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * n_hidden), requires_grad=True)
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        nh = self.n_hidden
-        gates = ad.matmul(x, self.w_x) + ad.matmul(h, self.w_h) + self.b
-        i = ad.sigmoid(ad.slice_axis(gates, 1, 0, nh))
-        f = ad.sigmoid(ad.slice_axis(gates, 1, nh, 2 * nh))
-        o = ad.sigmoid(ad.slice_axis(gates, 1, 2 * nh, 3 * nh))
-        g = ad.tanh(ad.slice_axis(gates, 1, 3 * nh, 4 * nh))
-        c_new = ad.mul(f, c) + ad.mul(i, g)
-        return ad.mul(o, ad.tanh(c_new)), c_new
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """(B, T, H) states over a padded (B, T, E) batch; masked steps carry state."""
+        return ad.lstm_sequence(x, self.w_x, self.w_h, self.b, mask)
 
-    def run(self, steps: list[Tensor], mask: np.ndarray) -> Tensor:
-        batch = steps[0].shape[0]
-        h = Tensor(np.zeros((batch, self.n_hidden)))
-        c = Tensor(np.zeros((batch, self.n_hidden)))
-        for t in range(len(steps)):
-            h_new, c_new = self.step(steps[t], h, c)
-            m = Tensor(mask[:, t:t + 1])
-            h = h + ad.mul(m, h_new - h)
-            c = c + ad.mul(m, c_new - c)
-        return h
+
+def _final_state(states: Tensor, reverse: bool = False) -> Tensor:
+    """The state after the last step of a (B, T, H) sequence op."""
+    batch, steps, dim = states.shape
+    t = 0 if reverse else steps - 1
+    return ad.slice_axis(states, 1, t, t + 1).reshape(batch, dim)
 
 
 class BiGRU(Module):
@@ -140,20 +116,11 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def run(self, steps: list[Tensor], mask: np.ndarray) -> Tensor:
-        return ad.concat([self.fwd.run(steps, mask),
-                          self.bwd.run(steps, mask, reverse=True)], axis=1)
-
-
-def _embed_steps(embed: Embedding, ids: np.ndarray) -> list[Tensor]:
-    """One embedding lookup per timestep (cheap scatter in backward)."""
-    return [embed(ids[:, t]) for t in range(ids.shape[1])]
-
-
-def _slice_steps(emb3: Tensor) -> list[Tensor]:
-    """Split a (B, T, E) tensor into per-step (B, E) tensors."""
-    batch, steps, dim = emb3.shape
-    return [ad.slice_axis(emb3, 1, t, t + 1).reshape(batch, dim) for t in range(steps)]
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """Both final states, concatenated: (B, 2H)."""
+        return ad.concat([_final_state(self.fwd(x, mask)),
+                          _final_state(self.bwd(x, mask, reverse=True), reverse=True)],
+                         axis=1)
 
 
 def _masked_mean(emb3: Tensor, mask: np.ndarray) -> Tensor:
@@ -225,7 +192,7 @@ class RecurrentEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        return self.rnn.run(_embed_steps(self.embed, ids), mask)
+        return _final_state(self.rnn(self.embed(ids), mask))
 
 
 class CnnEncoder(Module):
@@ -377,7 +344,7 @@ class TextCvae(Module):
 
     def posterior(self, cond: Tensor, comment_ids: np.ndarray,
                   comment_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        enc = self.comment_enc.run(_embed_steps(self.embed, comment_ids), comment_mask)
+        enc = self.comment_enc(self.embed(comment_ids), comment_mask)
         packed = self.recog_out(ad.tanh(self.recog_hidden(ad.concat([enc, cond], axis=1))))
         return self._split_gaussian(packed)
 
@@ -393,10 +360,6 @@ class TextCvae(Module):
 
     def _decode_hidden(self, z: Tensor, cond: Tensor) -> Tensor:
         return ad.tanh(self.dec_init(ad.concat([z, cond], axis=1)))
-
-    def _step_logits(self, token_emb: Tensor, ctrl_emb: Tensor, h: Tensor) -> tuple[Tensor, Tensor]:
-        h = self.dec.step(ad.concat([token_emb, ctrl_emb], axis=1), h)
-        return self.dec_out(h), h
 
     def _teacher_io(self, comment_ids: np.ndarray, comment_mask: np.ndarray):
         """Decoder inputs (BOS-shifted) and targets (EOS-terminated)."""
@@ -427,13 +390,13 @@ class TextCvae(Module):
         kl = self.gaussian_kl(mu_q, logvar_q, mu_p, logvar_p)
 
         dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_mask)
-        ctrl_emb = self.ctrl(np.full(v_e.shape[0], control, dtype=np.int64))
-        h = self._decode_hidden(z, cond)
-        recon = Tensor(np.zeros(v_e.shape[0]))
-        for t in range(dec_in.shape[1]):
-            logits, h = self._step_logits(self.embed(dec_in[:, t]), ctrl_emb, h)
-            ce = ad.cross_entropy(logits, targets[:, t], reduction="none")
-            recon = recon + ad.mul(ce, Tensor(t_mask[:, t]))
+        batch, steps = dec_in.shape
+        ctrl = self.ctrl(np.full((batch, steps), control, dtype=np.int64))
+        states = self.dec(ad.concat([self.embed(dec_in), ctrl], axis=2),
+                          h0=self._decode_hidden(z, cond))
+        logits = self.dec_out(states.reshape(batch * steps, self.config.decoder_hidden))
+        ce = ad.cross_entropy(logits, targets.reshape(-1), reduction="none")
+        recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
         return recon, kl
 
     def elbo(self, v_e: Tensor, control: int, comment_ids: np.ndarray,
@@ -466,13 +429,14 @@ class TextCvae(Module):
                 raise ValueError(f"unknown z_mode {z_mode!r}")
             h = self._decode_hidden(z, cond)
             batch = v_e.shape[0]
-            ctrl_emb = self.ctrl(np.full(batch, control, dtype=np.int64))
+            ctrl = self.ctrl(np.full((batch, 1), control, dtype=np.int64))
             tokens = np.full(batch, BOS, dtype=np.int64)
             finished = np.zeros(batch, dtype=bool)
             out: list[list[int]] = [[] for _ in range(batch)]
             for _ in range(max_len):
-                logits, h = self._step_logits(self.embed(tokens), ctrl_emb, h)
-                tokens = logits.argmax(axis=1)
+                x = ad.concat([self.embed(tokens[:, None]), ctrl], axis=2)
+                h = self.dec(x, h0=h).reshape(batch, self.config.decoder_hidden)
+                tokens = self.dec_out(h).argmax(axis=1)
                 for i in range(batch):
                     if finished[i]:
                         continue
@@ -535,8 +499,7 @@ class ClassifierText(Module):
         self.frozen = False
 
     def _comment_vec(self, emb3: Tensor, mask: np.ndarray) -> Tensor:
-        state = self.rnn.run(_slice_steps(emb3), mask)
-        return ad.concat([state, _masked_mean(emb3, mask)], axis=1)
+        return ad.concat([self.rnn(emb3, mask), _masked_mean(emb3, mask)], axis=1)
 
     def logits_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
         if len(comments) != 3:

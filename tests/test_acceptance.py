@@ -33,19 +33,12 @@ def report(criterion: int, message: str) -> None:
 # -- criterion 1: gradient correctness -------------------------------------------
 
 
-def test_criterion_1_gradient_checks():
-    started = time.time()
-    rng = np.random.default_rng(77)
-    tol, step = 1e-4, 1e-3
+def gradient_cases(rng) -> list:
+    """Scalar functions of one (3, 4) input, together covering every op.
 
-    def check(build, x):
-        t = Tensor(x.copy(), requires_grad=True)
-        build(t).backward()
-        got = t.grad
-        want = finite_difference_grad(lambda arr: build(Tensor(arr)).item(),
-                                      x.copy(), step=step)
-        assert relative_error(got, want) < tol
-
+    ``tests/test_autodiff.py`` checks that each op in ``autodiff.__all__``
+    is called by at least one case.
+    """
     ids = np.array([[0, 2], [2, 1]])
     pick_idx = np.array([1, 0, 2])
     ce_targets = np.array([1, 0, 3])
@@ -65,11 +58,14 @@ def test_criterion_1_gradient_checks():
         lambda t: ad.mul(ad.cross_entropy(t, ce_targets, reduction="none"),
                          w3).sum(),
         lambda t: (t + w4).sum(),
+        lambda t: ad.mul(t - w34c, w34a).sum(),
+        lambda t: ad.mul(ad.neg(t), w34b).sum(),
         lambda t: ad.mul(t, w34b).mean(),
         lambda t: ad.tanh(t).sum(),
         lambda t: ad.sigmoid(t).sum(),
         lambda t: ad.relu(t + Tensor(0.3)).sum(),
         lambda t: ad.exp(ad.mul(t, Tensor(0.3))).sum(),
+        lambda t: ad.log(ad.mul(t, t) + Tensor(0.5)).sum(),
         lambda t: abs(t + Tensor(0.4)).sum(),
         lambda t: ad.concat([t, w34c], axis=0).sum(),
         lambda t: t.max(axis=1).sum(),
@@ -78,6 +74,71 @@ def test_criterion_1_gradient_checks():
         lambda t: ad.pick(t, pick_idx).sum(),
         lambda t: ad.stack([t, ad.tanh(t)], axis=0).mean(),
     ]
+
+    # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs,
+    # two of them padded; every output state is weighted into the loss.
+    # The (3, 4) input stands in for x, h0, each weight or the bias in turn;
+    # weights of other shapes are linear maps of it.
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+    seq_x = Tensor(rng.normal(size=(3, 4, 1)))
+    l_wx = Tensor(rng.normal(size=(1, 12)) * 0.5)
+    l_wh = Tensor(rng.normal(size=(3, 12)) * 0.5)
+    l_b = Tensor(rng.normal(size=12) * 0.5)
+    l_out = Tensor(rng.normal(size=(3, 4, 3)))
+    to_w_h = Tensor(rng.normal(size=(4, 12)) * 0.3)
+
+    def lstm(x=seq_x, w_x=l_wx, w_h=l_wh, b=l_b):
+        return ad.mul(ad.lstm_sequence(x, w_x, w_h, b, mask), l_out).sum()
+
+    cases += [
+        lambda t: lstm(x=t.reshape(3, 4, 1)),
+        lambda t: lstm(w_x=t.reshape(1, 12)),
+        lambda t: lstm(w_h=ad.matmul(t, to_w_h)),
+        lambda t: lstm(b=t.reshape(12)),
+    ]
+
+    g_wx = Tensor(rng.normal(size=(1, 12)) * 0.5)
+    g_bx = Tensor(rng.normal(size=12) * 0.5)
+    g_wh = Tensor(rng.normal(size=(4, 8)) * 0.5)
+    g_whn = Tensor(rng.normal(size=(4, 4)) * 0.5)
+    g_h0 = Tensor(rng.normal(size=(3, 4)) * 0.5)
+    g_out = Tensor(rng.normal(size=(3, 4, 4)))
+    to_w_h2 = Tensor(rng.normal(size=(3, 8)) * 0.3)
+    to_w_hn = Tensor(rng.normal(size=(3, 4)) * 0.3)
+
+    def gru(reverse, x=seq_x, w_x=g_wx, b_x=g_bx, w_h=g_wh, w_hn=g_whn,
+            h0=g_h0, seq_mask=mask):
+        states = ad.gru_sequence(x, w_x, b_x, w_h, w_hn, seq_mask, h0=h0,
+                                 reverse=reverse)
+        return ad.mul(states, g_out).sum()
+
+    for rev in (False, True):
+        cases += [
+            lambda t, rev=rev: gru(rev, x=t.reshape(3, 4, 1), h0=None),
+            lambda t, rev=rev: gru(rev, x=t.reshape(3, 4, 1), seq_mask=None),
+            lambda t, rev=rev: gru(rev, w_x=t.reshape(1, 12)),
+            lambda t, rev=rev: gru(rev, b_x=t.reshape(12)),
+            lambda t, rev=rev: gru(rev, w_h=ad.matmul(t.reshape(4, 3), to_w_h2)),
+            lambda t, rev=rev: gru(rev, w_hn=ad.matmul(t.reshape(4, 3), to_w_hn)),
+            lambda t, rev=rev: gru(rev, h0=t),
+        ]
+    return cases
+
+
+def test_criterion_1_gradient_checks():
+    started = time.time()
+    rng = np.random.default_rng(77)
+    tol, step = 1e-4, 1e-3
+
+    def check(build, x):
+        t = Tensor(x.copy(), requires_grad=True)
+        build(t).backward()
+        got = t.grad
+        want = finite_difference_grad(lambda arr: build(Tensor(arr)).item(),
+                                      x.copy(), step=step)
+        assert relative_error(got, want) < tol
+
+    cases = gradient_cases(rng)
     n_checked = 0
     for build in cases:
         for _ in range(3):
@@ -87,7 +148,7 @@ def test_criterion_1_gradient_checks():
             n_checked += 1
     elapsed = time.time() - started
     assert elapsed < 30.0
-    report(1, f"{n_checked} finite-difference checks over {len(cases)} ops, "
+    report(1, f"{n_checked} finite-difference checks over {len(cases)} cases, "
               f"rel err < {tol}, {elapsed:.1f}s")
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,37 @@ class TestGradientChecks:
                  rng.normal(size=(2, 3)))
 
 
+NOT_OPS = {"no_grad", "set_nan_checks", "nan_checks_enabled"}
+
+
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    """Each op in ``autodiff.__all__`` is called by a criterion-1 case."""
+    from test_acceptance import gradient_cases
+
+    ops = [name for name in ad.__all__ if name not in NOT_OPS
+           and not inspect.isclass(getattr(ad, name))]
+    called, depth = set(), [0]
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:  # ops called by other ops do not count
+                called.add(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(ad, name, recorder(name, getattr(ad, name)))
+    rng = np.random.default_rng(0)
+    for build in gradient_cases(rng):
+        build(Tensor(rng.normal(size=(3, 4)), requires_grad=True))
+    assert "lstm_sequence" in ops and "gru_sequence" in ops
+    assert sorted(set(ops) - called) == []
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         eye = np.eye(2)
@@ -183,6 +216,16 @@ class TestForwardValues:
     def test_cross_entropy_target_range(self):
         with pytest.raises(IndexError):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+    def test_sigmoid_matches_masked_formula_bitwise(self, rng):
+        x = np.concatenate([rng.normal(size=200) * 20,
+                            [-800.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 800.0]])
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(ad.sigmoid(Tensor(x)).data, want)
 
     def test_sigmoid_tanh_zero(self):
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
@@ -240,9 +283,13 @@ class TestTapeSemantics:
 
     def test_no_grad_records_nothing(self):
         t = Tensor([1.0], requires_grad=True)
+        w_x = Tensor(np.full((1, 3), 0.5), requires_grad=True)
         with ad.no_grad():
             out = ad.tanh(t)
+            seq = ad.gru_sequence(Tensor(np.ones((2, 3, 1))), w_x, Tensor(np.zeros(3)),
+                                  Tensor(np.ones((1, 2))), Tensor(np.ones((1, 1))))
         assert not out.requires_grad and out._backward is None
+        assert not seq.requires_grad and seq._backward is None
 
     def test_deep_graph_no_recursion_error(self):
         t = Tensor([0.1], requires_grad=True)
@@ -257,6 +304,36 @@ class TestTapeSemantics:
             Tensor([np.nan])
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor([1e6]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_large_finite_values_pass(self):
+        # the sum overflows to inf, so the full scan decides: all finite
+        big = Tensor([1e308, 1e308])
+        assert ad.mul(big, Tensor(0.5)).data[0] == 5e307
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weight_in_sequence_op(self, rng):
+        # weights turn non-finite in place (an optimizer step), not through Tensor()
+        x = Tensor(rng.normal(size=(2, 3, 2)))
+        mask = np.ones((2, 3))
+        lstm_w_x = Tensor(rng.normal(size=(2, 8)))
+        lstm_w_x.data[1, 2] = np.inf
+        with pytest.raises(NonFiniteError):
+            ad.lstm_sequence(x, lstm_w_x, Tensor(rng.normal(size=(2, 8))),
+                             Tensor(np.zeros(8)), mask)
+        gru_w_h = Tensor(rng.normal(size=(2, 4)))
+        gru_w_h.data[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            ad.gru_sequence(x, Tensor(rng.normal(size=(2, 6))), Tensor(np.zeros(6)),
+                            gru_w_h, Tensor(np.eye(2)), mask)
+
+    def test_first_gradient_is_an_owned_copy(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_nan_checks_toggle(self):
         ad.set_nan_checks(False)

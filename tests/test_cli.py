@@ -132,6 +132,35 @@ class TestTrain:
         assert bundle.encoder_config.hidden_dim == 24  # flag beats config
         assert bundle.encoder_config.embedding_dim == 12
 
+    @pytest.mark.parametrize("line", ["epoch = 7", "ef_mode = soft"])
+    def test_config_file_unknown_key_rejected(self, numeric_corpus, tmp_path,
+                                              capsys, line):
+        config = tmp_path / "typo.ini"
+        config.write_text(f"[train]\nencoder = bow\n{line}\n")
+        ckpt = tmp_path / "typo.ckpt"
+        capsys.readouterr()
+        code = run_cli("train", "--corpus", numeric_corpus, "--schema", "skytrax",
+                       "--config", config, "--mode", "baseline", "--out", ckpt,
+                       "--quiet")
+        assert code == 1
+        key = line.split()[0]
+        err = capsys.readouterr().err
+        assert f"error: unknown config key '{key}'" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("text", ["epochs = 3\n", "[a]\nseed = 1\nseed = 2\n"])
+    def test_malformed_config_file_exits_1(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        out = tmp_path / "corpus.jsonl"
+        capsys.readouterr()
+        assert run_cli("synth", "--schema", "skytrax", "--n", "5", "--out", out,
+                       "--config", config, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_schema_exit_code(self, numeric_corpus, tmp_path):
         assert run_cli("train", "--corpus", numeric_corpus, "--out",
                        tmp_path / "x.ckpt", "--mode", "baseline",

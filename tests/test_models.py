@@ -4,9 +4,9 @@ import pytest
 from gloss import autodiff as ad
 from gloss.autodiff import Adam, Tensor
 from gloss.data import Vocab, pad_batch
-from gloss.models import (ClassifierNumeric, ClassifierText, CvaeConfig,
-                          EncoderConfig, ModelBundle, NumericGenerator,
-                          Predictor, TextCvae, build_encoder)
+from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
+                          CvaeConfig, EncoderConfig, ModelBundle,
+                          NumericGenerator, Predictor, TextCvae, build_encoder)
 
 
 def toy_vocab(n_extra: int = 30) -> Vocab:
@@ -94,6 +94,81 @@ class TestEncoders:
         encoder(ids, mask).sum().backward()
         grads = [t.grad for t in encoder.parameters().values()]
         assert all(g is not None for g in grads)
+
+
+class TestMasking:
+    """Padding never changes a state, and the sequence ops match plain loops."""
+
+    def test_appended_pad_columns_leave_encoders_bitwise_unchanged(self, encoder, rng):
+        ids, mask = toy_batch(rng)
+        ids_padded = np.concatenate([ids, np.zeros((4, 5), dtype=ids.dtype)], axis=1)
+        mask_padded = np.concatenate([mask, np.zeros((4, 5))], axis=1)
+        assert np.array_equal(encoder(ids, mask).data,
+                              encoder(ids_padded, mask_padded).data)
+
+    def test_appended_pad_columns_leave_bigru_bitwise_unchanged(self, rng):
+        bigru = BiGRU(rng, 5, 7)
+        _, mask = toy_batch(rng)
+        x = rng.normal(size=(4, 9, 5))
+        x_padded = np.concatenate([x, rng.normal(size=(4, 5, 5))], axis=1)
+        mask_padded = np.concatenate([mask, np.zeros((4, 5))], axis=1)
+        assert np.array_equal(bigru(Tensor(x), mask).data,
+                              bigru(Tensor(x_padded), mask_padded).data)
+
+    @staticmethod
+    def _sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    @staticmethod
+    def _ragged_mask(rng, batch, steps):
+        mask = np.ones((batch, steps))
+        for i, n in enumerate(rng.integers(1, steps + 1, size=batch)):
+            mask[i, n:] = 0.0
+        return mask
+
+    def test_lstm_sequence_matches_reference_loop(self, rng):
+        batch, steps, dim, nh = 5, 7, 3, 4
+        lstm = LSTM(rng, dim, nh)
+        lstm.b.data[:] = rng.normal(size=4 * nh)
+        x = rng.normal(size=(batch, steps, dim))
+        mask = self._ragged_mask(rng, batch, steps)
+        w_x, w_h, b = lstm.w_x.data, lstm.w_h.data, lstm.b.data
+        h, c = np.zeros((batch, nh)), np.zeros((batch, nh))
+        want = np.zeros((batch, steps, nh))
+        for t in range(steps):
+            pre = [x[:, t] @ w_x[:, k * nh:(k + 1) * nh] + h @ w_h[:, k * nh:(k + 1) * nh]
+                   + b[k * nh:(k + 1) * nh] for k in range(4)]
+            i, f, o = (self._sig(p) for p in pre[:3])
+            c_new = f * c + i * np.tanh(pre[3])
+            h_new = o * np.tanh(c_new)
+            keep = mask[:, t:t + 1] > 0
+            h, c = np.where(keep, h_new, h), np.where(keep, c_new, c)
+            want[:, t] = h
+        np.testing.assert_allclose(lstm(Tensor(x), mask).data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_gru_sequence_matches_reference_loop(self, rng, reverse, with_h0):
+        batch, steps, dim, nh = 5, 7, 3, 4
+        gru = GRU(rng, dim, nh)
+        gru.b_x.data[:] = rng.normal(size=3 * nh)
+        x = rng.normal(size=(batch, steps, dim))
+        mask = self._ragged_mask(rng, batch, steps)
+        h0 = rng.normal(size=(batch, nh)) if with_h0 else np.zeros((batch, nh))
+        w_x, b_x = gru.w_x.data, gru.b_x.data
+        w_z, w_r = gru.w_h.data[:, :nh], gru.w_h.data[:, nh:]
+        h = h0
+        want = np.zeros((batch, steps, nh))
+        for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+            gx = x[:, t] @ w_x + b_x
+            z = self._sig(gx[:, :nh] + h @ w_z)
+            r = self._sig(gx[:, nh:2 * nh] + h @ w_r)
+            cand = np.tanh(gx[:, 2 * nh:] + (r * h) @ gru.w_hn.data)
+            h_new = (1.0 - z) * cand + z * h
+            h = np.where(mask[:, t:t + 1] > 0, h_new, h)
+            want[:, t] = h
+        got = gru(Tensor(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 class TestPredictor:
