@@ -9,9 +9,9 @@ recurrence over a padded batch is a single op (:func:`lstm_sequence`,
 
 Everything is float64 and single-threaded by design: the models in this
 package are desk-scale and the test suite leans on finite-difference
-gradient checks, so precision and determinism outrank throughput. When
-NaN checks are enabled (the default), every op output is scanned for
-NaN/Inf and a :class:`NonFiniteError` is raised on the first hit.
+gradient checks, so precision and determinism outrank throughput. Every
+op output is checked for NaN/Inf, and a :class:`NonFiniteError` is raised
+on the first hit.
 """
 from __future__ import annotations
 
@@ -25,25 +25,18 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "no_grad",
-    "set_nan_checks",
-    "nan_checks_enabled",
     "add",
     "sub",
     "mul",
     "neg",
     "matmul",
     "tanh",
-    "sigmoid",
     "relu",
     "exp",
-    "log",
-    "absolute",
     "concat",
-    "stack",
     "softmax",
     "cross_entropy",
     "embedding_lookup",
-    "pick",
     "slice_axis",
     "lstm_sequence",
     "gru_sequence",
@@ -56,21 +49,10 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """An operation produced NaN or Inf while NaN checks were enabled."""
+    """An operation produced NaN or Inf."""
 
 
 _grad_enabled = True
-_nan_checks = True
-
-
-def set_nan_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on op outputs (on by default)."""
-    global _nan_checks
-    _nan_checks = bool(enabled)
-
-
-def nan_checks_enabled() -> bool:
-    return _nan_checks
 
 
 @contextlib.contextmanager
@@ -85,15 +67,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 def _check_finite(arr: np.ndarray, where: str) -> None:
     # A finite sum proves every element finite; only a non-finite sum (which
     # large finite values can also give, by overflow) needs the full scan.
-    if _nan_checks and not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite value produced by {where}")
 
 
@@ -108,7 +85,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, "Tensor()")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -136,10 +113,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- graph plumbing ------------------------------------------------------
-
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the gradient graph."""
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -185,29 +158,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
 
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __abs__(self):
-        return absolute(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce_sum(self, axis, keepdims)
@@ -321,16 +276,6 @@ def neg(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "neg")
 
 
-def absolute(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        _accumulate(a, g * sign)
-
-    return _make(data, (a,), backward, "abs")
-
-
 # -- matrix product ----------------------------------------------------------
 
 
@@ -372,15 +317,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward, "sigmoid")
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
@@ -399,15 +335,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(data, (a,), backward, "log")
-
-
 # -- shape manipulation ------------------------------------------------------
 
 
@@ -424,16 +351,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 _accumulate(t, piece)
 
     return _make(data, tuple(tensors), backward, "concat")
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = _lift(t)
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else len(shape) + 1 + axis, 1)
-        expanded.append(_reshape(t, tuple(shape)))
-    return concat(expanded, axis=axis)
 
 
 def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -588,25 +505,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
 
     return _make(data, (table,), backward, "embedding_lookup")
-
-
-def pick(a: Tensor, idx) -> Tensor:
-    """Gather one entry per row: out[i] = a[i, idx[i]]."""
-    idx = np.asarray(idx)
-    batch = a.shape[0]
-    if idx.shape != (batch,):
-        raise ShapeError(f"pick index shape {idx.shape} does not match batch {batch}")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise IndexError(f"pick index out of range [0, {a.shape[1]})")
-    rows = np.arange(batch)
-    data = a.data[rows, idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows, idx] = g
-        _accumulate(a, full)
-
-    return _make(data, (a,), backward, "pick")
 
 
 # -- recurrent sequences -----------------------------------------------------

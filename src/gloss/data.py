@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMAS = ("pcmag", "skytrax")
 N_CLASSES = {"pcmag": 9, "skytrax": 10}
 POLARITIES = ("pos", "neg", "neu")
 SUBSCORE_FIELDS = ("seat", "cabin", "food", "inflight", "value")
 SUBSCORE_LETTERS = ("s", "c", "f", "i", "t")
-N_SUBSCORE_LEVELS = 6  # integer scores 0..5
 
 PCMAG_MAX_SENTENCES = 70
 PCMAG_MAX_COMMENT_TOKENS = 75
@@ -92,7 +90,8 @@ class SkytraxExample:
 
 def pcmag_class(overall: float) -> int:
     doubled = overall * 2.0
-    if abs(doubled - round(doubled)) > 1e-9 or not (1.0 <= overall <= 5.0):
+    # range first: round() fails on NaN and Inf
+    if not 1.0 <= overall <= 5.0 or abs(doubled - round(doubled)) > 1e-9:
         raise CorpusError(f"overall {overall} not on the half-point grid 1.0..5.0")
     return int(round(doubled)) - 2
 
@@ -165,10 +164,16 @@ def load_jsonl(path, schema: str) -> tuple[list, list[str]]:
     """
     examples = []
     diagnostics = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                diagnostics.append(f"line {line_no}: not valid UTF-8")
                 continue
             try:
                 record = json.loads(line)
@@ -213,17 +218,16 @@ class CorpusSplit:
         return (len(self.train), len(self.dev), len(self.test))
 
 
-def filter_and_split(examples: list, schema: str, seed: int,
-                     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> CorpusSplit:
-    """Apply the schema's length filter, then a seeded shuffle-split."""
+def filter_and_split(examples: list, schema: str, seed: int) -> CorpusSplit:
+    """Apply the schema's length filter, then a seeded 80/10/10 shuffle-split."""
     kept = [ex for ex in examples if passes_filter(ex, schema)]
     if not kept:
         raise CorpusError("corpus is empty after filtering")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(kept))
     n = len(kept)
-    n_train = int(n * ratios[0])
-    n_dev = int(n * ratios[1])
+    n_train = int(n * 0.8)
+    n_dev = int(n * 0.1)
     train = [kept[i] for i in order[:n_train]]
     dev = [kept[i] for i in order[n_train:n_train + n_dev]]
     test = [kept[i] for i in order[n_train + n_dev:]]

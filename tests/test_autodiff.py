@@ -63,7 +63,7 @@ class TestGradientChecks:
                                   Tensor(w)).sum(),
                  rng.normal(size=(2, 3)))
 
-    @pytest.mark.parametrize("op", [ad.tanh, ad.sigmoid, ad.exp, ad.neg])
+    @pytest.mark.parametrize("op", [ad.tanh, ad.exp, ad.neg])
     @pytest.mark.parametrize("point", range(3))
     def test_unary(self, rng, op, point):
         check_op(lambda t: op(t).sum(), rng.normal(size=(2, 3)))
@@ -73,16 +73,6 @@ class TestGradientChecks:
         x = rng.normal(size=(2, 3))
         x[np.abs(x) < 0.05] += 0.2  # keep clear of the kink
         check_op(lambda t: ad.relu(t).sum(), x)
-
-    @pytest.mark.parametrize("point", range(3))
-    def test_abs(self, rng, point):
-        x = rng.normal(size=(2, 3))
-        x[np.abs(x) < 0.05] += 0.2
-        check_op(lambda t: abs(t).sum(), x)
-
-    @pytest.mark.parametrize("point", range(3))
-    def test_log(self, rng, point):
-        check_op(lambda t: ad.log(t).sum(), rng.uniform(0.5, 2.0, size=(2, 3)))
 
     @pytest.mark.parametrize("point", range(3))
     def test_add_mul_broadcast(self, rng, point):
@@ -127,19 +117,8 @@ class TestGradientChecks:
         check_op(lambda t: ad.mul(ad.embedding_lookup(t, ids), Tensor(w)).sum(),
                  rng.normal(size=(4, 3)))
 
-    @pytest.mark.parametrize("point", range(3))
-    def test_pick(self, rng, point):
-        idx = np.array([1, 0, 2])
-        check_op(lambda t: ad.pick(t, idx).sum(), rng.normal(size=(3, 4)))
 
-    @pytest.mark.parametrize("point", range(3))
-    def test_stack(self, rng, point):
-        other = rng.normal(size=(2, 3))
-        check_op(lambda t: ad.stack([t, Tensor(other)], axis=1).sum(),
-                 rng.normal(size=(2, 3)))
-
-
-NOT_OPS = {"no_grad", "set_nan_checks", "nan_checks_enabled"}
+NOT_OPS = {"no_grad"}
 
 
 def test_every_op_has_a_finite_difference_case(monkeypatch):
@@ -225,20 +204,16 @@ class TestForwardValues:
         want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         want[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(ad.sigmoid(Tensor(x)).data, want)
+        assert np.array_equal(ad._sigmoid(x), want)
 
     def test_sigmoid_tanh_zero(self):
-        assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+        assert ad._sigmoid(np.array(0.0)) == 0.5
         assert ad.tanh(Tensor(0.0)).item() == 0.0
 
     def test_embedding_index_error(self):
         with pytest.raises(IndexError):
             ad.embedding_lookup(Tensor(np.ones((3, 2)), requires_grad=True),
                                 np.array([3]))
-
-    def test_pick_index_error(self):
-        with pytest.raises(IndexError):
-            ad.pick(Tensor(np.ones((2, 3))), np.array([0, 3]))
 
 
 class TestTapeSemantics:
@@ -276,8 +251,9 @@ class TestTapeSemantics:
         assert t.grad is None
 
     def test_detach_blocks_gradient(self):
+        # a Tensor wrapped around another's data is a constant on the tape
         t = Tensor([3.0], requires_grad=True)
-        loss = ad.mul(t.detach(), t).sum()
+        loss = ad.mul(Tensor(t.data), t).sum()
         loss.backward()
         np.testing.assert_array_equal(t.grad, [3.0])  # only the live factor
 
@@ -334,14 +310,6 @@ class TestTapeSemantics:
         assert not np.shares_memory(a.grad, b.grad)
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
-
-    def test_nan_checks_toggle(self):
-        ad.set_nan_checks(False)
-        try:
-            out = ad.exp(Tensor([1e6]))
-            assert np.isinf(out.data[0])
-        finally:
-            ad.set_nan_checks(True)
 
 
 class TestAdam:

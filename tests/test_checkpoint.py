@@ -71,3 +71,107 @@ def test_rejects_truncated_payload(tmp_path):
 def test_rejects_name_with_spaces(tmp_path):
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.save(tmp_path / "x.ckpt", {"bad name": np.zeros(1)})
+
+
+def _write(path, header_lines, payload: bytes):
+    path.write_bytes(("\n".join(header_lines) + "\ndata\n").encode("utf-8") + payload)
+
+
+def _floats(*values) -> bytes:
+    return np.array(values, dtype="<f8").tobytes()
+
+
+def test_well_formed_hand_written_file_loads(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    _write(path, ["GLOSSCKPT 1", 'meta {"k":1}', "tensor a 2 0", "tensor b 1 16"],
+           _floats(1.0, 2.0, 3.0))
+    arrays, meta = checkpoint.load(path)
+    assert meta == {"k": 1}
+    np.testing.assert_array_equal(arrays["a"], [1.0, 2.0])
+    np.testing.assert_array_equal(arrays["b"], [3.0])
+
+
+def test_rejects_duplicate_tensor_name(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    _write(path, ["GLOSSCKPT 1", "tensor a 1 0", "tensor a 1 8"], _floats(1.0, 2.0))
+    with pytest.raises(checkpoint.CheckpointError, match="duplicate tensor a"):
+        checkpoint.load(path)
+
+
+def test_rejects_second_meta_line(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    _write(path, ["GLOSSCKPT 1", 'meta {"k":1}', 'meta {"k":2}', "tensor a 1 0"],
+           _floats(1.0))
+    with pytest.raises(checkpoint.CheckpointError, match="second meta line"):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("offset", ["-16", "0", "16"])
+def test_rejects_offset_other_than_running_size(tmp_path, offset):
+    # the second tensor must start at byte 8; -16 would read the bytes of 2.0
+    path = tmp_path / "offset.ckpt"
+    _write(path, ["GLOSSCKPT 1", "tensor a 1 0", f"tensor b 1 {offset}"],
+           _floats(1.0, 2.0, 3.0))
+    with pytest.raises(checkpoint.CheckpointError, match=f"offset {offset} for b, expected 8"):
+        checkpoint.load(path)
+
+
+def test_rejects_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "trail.ckpt"
+    checkpoint.save(path, {"a": np.zeros(2)})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(checkpoint.CheckpointError, match="1 trailing payload bytes"):
+        checkpoint.load(path)
+
+
+def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, {"a": np.zeros(4)}, meta={"k": 1})
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that accepts a few bytes, then fails the way a full disk does."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def write(self, data):
+            self.fh.write(bytes(data[:5]))
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(checkpoint, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        checkpoint.save(path, {"a": np.ones(4)}, meta={"k": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, {"a": np.zeros(4)})
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(checkpoint.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        checkpoint.save(path, {"a": np.ones(4)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_save_replaces_existing_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, {"a": np.zeros(4)})
+    checkpoint.save(path, {"a": np.ones(2)})
+    np.testing.assert_array_equal(checkpoint.load(path)[0]["a"], np.ones(2))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

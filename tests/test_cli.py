@@ -82,6 +82,18 @@ class TestPretrainC:
                        "--quiet") == 1
 
 
+    def test_non_finite_overall_is_a_diagnostic(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        record = {"review": "fine .", "pos": "a", "neg": "b", "neu": "c"}
+        corpus.write_text("".join(json.dumps(dict(record, overall=v)) + "\n"
+                                  for v in (float("inf"), float("nan"))))
+        assert run_cli("pretrain-c", "--corpus", corpus, "--schema", "pcmag",
+                       "--out", tmp_path / "c.ckpt", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "line 1:" in err and "line 2:" in err and "no valid examples" in err
+        assert "Traceback" not in err
+
+
 class TestTrain:
     def test_writes_log_and_checkpoint(self, trained_model):
         ckpt, log = trained_model
@@ -249,6 +261,43 @@ class TestEvalAndExplain:
                        "--corpus", numeric_corpus, "--quiet") == 1
         err = capsys.readouterr().err
         assert "model.encoder.embed.w" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["encoder", "schema", "vocab", "seed"])
+    def test_eval_checkpoint_missing_meta_key(self, numeric_corpus, trained_model,
+                                              tmp_path, capsys, key):
+        arrays, meta = checkpoint.load(trained_model[0])
+        del meta[key]
+        broken = tmp_path / "broken.ckpt"
+        checkpoint.save(broken, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", broken,
+                       "--corpus", numeric_corpus, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    def test_eval_checkpoint_malformed_encoder_meta(self, numeric_corpus, trained_model,
+                                                    tmp_path, capsys):
+        arrays, meta = checkpoint.load(trained_model[0])
+        meta["encoder"]["hidden_dim"] = "wide"
+        broken = tmp_path / "broken.ckpt"
+        checkpoint.save(broken, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", broken,
+                       "--corpus", numeric_corpus, "--quiet") == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["schema", "form", "dims"])
+    def test_eval_classifier_missing_meta_key(self, numeric_corpus, trained_model,
+                                              numeric_classifier, tmp_path, capsys, key):
+        arrays, meta = checkpoint.load(numeric_classifier)
+        del meta[key]
+        broken = tmp_path / "broken.ckpt"
+        checkpoint.save(broken, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", trained_model[0], "--classifier", broken,
+                       "--corpus", numeric_corpus, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
 
     def test_eval_ignores_retired_train_config_keys(
             self, numeric_corpus, trained_model, tmp_path):

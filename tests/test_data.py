@@ -50,6 +50,11 @@ class TestClassMaps:
         with pytest.raises(CorpusError):
             pcmag_class(4.2)
 
+    @pytest.mark.parametrize("overall", [float("inf"), float("-inf"), float("nan")])
+    def test_pcmag_non_finite_rejected(self, overall):
+        with pytest.raises(CorpusError):
+            pcmag_class(overall)
+
     def test_skytrax_label(self):
         ex = SkytraxExample(review=["ok"], subscores=(1, 2, 3, 4, 5), overall=7)
         assert ex.label == 6
@@ -115,6 +120,26 @@ class TestLoadJsonl:
                                     "neu": "c", "overall": 4.2}) + "\n")
         examples, diagnostics = load_jsonl(path, "pcmag")
         assert not examples and len(diagnostics) == 1
+
+    def test_non_finite_overall_is_a_line_diagnostic(self, tmp_path):
+        record = {"review": "x.", "pos": "a", "neg": "b", "neu": "c"}
+        path = tmp_path / "three.jsonl"
+        path.write_text("".join(json.dumps(dict(record, overall=v)) + "\n"
+                                for v in (float("inf"), float("nan"), 4.0)))
+        examples, diagnostics = load_jsonl(path, "pcmag")
+        assert [ex.overall for ex in examples] == [4.0]
+        assert [d.split(":")[0] for d in diagnostics] == ["line 1", "line 2"]
+
+    def test_invalid_utf8_is_a_line_diagnostic(self, tmp_path):
+        good = json.dumps({"review": "caf\u00e9 .", "seat": 3, "cabin": 3, "food": 3,
+                           "inflight": 3, "value": 3, "overall": 6},
+                          ensure_ascii=False).encode("utf-8")
+        bad = good.replace("\u00e9".encode("utf-8"), b"\xe9")
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b"\n".join([good, bad, good]) + b"\n")
+        examples, diagnostics = load_jsonl(path, "skytrax")
+        assert len(examples) == 2 and "\u00e9" in examples[0].review
+        assert diagnostics == ["line 2: not valid UTF-8"]
 
 
 def _skytrax(n_tokens: int) -> SkytraxExample:

@@ -237,16 +237,16 @@ class TestCvae:
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(3, 16)))
         ids, mask = pad_batch([[5, 6, 7], [8, 9], [10]])
-        loss, kl, recon = cvae.elbo(v_e, 0, ids, mask, np.random.default_rng(0))
-        assert loss.item() == kl.item() + recon.item()
-        assert kl.item() >= 0 and recon.item() >= 0
+        recon, kl = cvae.elbo_per_example(v_e, 0, ids, mask, np.random.default_rng(0))
+        assert recon.shape == kl.shape == (3,)
+        assert (kl.data >= 0).all() and (recon.data >= 0).all()
 
     def test_comment_over_cap_rejected(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(1, 16)))
         ids, mask = pad_batch([[5] * 13])
         with pytest.raises(ValueError):
-            cvae.elbo(v_e, 0, ids, mask, np.random.default_rng(0))
+            cvae.elbo_per_example(v_e, 0, ids, mask, np.random.default_rng(0))
 
     def test_decode_respects_cap_and_seed(self, rng):
         cvae = toy_cvae(rng)
