@@ -7,6 +7,12 @@ classifier turns explanation quality into a per-example risk factor
 that reweights the training loss.
 """
 
+import os
+
+# one BLAS thread unless the environment sets a count; must run before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .autodiff import Adam, Tensor, no_grad
 from .data import CorpusSplit, PCMagExample, SkytraxExample, Vocab
 from .framework import (ProbTriple, TrainConfig, evaluate, explanation_factor,

@@ -17,6 +17,7 @@ into place, so an existing checkpoint is never left half overwritten.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -84,7 +85,7 @@ def load(path) -> tuple[dict[str, np.ndarray], dict | None]:
                 raise CheckpointError(f"{path}: second meta line")
             try:
                 meta = json.loads(line[len("meta "):])
-            except ValueError as err:
+            except (ValueError, RecursionError) as err:  # RecursionError: deep nesting
                 raise CheckpointError(f"{path}: bad meta line") from err
             if not isinstance(meta, dict):
                 raise CheckpointError(f"{path}: meta is not a JSON object")
@@ -101,10 +102,13 @@ def load(path) -> tuple[dict[str, np.ndarray], dict | None]:
                 raise CheckpointError(f"{path}: negative dimension for {name}")
             if offset != size:
                 raise CheckpointError(f"{path}: offset {offset} for {name}, expected {size}")
-            size += 8 * int(np.prod(shape))
+            size += 8 * math.prod(shape)  # exact: np.prod would wrap at 2**63
             if size > len(payload):
                 raise CheckpointError(f"{path}: payload truncated for {name}")
-            arrays[name] = np.frombuffer(payload[offset:size], dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(payload[offset:size], dtype="<f8").reshape(shape).copy()
+            except ValueError as err:  # an empty shape with dimensions numpy cannot hold
+                raise CheckpointError(f"{path}: bad shape for {name}") from err
         else:
             raise CheckpointError(f"{path}: unrecognized header line {line!r}")
     if size != len(payload):

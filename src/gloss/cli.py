@@ -18,8 +18,8 @@ import numpy as np
 from . import framework
 from .checkpoint import CheckpointError
 from .data import (CorpusError, N_CLASSES, POLARITIES, SUBSCORE_FIELDS,
-                   SUBSCORE_LETTERS, build_vocab, example_from_record,
-                   example_to_record, filter_and_split, load_jsonl, write_jsonl)
+                   SUBSCORE_LETTERS, build_vocab, example_to_record,
+                   filter_and_split, load_jsonl, write_jsonl)
 from .framework import TrainConfig, TrainingDiverged
 from .models import CvaeConfig, EncoderConfig, ModelBundle
 from .synth import synth_numeric, synth_text
@@ -229,6 +229,8 @@ def cmd_eval(args, config: dict) -> int:
     schema = meta["schema"]
     examples = _load_corpus(args.corpus, schema, args)
     split_seed = args.split_seed if args.split_seed is not None else meta.get("split_seed", 13)
+    if type(split_seed) is not int:  # a JSON true would pass isinstance(..., int)
+        raise CliError(f"checkpoint split_seed must be an integer, got {split_seed!r}")
     split = filter_and_split(examples, schema, split_seed)
     part = {"train": split.train, "dev": split.dev, "test": split.test}[args.split]
     classifier = None

@@ -180,7 +180,7 @@ def load_jsonl(path, schema: str) -> tuple[list, list[str]]:
                 if not isinstance(record, dict):
                     raise CorpusError("line is not a JSON object")
                 examples.append(example_from_record(record, schema))
-            except (json.JSONDecodeError, CorpusError) as err:
+            except (ValueError, OverflowError, RecursionError) as err:  # huge or deep JSON too
                 diagnostics.append(f"line {line_no}: {err}")
     return examples, diagnostics
 

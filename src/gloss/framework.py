@@ -30,8 +30,7 @@ from .data import (CorpusSplit, N_CLASSES, POLARITIES, SUBSCORE_LETTERS,
                    Vocab, pad_batch)
 from .metrics import corpus_bleu, topk_accuracy
 from .models import (ClassifierNumeric, ClassifierText, CvaeConfig,
-                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle,
-                     polarity_control)
+                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle)
 
 
 class TrainingDiverged(RuntimeError):
@@ -157,16 +156,19 @@ def _classifier_logits(classifier, examples, form: str, vocab: Vocab | None) -> 
     return classifier.logits_hard(comments)
 
 
-def _classifier_probs(classifier, examples, form: str, vocab: Vocab | None) -> Tensor:
-    return ad.softmax(_classifier_logits(classifier, examples, form, vocab))
-
-
-def _batched_probs(fn, examples, batch_size: int = 256) -> np.ndarray:
-    rows = []
+def _in_batches(fn, examples, batch_size: int) -> list:
+    """``fn`` applied without a tape to consecutive slices of ``examples``."""
     with ad.no_grad():
-        for start in range(0, len(examples), batch_size):
-            rows.append(fn(examples[start:start + batch_size]).data)
-    return np.concatenate(rows, axis=0)
+        return [fn(examples[start:start + batch_size])
+                for start in range(0, len(examples), batch_size)]
+
+
+def _classifier_probs(classifier, examples, form: str, vocab: Vocab | None,
+                      batch_size: int = 256) -> np.ndarray:
+    """The classifier's label distributions on golden explanations."""
+    return np.concatenate(_in_batches(
+        lambda exs: ad.softmax(_classifier_logits(classifier, exs, form, vocab)).data,
+        examples, batch_size))
 
 
 def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
@@ -198,11 +200,6 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
     labels = {name: np.array([ex.label for ex in part])
               for name, part in (("train", split.train), ("dev", split.dev))}
 
-    def dev_top1() -> float:
-        probs = _batched_probs(
-            lambda exs: _classifier_probs(classifier, exs, form, vocab), split.dev)
-        return topk_accuracy(probs, labels["dev"], 1)
-
     best_acc = -1.0
     best_state = None
     bad_epochs = 0
@@ -219,7 +216,8 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
             loss.backward()
             optimizer.step()
         epochs_run = epoch + 1
-        acc = dev_top1()
+        acc = topk_accuracy(_classifier_probs(classifier, split.dev, form, vocab),
+                            labels["dev"], 1)
         if acc > best_acc:
             best_acc = acc
             best_state = {k: t.data.copy() for k, t in params.items()}
@@ -235,8 +233,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
 
     report = {"dev_top1": best_acc, "epochs_trained": epochs_run}
     for name, part in (("dev", split.dev), ("test", split.test)):
-        probs = _batched_probs(
-            lambda exs: _classifier_probs(classifier, exs, form, vocab), part)
+        probs = _classifier_probs(classifier, part, form, vocab)
         part_labels = np.array([ex.label for ex in part])
         report[f"{name}_top1"] = topk_accuracy(probs, part_labels, 1)
         report[f"{name}_top3"] = topk_accuracy(probs, part_labels, 3)
@@ -254,25 +251,24 @@ def _gold_prob_cache(bundle: ModelBundle, classifier, examples) -> np.ndarray:
     """Classifier's true-class probability on golden explanations, cached
     once per run (the classifier is frozen, so the values never change)."""
     labels = np.array([ex.label for ex in examples])
-    probs = _batched_probs(
-        lambda exs: _classifier_probs(classifier, exs, bundle.form, bundle.vocab),
-        examples)
+    probs = _classifier_probs(classifier, examples, bundle.form, bundle.vocab)
     return probs[np.arange(len(examples)), labels]
 
 
 def _dev_stats(bundle: ModelBundle, examples, batch_size: int = 256):
     labels = np.array([ex.label for ex in examples])
-    prob_rows = []
+
+    def batch_stats(batch):
+        logits = bundle.predictor.logits(bundle.encode_reviews(batch))
+        lp = ad.cross_entropy(logits, np.array([ex.label for ex in batch]),
+                              reduction="none")
+        return float(lp.data.sum()), ad.softmax(logits).data
+
+    batch_lps, prob_rows = zip(*_in_batches(batch_stats, examples, batch_size))
     lp_sum = 0.0
-    with ad.no_grad():
-        for start in range(0, len(examples), batch_size):
-            batch = examples[start:start + batch_size]
-            logits = bundle.predictor.logits(bundle.encode_reviews(batch))
-            lp = ad.cross_entropy(logits, labels[start:start + batch_size],
-                                  reduction="none")
-            lp_sum += float(lp.data.sum())
-            prob_rows.append(ad.softmax(logits).data)
-    probs = np.concatenate(prob_rows, axis=0)
+    for batch_lp in batch_lps:  # in batch order: the freeze rule reads dev_lp
+        lp_sum += batch_lp
+    probs = np.concatenate(prob_rows)
     return (topk_accuracy(probs, labels, 1), topk_accuracy(probs, labels, 3),
             lp_sum / len(examples))
 
@@ -401,14 +397,28 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
             ce = ad.cross_entropy(head_logits, subs[:, f], reduction="none")
             le_vec = ce if le_vec is None else le_vec + ce
         return le_vec
-    le_vec = None
-    for polarity in POLARITIES:
-        ids, mask = bundle.comment_batch(batch, polarity)
-        recon, kl = bundle.generator.elbo_per_example(
-            v_e, polarity_control(polarity), ids, mask, rng)
-        part = recon + ad.mul(kl, Tensor(beta))
-        le_vec = part if le_vec is None else le_vec + part
-    return le_vec
+    ids, mask = pad_batch([bundle.vocab.encode(getattr(ex, pol))
+                           for pol in POLARITIES for ex in batch])
+    v_rows, controls = _polarity_rows(v_e)
+    recon, kl = bundle.generator.elbo_per_example(v_rows, controls, ids, mask, rng)
+    part = recon + ad.mul(kl, Tensor(beta))
+    return part.reshape(len(POLARITIES), len(batch)).sum(axis=0)
+
+
+def _polarity_rows(v_e: Tensor) -> tuple[Tensor, np.ndarray]:
+    """The review vectors repeated once per polarity, polarity-major, with
+    each row's control id: row k * B + i is example i under POLARITIES[k]."""
+    return (ad.concat([v_e] * len(POLARITIES), axis=0),
+            np.repeat(np.arange(len(POLARITIES)), v_e.shape[0]))
+
+
+def _decode_comments(bundle: ModelBundle, v_e: Tensor,
+                     rng: np.random.Generator) -> list[list[list[int]]]:
+    """Greedy comments for a batch, one list per polarity, from one decode
+    call over the polarity-major stack."""
+    decoded = bundle.generator.decode(*_polarity_rows(v_e), rng)
+    batch = v_e.shape[0]
+    return [decoded[k * batch:(k + 1) * batch] for k in range(len(POLARITIES))]
 
 
 def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
@@ -427,8 +437,7 @@ def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
         if bundle.form == "numeric":
             explanation = bundle.generator.scores(v_e)
         else:
-            explanation = [pad_batch(bundle.generator.decode(
-                v_e, polarity_control(polarity), rng)) for polarity in POLARITIES]
+            explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e, rng)]
         p_cls = classifier.probs_hard(explanation).data[rows, labels]
     factor = explanation_factor(ProbTriple(p_pred, p_cls, gold_probs))
     return factor, mrt_loss(loss_vec, Tensor(factor))
@@ -439,9 +448,9 @@ def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
 
 def predict_probs(bundle: ModelBundle, examples, batch_size: int = 128) -> np.ndarray:
     """Predictor's label distributions for a list of examples."""
-    return _batched_probs(
-        lambda exs: bundle.predictor.probs(bundle.encode_reviews(exs)),
-        examples, batch_size)
+    return np.concatenate(_in_batches(
+        lambda exs: bundle.predictor.probs(bundle.encode_reviews(exs)).data,
+        examples, batch_size))
 
 
 def generate_explanations(bundle: ModelBundle, examples, rng: np.random.Generator,
@@ -452,20 +461,14 @@ def generate_explanations(bundle: ModelBundle, examples, rng: np.random.Generato
     mapping polarity to decoded token-id lists.
     """
     if bundle.form == "numeric":
-        out = []
-        with ad.no_grad():
-            for start in range(0, len(examples), batch_size):
-                v_e = bundle.encode_reviews(examples[start:start + batch_size])
-                out.append(bundle.generator.scores(v_e))
-        return np.concatenate(out, axis=0)
-    decoded = {pol: [] for pol in POLARITIES}
-    with ad.no_grad():
-        for start in range(0, len(examples), batch_size):
-            v_e = bundle.encode_reviews(examples[start:start + batch_size])
-            for polarity in POLARITIES:
-                decoded[polarity].extend(
-                    bundle.generator.decode(v_e, polarity_control(polarity), rng))
-    return decoded
+        return np.concatenate(_in_batches(
+            lambda exs: bundle.generator.scores(bundle.encode_reviews(exs)),
+            examples, batch_size))
+    batches = _in_batches(
+        lambda exs: _decode_comments(bundle, bundle.encode_reviews(exs), rng),
+        examples, batch_size)
+    return {pol: [ids for parts in batches for ids in parts[k]]
+            for k, pol in enumerate(POLARITIES)}
 
 
 def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
@@ -500,9 +503,8 @@ def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
         bleu["aggregate"] = corpus_bleu(all_cands, all_refs)
         report["bleu"] = bleu
     if classifier is not None:
-        oracle_probs = _batched_probs(
-            lambda exs: _classifier_probs(classifier, exs, bundle.form, bundle.vocab),
-            examples, batch_size)
+        oracle_probs = _classifier_probs(classifier, examples, bundle.form,
+                                         bundle.vocab, batch_size)
         report["oracle"] = {
             "top1": topk_accuracy(oracle_probs, labels, 1),
             "top3": topk_accuracy(oracle_probs, labels, 3),

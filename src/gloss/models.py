@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import (BOS, EOS, N_CLASSES, PAD, POLARITIES, SUBSCORE_FIELDS,
-                   Vocab, pad_batch)
+from .data import (BOS, EOS, N_CLASSES, PAD, SUBSCORE_FIELDS, Vocab,
+                   pad_batch)
 
 ENCODER_KINDS = ("bow", "gru", "lstm", "cnn")
 N_CONTROLS = 3  # positive / negative / neutral control signals
@@ -329,11 +329,9 @@ class TextCvae(Module):
                        config.decoder_hidden)
         self.dec_out = Linear(rng, config.decoder_hidden, vocab_size)
 
-    # condition c = [control embedding ; review vector]
-    def condition(self, v_e: Tensor, control: int) -> Tensor:
-        batch = v_e.shape[0]
-        ctrl = self.ctrl(np.full(batch, control, dtype=np.int64))
-        return ad.concat([ctrl, v_e], axis=1)
+    # condition c = [control embedding ; review vector], one control id per row
+    def condition(self, v_e: Tensor, controls: np.ndarray) -> Tensor:
+        return ad.concat([self.ctrl(controls), v_e], axis=1)
 
     def _split_gaussian(self, packed: Tensor) -> tuple[Tensor, Tensor]:
         z = self.config.latent_dim
@@ -364,25 +362,22 @@ class TextCvae(Module):
     def _teacher_io(self, comment_ids: np.ndarray, comment_mask: np.ndarray):
         """Decoder inputs (BOS-shifted) and targets (EOS-terminated)."""
         batch, steps = comment_ids.shape
-        if steps + 1 > self.config.max_len + 1:
+        if steps > self.config.max_len:
             raise ValueError(f"comment length {steps} exceeds decode cap {self.config.max_len}")
         lengths = comment_mask.sum(axis=1).astype(np.int64)
-        dec_in = np.full((batch, steps + 1), PAD, dtype=np.int64)
-        dec_in[:, 0] = BOS
-        dec_in[:, 1:] = comment_ids
+        dec_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.int64), comment_ids], axis=1)
         targets = np.full((batch, steps + 1), PAD, dtype=np.int64)
         targets[:, :steps] = comment_ids
         targets[np.arange(batch), lengths] = EOS
-        t_mask = np.zeros((batch, steps + 1))
-        for i, n in enumerate(lengths):
-            t_mask[i, :n + 1] = 1.0
+        t_mask = (np.arange(steps + 1) <= lengths[:, None]).astype(np.float64)
         return dec_in, targets, t_mask
 
-    def elbo_per_example(self, v_e: Tensor, control: int, comment_ids: np.ndarray,
+    def elbo_per_example(self, v_e: Tensor, controls: np.ndarray, comment_ids: np.ndarray,
                          comment_mask: np.ndarray, rng: np.random.Generator,
                          ) -> tuple[Tensor, Tensor]:
-        """Teacher-forced reconstruction and KL, each shape (batch,)."""
-        cond = self.condition(v_e, control)
+        """Teacher-forced reconstruction and KL, each shape (batch,); row i is
+        conditioned on control id ``controls[i]``."""
+        cond = self.condition(v_e, controls)
         mu_p, logvar_p = self.prior(cond)
         mu_q, logvar_q = self.posterior(cond, comment_ids, comment_mask)
         eps = Tensor(rng.standard_normal(mu_q.shape))
@@ -391,7 +386,7 @@ class TextCvae(Module):
 
         dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_mask)
         batch, steps = dec_in.shape
-        ctrl = self.ctrl(np.full((batch, steps), control, dtype=np.int64))
+        ctrl = self.ctrl(np.repeat(controls[:, None], steps, axis=1))
         states = self.dec(ad.concat([self.embed(dec_in), ctrl], axis=2),
                           h0=self._decode_hidden(z, cond))
         logits = self.dec_out(states.reshape(batch * steps, self.config.decoder_hidden))
@@ -399,17 +394,17 @@ class TextCvae(Module):
         recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
         return recon, kl
 
-    def decode(self, v_e: Tensor, control: int, rng: np.random.Generator,
-               max_len: int | None = None, z_mode: str = "mean") -> list[list[int]]:
+    def decode(self, v_e: Tensor, controls: np.ndarray, rng: np.random.Generator,
+               z_mode: str = "mean") -> list[list[int]]:
         """Greedy decoding until EOS or the cap, latent taken from the prior.
 
-        The golden explanation is absent at test time, so the latent comes
-        from the prior network: its mean by default (deterministic), or a
-        reparameterized sample with ``z_mode="sample"``.
+        Row i, under control id ``controls[i]``, yields its tokens before
+        the first EOS. The golden explanation is absent at test time, so the
+        latent comes from the prior network: its mean by default
+        (deterministic), or a reparameterized sample with ``z_mode="sample"``.
         """
-        max_len = self.config.max_len if max_len is None else max_len
         with ad.no_grad():
-            cond = self.condition(v_e, control)
+            cond = self.condition(v_e, controls)
             mu_p, logvar_p = self.prior(cond)
             if z_mode == "sample":
                 eps = Tensor(rng.standard_normal(mu_p.shape))
@@ -420,24 +415,21 @@ class TextCvae(Module):
                 raise ValueError(f"unknown z_mode {z_mode!r}")
             h = self._decode_hidden(z, cond)
             batch = v_e.shape[0]
-            ctrl = self.ctrl(np.full((batch, 1), control, dtype=np.int64))
+            ctrl = self.ctrl(controls[:, None])
             tokens = np.full(batch, BOS, dtype=np.int64)
             finished = np.zeros(batch, dtype=bool)
-            out: list[list[int]] = [[] for _ in range(batch)]
-            for _ in range(max_len):
+            steps = []
+            for _ in range(self.config.max_len):
                 x = ad.concat([self.embed(tokens[:, None]), ctrl], axis=2)
                 h = self.dec(x, h0=h).reshape(batch, self.config.decoder_hidden)
                 tokens = self.dec_out(h).argmax(axis=1)
-                for i in range(batch):
-                    if finished[i]:
-                        continue
-                    if tokens[i] == EOS:
-                        finished[i] = True
-                    else:
-                        out[i].append(int(tokens[i]))
+                steps.append(tokens)
+                finished |= tokens == EOS
                 if finished.all():
                     break
-        return out
+        grid = np.stack(steps + [np.full(batch, EOS)], axis=1)  # EOS sentinel at the cap
+        lengths = (grid == EOS).argmax(axis=1)
+        return [row[:n].tolist() for row, n in zip(grid, lengths)]
 
 
 # -- explanation classifier -------------------------------------------------------
@@ -533,10 +525,6 @@ class ModelBundle(Module):
         ids, mask = pad_batch([self.vocab.encode(ex.review) for ex in examples])
         return self.encoder(ids, mask)
 
-    def comment_batch(self, examples, polarity: str) -> tuple[np.ndarray, np.ndarray]:
-        comments = [getattr(ex, polarity) for ex in examples]
-        return pad_batch([self.vocab.encode(c) for c in comments])
-
     def meta(self) -> dict:
         out = {
             "kind": "bundle",
@@ -557,7 +545,3 @@ class ModelBundle(Module):
         cvae = CvaeConfig(**meta["cvae"]) if "cvae" in meta else None
         return cls(meta["schema"], Vocab(itos=list(meta["vocab"])),
                    EncoderConfig(**enc), cvae, seed=meta["seed"])
-
-
-def polarity_control(polarity: str) -> int:
-    return POLARITIES.index(polarity)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gloss import checkpoint
 
@@ -106,6 +108,24 @@ def test_rejects_second_meta_line(tmp_path):
         checkpoint.load(path)
 
 
+@pytest.mark.parametrize("dims, match", [
+    ("4294967296,4294967296", "payload truncated"),  # 2**64 elements, 0 in int64
+    ("4294967296,4294967296,0", "bad shape"),  # empty, but too large for numpy
+])
+def test_rejects_shape_whose_size_overflows(tmp_path, dims, match):
+    path = tmp_path / "huge.ckpt"
+    _write(path, ["GLOSSCKPT 1", f"tensor a {dims} 0"], b"")
+    with pytest.raises(checkpoint.CheckpointError, match=match):
+        checkpoint.load(path)
+
+
+def test_rejects_meta_nested_too_deeply_to_parse(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    _write(path, ["GLOSSCKPT 1", "meta " + "[" * 100_000, "tensor a 1 0"], _floats(1.0))
+    with pytest.raises(checkpoint.CheckpointError, match="bad meta line"):
+        checkpoint.load(path)
+
+
 @pytest.mark.parametrize("offset", ["-16", "0", "16"])
 def test_rejects_offset_other_than_running_size(tmp_path, offset):
     # the second tensor must start at byte 8; -16 would read the bytes of 2.0
@@ -175,3 +195,45 @@ def test_save_replaces_existing_file(tmp_path):
     checkpoint.save(path, {"a": np.ones(2)})
     np.testing.assert_array_equal(checkpoint.load(path)[0]["a"], np.ones(2))
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+# pieces a corrupted header is likely to be made of
+HEADER_TOKENS = [b"GLOSSCKPT 1\n", b"meta ", b"tensor ", b"data\n", b"\n", b" ", b",",
+                 b"0", b"8", b"-1", b"4294967296,4294967296", b"99999999999999999999",
+                 b"{}", b"[]", b"{\"a\": 1}", b"[" * 5000, b"\xff", b"\x00" * 8]
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    """Arbitrary bytes, or a valid checkpoint with a few of its fields
+    replaced, deleted or duplicated."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    fields = [b"GLOSSCKPT 1", b"\n", b"meta ", b'{"k":1}', b"\n",
+              b"tensor ", b"a", b" ", b"2,3", b" ", b"0", b"\n",
+              b"tensor ", b"b", b" ", b"1", b" ", b"48", b"\n", b"data\n",
+              np.arange(7, dtype="<f8").tobytes()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            fields[i] = draw(st.one_of(st.sampled_from(HEADER_TOKENS), st.binary(max_size=8)))
+        elif edit == "delete":
+            del fields[i]
+        else:
+            fields.insert(i, fields[i])
+        if not fields:
+            break
+    return b"".join(fields)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=checkpoint_bytes())
+def test_load_any_bytes_returns_or_raises_checkpoint_error(tmp_path, blob):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        checkpoint.load(path)
+    except checkpoint.CheckpointError:
+        pass

@@ -286,6 +286,19 @@ class TestEvalAndExplain:
                        "--corpus", numeric_corpus, "--quiet") == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split_seed", ["x", 1.5, True])
+    def test_eval_checkpoint_non_integer_split_seed(self, numeric_corpus, trained_model,
+                                                    tmp_path, capsys, split_seed):
+        arrays, meta = checkpoint.load(trained_model[0])
+        meta["split_seed"] = split_seed
+        broken = tmp_path / "broken.ckpt"
+        checkpoint.save(broken, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", broken,
+                       "--corpus", numeric_corpus, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "split_seed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["schema", "form", "dims"])
     def test_eval_classifier_missing_meta_key(self, numeric_corpus, trained_model,
                                               numeric_classifier, tmp_path, capsys, key):

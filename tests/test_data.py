@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gloss import data
@@ -130,6 +130,18 @@ class TestLoadJsonl:
         assert [ex.overall for ex in examples] == [4.0]
         assert [d.split(":")[0] for d in diagnostics] == ["line 1", "line 2"]
 
+    def test_unparseable_lines_are_line_diagnostics(self, tmp_path):
+        # a huge integer overall, an integer literal past Python's digit
+        # limit, and nesting too deep for the JSON parser
+        good = '{"review": "x.", "pos": "a", "neg": "b", "neu": "c", "overall": 4.0}'
+        lines = [good.replace("4.0", "1" + "0" * 400), '{"review": ' + "1" * 5000 + "}",
+                 "[" * 100_000, good]
+        path = tmp_path / "four.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        examples, diagnostics = load_jsonl(path, "pcmag")
+        assert [ex.overall for ex in examples] == [4.0]
+        assert [d.split(":")[0] for d in diagnostics] == ["line 1", "line 2", "line 3"]
+
     def test_invalid_utf8_is_a_line_diagnostic(self, tmp_path):
         good = json.dumps({"review": "caf\u00e9 .", "seat": 3, "cabin": 3, "food": 3,
                            "inflight": 3, "value": 3, "overall": 6},
@@ -230,3 +242,38 @@ def test_pad_batch():
     np.testing.assert_array_equal(mask, [[1.0, 1.0], [1.0, 0.0]])
     ids, mask = pad_batch([[]], min_len=1)
     assert ids.shape == (1, 1) and mask.sum() == 0
+
+
+FIELD_NAMES = ["review", "pos", "neg", "neu", "overall", "seat", "cabin", "food",
+               "inflight", "value"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def jsonl_bytes(draw):
+    """Arbitrary bytes, or lines of records over the corpus field names with
+    arbitrary JSON values, some cut short or with raw bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        record = draw(st.dictionaries(st.sampled_from(FIELD_NAMES), json_values))
+        line = json.dumps(record).encode("utf-8")
+        cut = draw(st.integers(0, len(line)))
+        splice = draw(st.sampled_from([b"", b"\xff", b"\r", b"1" * 5000, b"[" * 5000]))
+        lines.append(line[:cut] + splice + line[cut:] if draw(st.booleans()) else line)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=jsonl_bytes(), schema=st.sampled_from(["pcmag", "skytrax"]))
+def test_load_jsonl_any_bytes_gives_examples_and_diagnostics(tmp_path, blob, schema):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(blob)
+    examples, diagnostics = load_jsonl(path, schema)
+    assert all(isinstance(line, str) for line in diagnostics)

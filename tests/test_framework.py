@@ -393,6 +393,8 @@ class TestEvaluate:
         split, vocab, enc, cvae = small_text_setup(n=120)
 
         class EchoBundle:
+            """Encodes each review as its row number; the predictor and the
+            generator echo that example's golden label and comments."""
             form = "text"
             schema = "pcmag"
 
@@ -401,23 +403,21 @@ class TestEvaluate:
 
             def encode_reviews(self, examples):
                 self._batch = examples
-                return examples
+                return Tensor(np.arange(len(examples), dtype=np.float64)[:, None])
 
-            class predictor:
-                @staticmethod
-                def probs(examples):
-                    return Tensor(np.eye(9)[[ex.label for ex in examples]])
-
-            class generator:
-                pass
+            def examples(self, v_e):
+                return [self._batch[int(row)] for row in v_e.data[:, 0]]
 
         bundle = EchoBundle(vocab)
+        bundle.predictor = type("P", (), {})()
+        bundle.predictor.probs = lambda v_e: Tensor(
+            np.eye(9)[[ex.label for ex in bundle.examples(v_e)]])
         bundle.generator = type("G", (), {})()
 
-        def decode(examples_tensor, control, rng, _vocab=vocab):
+        def decode(v_e, controls, rng, _vocab=vocab):
             from gloss.data import POLARITIES
-            pol = POLARITIES[control]
-            return [_vocab.encode(getattr(ex, pol)) for ex in bundle._batch]
+            return [_vocab.encode(getattr(ex, POLARITIES[control]))
+                    for ex, control in zip(bundle.examples(v_e), controls)]
 
         bundle.generator.decode = decode
         part = split.test[:30]
@@ -502,3 +502,27 @@ def test_every_engine_op_is_called_by_a_model_path(monkeypatch):
     fw.generate_explanations(bundle, split.dev[:4], np.random.default_rng(0))
 
     assert sorted(set(ops) - called) == []
+
+
+def test_pcmag_gef_step_records_four_gru_sequences(monkeypatch):
+    """One text training step runs each recurrence once over all three
+    polarities: the review GRU, the comment BiGRU (two directions) and the
+    teacher-forced decoder. The frozen classifier and greedy decoding run
+    without a tape."""
+    split, vocab, enc, cvae = small_text_setup(n=40)
+    classifier, _ = pretrain_classifier(split, "pcmag", seed=0, vocab=vocab, max_epochs=1)
+    bundle = ModelBundle("pcmag", vocab, enc, cvae, seed=0)
+    taped = []
+    make = ad._make
+
+    def recording_make(data, parents, backward, opname):
+        out = make(data, parents, backward, opname)
+        if out._backward is not None:
+            taped.append(opname)
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    config = TrainConfig.for_schema("pcmag", epochs=1, batch_size=len(split.train))
+    result = train(bundle, split, config, classifier=classifier, mode="gef")
+    assert len(result.step_losses) == 1
+    assert taped.count("gru_sequence") == 4

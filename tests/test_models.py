@@ -3,7 +3,7 @@ import pytest
 
 from gloss import autodiff as ad
 from gloss.autodiff import Adam, Tensor
-from gloss.data import Vocab, pad_batch
+from gloss.data import BOS, EOS, Vocab, pad_batch
 from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
                           CvaeConfig, EncoderConfig, ModelBundle,
                           NumericGenerator, Predictor, TextCvae, build_encoder)
@@ -237,7 +237,8 @@ class TestCvae:
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(3, 16)))
         ids, mask = pad_batch([[5, 6, 7], [8, 9], [10]])
-        recon, kl = cvae.elbo_per_example(v_e, 0, ids, mask, np.random.default_rng(0))
+        recon, kl = cvae.elbo_per_example(v_e, controls(3, 0), ids, mask,
+                                          np.random.default_rng(0))
         assert recon.shape == kl.shape == (3,)
         assert (kl.data >= 0).all() and (recon.data >= 0).all()
 
@@ -246,21 +247,21 @@ class TestCvae:
         v_e = Tensor(rng.normal(size=(1, 16)))
         ids, mask = pad_batch([[5] * 13])
         with pytest.raises(ValueError):
-            cvae.elbo_per_example(v_e, 0, ids, mask, np.random.default_rng(0))
+            cvae.elbo_per_example(v_e, controls(1, 0), ids, mask, np.random.default_rng(0))
 
     def test_decode_respects_cap_and_seed(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        out1 = cvae.decode(v_e, 1, np.random.default_rng(7))
-        out2 = cvae.decode(v_e, 1, np.random.default_rng(7))
+        out1 = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
+        out2 = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
         assert out1 == out2
         assert all(len(seq) <= 12 for seq in out1)
 
     def test_decode_differs_by_control(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        a = cvae.decode(v_e, 0, np.random.default_rng(7))
-        b = cvae.decode(v_e, 1, np.random.default_rng(7))
+        a = cvae.decode(v_e, controls(4, 0), np.random.default_rng(7))
+        b = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
         assert a != b  # control signal conditions the decoder
 
     def test_single_token_vocab_reconstruction_vanishes(self, rng):
@@ -272,14 +273,97 @@ class TestCvae:
         opt = Adam(cvae.parameters(), lr=5e-2)
         train_rng = np.random.default_rng(3)
         for _ in range(100):
-            recon, kl = cvae.elbo_per_example(v_e, 0, ids, mask, train_rng)
+            recon, kl = cvae.elbo_per_example(v_e, controls(8, 0), ids, mask, train_rng)
             loss = recon.mean()
             opt.zero_grad()
             loss.backward()
             opt.step()
-        final = cvae.elbo_per_example(v_e, 0, ids, mask,
+        final = cvae.elbo_per_example(v_e, controls(8, 0), ids, mask,
                                       np.random.default_rng(4))[0].mean()
         assert final.item() < 0.05
+
+    def test_batched_elbo_matches_per_polarity_calls(self, rng):
+        # one polarity-major call over 3B rows against one call per polarity
+        # on the same rows, drawing from the same generator state
+        cvae = toy_cvae(rng)
+        v_e = Tensor(rng.normal(size=(3, 16)))
+        comments = [[[5, 6, 7], [8, 9], [10]], [[11], [12, 13, 14, 15], []],
+                    [[16, 17], [18], [19, 20]]]
+        per_rng = RecordingRng(5)
+        per_call = [cvae.elbo_per_example(v_e, controls(3, k), *pad_batch(rows), per_rng)
+                    for k, rows in enumerate(comments)]
+        batched_rng = RecordingRng(5)
+        recon, kl = cvae.elbo_per_example(
+            Tensor(np.concatenate([v_e.data] * 3)), np.repeat(np.arange(3), 3),
+            *pad_batch([row for rows in comments for row in rows]), batched_rng)
+        assert len(batched_rng.draws) == 1
+        np.testing.assert_array_equal(batched_rng.draws[0], np.concatenate(per_rng.draws))
+        np.testing.assert_allclose(recon.data, np.concatenate([r.data for r, _ in per_call]),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kl.data, np.concatenate([k.data for _, k in per_call]),
+                                   rtol=0, atol=1e-12)
+
+    def test_batched_decode_matches_per_polarity_calls(self, rng):
+        cvae = toy_cvae(rng)
+        v_e = Tensor(rng.normal(size=(4, 16)))
+        per_call = [cvae.decode(v_e, controls(4, k), None) for k in range(3)]
+        batched = cvae.decode(Tensor(np.concatenate([v_e.data] * 3)),
+                              np.repeat(np.arange(3), 4), None)
+        assert batched == per_call[0] + per_call[1] + per_call[2]
+
+    def test_decode_eos_rule_matches_reference_loop(self, rng):
+        cvae = toy_cvae(rng)
+        v_e = Tensor(rng.normal(size=(12, 16)))
+        # a small EOS bias makes some rows stop early and others hit the cap
+        cvae.dec_out.b.data[EOS] = 0.05
+        ctrl = np.arange(12) % 3
+        out = cvae.decode(v_e, ctrl, None)
+        lengths = {len(row) for row in out}
+        assert cvae.config.max_len in lengths and min(lengths) < cvae.config.max_len
+        assert out == reference_greedy_decode(cvae, v_e, ctrl)
+
+
+def controls(batch: int, control: int) -> np.ndarray:
+    return np.full(batch, control, dtype=np.int64)
+
+
+class RecordingRng:
+    """A generator that keeps every standard-normal draw it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, shape):
+        self.draws.append(self.rng.standard_normal(shape))
+        return self.draws[-1]
+
+
+def reference_greedy_decode(cvae, v_e, ctrl_ids):
+    """Greedy decoding with a per-row Python stop check: each row keeps the
+    tokens before its first EOS, at most ``max_len`` of them."""
+    with ad.no_grad():
+        cond = cvae.condition(v_e, ctrl_ids)
+        h = cvae._decode_hidden(cvae.prior(cond)[0], cond)
+        batch = v_e.shape[0]
+        ctrl = cvae.ctrl(ctrl_ids[:, None])
+        tokens = np.full(batch, BOS, dtype=np.int64)
+        finished = np.zeros(batch, dtype=bool)
+        out = [[] for _ in range(batch)]
+        for _ in range(cvae.config.max_len):
+            x = ad.concat([cvae.embed(tokens[:, None]), ctrl], axis=2)
+            h = cvae.dec(x, h0=h).reshape(batch, cvae.config.decoder_hidden)
+            tokens = cvae.dec_out(h).argmax(axis=1)
+            for i in range(batch):
+                if finished[i]:
+                    continue
+                if tokens[i] == EOS:
+                    finished[i] = True
+                else:
+                    out[i].append(int(tokens[i]))
+            if finished.all():
+                break
+    return out
 
 
 class TestClassifierSoftHard:
