@@ -114,9 +114,6 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------------
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Populate grads of every reachable requires_grad leaf.
 
@@ -164,14 +161,14 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _lift(other))
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce_sum(self, axis, keepdims)
+    def sum(self, axis: int | None = None) -> "Tensor":
+        return _reduce_sum(self, axis)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce_mean(self, axis, keepdims)
+    def mean(self) -> "Tensor":
+        return _reduce_mean(self)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        return _reduce_max(self, axis, keepdims)
+    def max(self, axis: int) -> "Tensor":
+        return _reduce_max(self, axis)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -381,47 +378,33 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape) if keepdims else np.full(shape, g)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def _reduce_sum(a: Tensor, axis, keepdims: bool) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def _reduce_sum(a: Tensor, axis: int | None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
-        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims).copy())
+        g = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(np.asarray(data), (a,), backward, "sum")
 
 
-def _reduce_mean(a: Tensor, axis, keepdims: bool) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[ax % a.ndim] for ax in ((axis,) if isinstance(axis, int) else axis)]
-    )
+def _reduce_mean(a: Tensor) -> Tensor:
+    data = a.data.mean()
 
     def backward(g):
-        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims) / count)
+        _accumulate(a, np.full(a.shape, g / a.size))
 
     return _make(np.asarray(data), (a,), backward, "mean")
 
 
-def _reduce_max(a: Tensor, axis: int, keepdims: bool) -> Tensor:
-    data = a.data.max(axis=axis, keepdims=keepdims)
+def _reduce_max(a: Tensor, axis: int) -> Tensor:
+    data = a.data.max(axis=axis)
     # First occurrence wins on ties, which keeps backward deterministic.
     arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        g_arr = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(full, arg, g_arr, axis)
+        np.put_along_axis(full, arg, np.expand_dims(g, axis), axis)
         _accumulate(a, full)
 
     return _make(np.asarray(data), (a,), backward, "max")
@@ -430,25 +413,25 @@ def _reduce_max(a: Tensor, axis: int, keepdims: bool) -> Tensor:
 # -- softmax / losses --------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max subtraction)."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max subtraction)."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = (g * data).sum(axis=-1, keepdims=True)
         _accumulate(a, data * (g - inner))
 
     return _make(data, (a,), backward, "softmax")
 
 
-def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood of integer ``targets`` under softmax(logits).
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Per-example negative log-likelihood of integer ``targets`` under
+    softmax(logits), shape (batch,).
 
     ``logits`` is (batch, classes); ``targets`` an int array of class
-    indices. ``reduction`` is "mean" for a scalar or "none" for the
-    per-example vector.
+    indices. Take ``.mean()`` of the result for a scalar loss.
     """
     targets = np.asarray(targets)
     if logits.ndim != 2:
@@ -458,8 +441,6 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
         raise ShapeError(f"targets shape {targets.shape} does not match batch {batch}")
     if targets.min() < 0 or targets.max() >= n_classes:
         raise IndexError(f"target out of range [0, {n_classes})")
-    if reduction not in ("mean", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
 
     x = logits.data
     m = x.max(axis=1, keepdims=True)
@@ -469,23 +450,12 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
 
-    if reduction == "mean":
-        data = np.asarray(losses.mean())
+    def backward(g):
+        d = probs.copy()
+        d[np.arange(batch), targets] -= 1.0
+        _accumulate(logits, d * g[:, None])
 
-        def backward(g):
-            d = probs.copy()
-            d[np.arange(batch), targets] -= 1.0
-            _accumulate(logits, d * (g / batch))
-
-    else:
-        data = losses
-
-        def backward(g):
-            d = probs.copy()
-            d[np.arange(batch), targets] -= 1.0
-            _accumulate(logits, d * g[:, None])
-
-    return _make(data, (logits,), backward, "cross_entropy")
+    return _make(losses, (logits,), backward, "cross_entropy")
 
 
 # -- lookups -----------------------------------------------------------------

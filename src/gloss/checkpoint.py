@@ -8,11 +8,12 @@ Layout, in one file:
     data\n
     <raw bytes: little-endian float64, in header order>
 
-Offsets are relative to the first payload byte, and each tensor starts
-where the one before it ends. Round-trips are bit exact: arrays are
-written with ``tobytes()`` and read back with ``frombuffer`` on the same
-dtype. ``save`` writes a temporary file beside the target and renames it
-into place, so an existing checkpoint is never left half overwritten.
+Dimensions and offsets are plain ASCII decimal numbers. Offsets are
+relative to the first payload byte, and each tensor starts where the one
+before it ends. Round-trips are bit exact: arrays are written with
+``tobytes()`` and read back with ``frombuffer`` on the same dtype. ``save``
+writes a temporary file beside the target and renames it into place, so an
+existing checkpoint is never left half overwritten.
 """
 from __future__ import annotations
 
@@ -92,21 +93,18 @@ def load(path) -> tuple[dict[str, np.ndarray], dict | None]:
         elif line.startswith("tensor "):
             try:
                 _, name, dims, offset = line.split(" ")
-                shape = tuple(int(d) for d in dims.split(","))
-                offset = int(offset)
+                shape = tuple(_natural(d) for d in dims.split(","))
             except ValueError as err:
                 raise CheckpointError(f"{path}: bad tensor line {line!r}") from err
             if name in arrays:
                 raise CheckpointError(f"{path}: duplicate tensor {name}")
-            if min(shape) < 0:
-                raise CheckpointError(f"{path}: negative dimension for {name}")
-            if offset != size:
+            if offset != str(size):  # the running size in plain decimal, as save writes it
                 raise CheckpointError(f"{path}: offset {offset} for {name}, expected {size}")
-            size += 8 * math.prod(shape)  # exact: np.prod would wrap at 2**63
+            start, size = size, size + 8 * math.prod(shape)  # exact: np.prod would wrap at 2**63
             if size > len(payload):
                 raise CheckpointError(f"{path}: payload truncated for {name}")
             try:
-                arrays[name] = np.frombuffer(payload[offset:size], dtype="<f8").reshape(shape).copy()
+                arrays[name] = np.frombuffer(payload[start:size], dtype="<f8").reshape(shape).copy()
             except ValueError as err:  # an empty shape with dimensions numpy cannot hold
                 raise CheckpointError(f"{path}: bad shape for {name}") from err
         else:
@@ -114,6 +112,14 @@ def load(path) -> tuple[dict[str, np.ndarray], dict | None]:
     if size != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - size} trailing payload bytes")
     return arrays, meta
+
+
+def _natural(text: str) -> int:
+    """``text`` as a plain decimal number; ``int()`` alone would also take a
+    sign, underscores, surrounding spaces and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return int(text)
 
 
 def _find_data_line(blob: bytes) -> int:

@@ -101,6 +101,18 @@ def _load_corpus(path, schema: str, args) -> list:
     return examples
 
 
+def _load_classifier(path, schema: str, vocab, vocab_source: str):
+    """The frozen classifier at ``path``, checked against the schema and,
+    for text, against ``vocab``, the vocabulary of ``vocab_source``."""
+    classifier, cls_vocab, cls_meta = framework.load_classifier(path)
+    if cls_meta["schema"] != schema:
+        raise CliError(f"classifier schema {cls_meta['schema']} != {schema}")
+    if cls_vocab is not None and cls_vocab.itos != vocab.itos:
+        raise CliError(f"classifier vocabulary does not match {vocab_source}; "
+                       "pretrain-c and train must see the same corpus and split seed")
+    return classifier
+
+
 def _format_table(rows: list[tuple], header: tuple) -> str:
     table = [header] + [tuple(f"{v:.2f}" if isinstance(v, float) else str(v)
                               for v in row) for row in rows]
@@ -201,12 +213,7 @@ def cmd_train(args, config: dict) -> int:
     if args.mode == "gef":
         if not args.classifier:
             raise CliError("gef mode requires --classifier CKPT")
-        classifier, cls_vocab, cls_meta = framework.load_classifier(args.classifier)
-        if cls_meta["schema"] != schema:
-            raise CliError(f"classifier schema {cls_meta['schema']} != {schema}")
-        if cls_vocab is not None and cls_vocab.itos != vocab.itos:
-            raise CliError("classifier vocabulary does not match the corpus; "
-                           "pretrain-c and train must see the same corpus and split seed")
+        classifier = _load_classifier(args.classifier, schema, vocab, "the corpus")
 
     _info(args, f"training {schema} / {args.mode} for {train_config.epochs} epochs "
                 f"on {len(split.train)} examples")
@@ -235,14 +242,9 @@ def cmd_eval(args, config: dict) -> int:
     part = {"train": split.train, "dev": split.dev, "test": split.test}[args.split]
     classifier = None
     if args.classifier:
-        classifier, cls_vocab, cls_meta = framework.load_classifier(args.classifier)
-        if cls_meta["schema"] != schema:
-            raise CliError(f"classifier schema {cls_meta['schema']} != {schema}")
-        if cls_vocab is not None and cls_vocab.itos != bundle.vocab.itos:
-            raise CliError("classifier vocabulary does not match the checkpoint's; "
-                           "pretrain-c and train must see the same corpus and split seed")
-    seed = _setting(args, config, "seed", 0, int)
-    report = framework.evaluate(bundle, part, classifier=classifier, seed=seed)
+        classifier = _load_classifier(args.classifier, schema, bundle.vocab,
+                                      "the checkpoint's")
+    report = framework.evaluate(bundle, part, classifier=classifier)
 
     rows = [("top1", report["top1"]), ("top3", report["top3"])]
     if "oracle" in report:
@@ -272,10 +274,8 @@ def cmd_explain(args, config: dict) -> int:
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.input, schema, args)
-    seed = _setting(args, config, "seed", 0, int)
-    rng = np.random.default_rng([seed, 37])
     probs = framework.predict_probs(bundle, examples)
-    generated = framework.generate_explanations(bundle, examples, rng)
+    generated = framework.generate_explanations(bundle, examples)
 
     records = []
     for i, ex in enumerate(examples):

@@ -209,13 +209,6 @@ class CorpusSplit:
     train: list
     dev: list
     test: list
-    seed: int
-
-    def __iter__(self):
-        yield from (self.train, self.dev, self.test)
-
-    def sizes(self) -> tuple[int, int, int]:
-        return (len(self.train), len(self.dev), len(self.test))
 
 
 def filter_and_split(examples: list, schema: str, seed: int) -> CorpusSplit:
@@ -231,7 +224,7 @@ def filter_and_split(examples: list, schema: str, seed: int) -> CorpusSplit:
     train = [kept[i] for i in order[:n_train]]
     dev = [kept[i] for i in order[n_train:n_train + n_dev]]
     test = [kept[i] for i in order[n_train + n_dev:]]
-    return CorpusSplit(train=train, dev=dev, test=test, seed=seed)
+    return CorpusSplit(train=train, dev=dev, test=test)
 
 
 # -- vocabulary ---------------------------------------------------------------
@@ -284,9 +277,10 @@ def build_vocab(examples: list, schema: str, min_freq: int = 2) -> Vocab:
     return Vocab.build(corpus_token_lists(examples, schema), min_freq=min_freq)
 
 
-def pad_batch(sequences: list[list[int]], min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Pad id lists to a dense (batch, T) int array plus a float mask."""
-    max_len = max(min_len, max((len(s) for s in sequences), default=min_len))
+def pad_batch(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pad id lists to a dense (batch, T) int array plus a float mask; T is
+    at least 1, so a batch of empty sequences still has one padded step."""
+    max_len = max(1, max((len(s) for s in sequences), default=1))
     ids = np.full((len(sequences), max_len), PAD, dtype=np.int64)
     mask = np.zeros((len(sequences), max_len), dtype=np.float64)
     for i, seq in enumerate(sequences):

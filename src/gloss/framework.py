@@ -132,7 +132,6 @@ class LossBreakdown:
 
 @dataclass
 class TrainResult:
-    bundle: ModelBundle
     epochs: list[dict] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
     frozen_at_epoch: int | None = None
@@ -171,29 +170,29 @@ def _classifier_probs(classifier, examples, form: str, vocab: Vocab | None,
         examples, batch_size))
 
 
+PRETRAIN_PATIENCE = 5  # epochs without a dev-accuracy gain before pretraining stops
+
+
 def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
                         vocab: Vocab | None = None, lr: float = 2e-3,
-                        batch_size: int = 128, max_epochs: int = 40,
-                        patience: int = 5, emb_dim: int | None = None,
-                        hidden: int | None = None):
+                        batch_size: int = 128, max_epochs: int = 40):
     """Train the explanation classifier on golden explanations, then freeze it.
 
-    Stops once dev accuracy has not improved for ``patience`` consecutive
-    epochs, restores the best epoch's weights, and reports dev/test
-    accuracy. Test accuracy on golden explanations is the oracle number a
-    perfect generator could reach.
+    Stops once dev accuracy has not improved for ``PRETRAIN_PATIENCE``
+    consecutive epochs, restores the best epoch's weights, and reports
+    dev/test accuracy. Test accuracy on golden explanations is the oracle
+    number a perfect generator could reach. The classifier keeps its
+    constructor's default sizes.
     """
     form = FORM_BY_SCHEMA[schema]
     rng = np.random.default_rng(seed)
     n_classes = N_CLASSES[schema]
     if form == "numeric":
-        classifier = ClassifierNumeric(rng, n_classes, emb_dim=emb_dim or 16,
-                                       hidden=hidden or 64)
+        classifier = ClassifierNumeric(rng, n_classes)
     else:
         if vocab is None:
             raise ValueError("text classifier needs a vocabulary")
-        classifier = ClassifierText(rng, len(vocab), n_classes,
-                                    emb_dim=emb_dim or 32, hidden=hidden or 48)
+        classifier = ClassifierText(rng, len(vocab), n_classes)
 
     params = classifier.parameters()
     optimizer = Adam(params, lr=lr)
@@ -211,7 +210,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
             idx = order[start:start + batch_size]
             batch = [split.train[i] for i in idx]
             logits = _classifier_logits(classifier, batch, form, vocab)
-            loss = ad.cross_entropy(logits, labels["train"][idx])
+            loss = ad.cross_entropy(logits, labels["train"][idx]).mean()
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -224,7 +223,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= patience:
+            if bad_epochs >= PRETRAIN_PATIENCE:
                 break
     if best_state is not None:
         for key, tensor in params.items():
@@ -260,8 +259,7 @@ def _dev_stats(bundle: ModelBundle, examples, batch_size: int = 256):
 
     def batch_stats(batch):
         logits = bundle.predictor.logits(bundle.encode_reviews(batch))
-        lp = ad.cross_entropy(logits, np.array([ex.label for ex in batch]),
-                              reduction="none")
+        lp = ad.cross_entropy(logits, np.array([ex.label for ex in batch]))
         return float(lp.data.sum()), ad.softmax(logits).data
 
     batch_lps, prob_rows = zip(*_in_batches(batch_stats, examples, batch_size))
@@ -298,7 +296,7 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
     params = bundle.parameters()
     if optimizer is None:
         optimizer = Adam(params, lr=config.lr)
-    result = TrainResult(bundle=bundle)
+    result = TrainResult()
     train_labels = np.array([ex.label for ex in split.train])
     gold_cache = (_gold_prob_cache(bundle, classifier, split.train)
                   if use_factor else None)
@@ -313,7 +311,6 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
     try:
         for epoch in range(start_epoch, config.epochs):
             epoch_rng = np.random.default_rng([config.seed, 23, epoch])
-            factor_rng = np.random.default_rng([config.seed, 29, epoch])
             order = epoch_rng.permutation(len(split.train))
             sums = {"l_p": 0.0, "l_e": 0.0, "ef": 0.0, "l_mrt": 0.0}
             seen = 0
@@ -325,14 +322,14 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
 
                 v_e = bundle.encode_reviews(batch)
                 logits = bundle.predictor.logits(v_e)
-                lp_vec = ad.cross_entropy(logits, labels, reduction="none")
+                lp_vec = ad.cross_entropy(logits, labels)
                 le_vec = _generation_loss(bundle, v_e, batch, beta, epoch_rng)
                 loss_vec = lp_vec + le_vec
 
                 if use_factor:
                     factor, mrt_vec = _risk_terms(
                         bundle, classifier, v_e, logits, labels,
-                        loss_vec, gold_cache[idx], factor_rng)
+                        loss_vec, gold_cache[idx])
                     sums["ef"] += float(factor.sum())
                     sums["l_mrt"] += float(mrt_vec.data.sum())
                 else:
@@ -394,7 +391,7 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
         subs = np.array([ex.subscores for ex in batch], dtype=np.int64)
         le_vec = None
         for f, head_logits in enumerate(bundle.generator.logits(v_e)):
-            ce = ad.cross_entropy(head_logits, subs[:, f], reduction="none")
+            ce = ad.cross_entropy(head_logits, subs[:, f])
             le_vec = ce if le_vec is None else le_vec + ce
         return le_vec
     ids, mask = pad_batch([bundle.vocab.encode(getattr(ex, pol))
@@ -412,18 +409,17 @@ def _polarity_rows(v_e: Tensor) -> tuple[Tensor, np.ndarray]:
             np.repeat(np.arange(len(POLARITIES)), v_e.shape[0]))
 
 
-def _decode_comments(bundle: ModelBundle, v_e: Tensor,
-                     rng: np.random.Generator) -> list[list[list[int]]]:
+def _decode_comments(bundle: ModelBundle, v_e: Tensor) -> list[list[list[int]]]:
     """Greedy comments for a batch, one list per polarity, from one decode
     call over the polarity-major stack."""
-    decoded = bundle.generator.decode(*_polarity_rows(v_e), rng)
+    decoded = bundle.generator.decode(*_polarity_rows(v_e))
     batch = v_e.shape[0]
     return [decoded[k * batch:(k + 1) * batch] for k in range(len(POLARITIES))]
 
 
 def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
-                labels: np.ndarray, loss_vec: Tensor, gold_probs: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, Tensor]:
+                labels: np.ndarray, loss_vec: Tensor,
+                gold_probs: np.ndarray) -> tuple[np.ndarray, Tensor]:
     """Explanation factor and risk-weighted loss for one batch.
 
     Generated explanations are decoded hard and the frozen classifier reads
@@ -437,7 +433,7 @@ def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
         if bundle.form == "numeric":
             explanation = bundle.generator.scores(v_e)
         else:
-            explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e, rng)]
+            explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e)]
         p_cls = classifier.probs_hard(explanation).data[rows, labels]
     factor = explanation_factor(ProbTriple(p_pred, p_cls, gold_probs))
     return factor, mrt_loss(loss_vec, Tensor(factor))
@@ -453,19 +449,20 @@ def predict_probs(bundle: ModelBundle, examples, batch_size: int = 128) -> np.nd
         examples, batch_size))
 
 
-def generate_explanations(bundle: ModelBundle, examples, rng: np.random.Generator,
+def generate_explanations(bundle: ModelBundle, examples, rng=None,
                           batch_size: int = 128):
     """Generated explanations for a list of examples.
 
     Numeric form returns an (n, 5) int array of scores; text form a dict
-    mapping polarity to decoded token-id lists.
+    mapping polarity to decoded token-id lists. Decoding is greedy, so
+    ``rng`` is unused; it stays because ``perfbench/workloads.py`` passes it.
     """
     if bundle.form == "numeric":
         return np.concatenate(_in_batches(
             lambda exs: bundle.generator.scores(bundle.encode_reviews(exs)),
             examples, batch_size))
     batches = _in_batches(
-        lambda exs: _decode_comments(bundle, bundle.encode_reviews(exs), rng),
+        lambda exs: _decode_comments(bundle, bundle.encode_reviews(exs)),
         examples, batch_size)
     return {pol: [ids for parts in batches for ids in parts[k]]
             for k, pol in enumerate(POLARITIES)}
@@ -473,7 +470,11 @@ def generate_explanations(bundle: ModelBundle, examples, rng: np.random.Generato
 
 def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
              batch_size: int = 128) -> dict:
-    """Accuracy (and BLEU or sub-field accuracy) report for one split."""
+    """Accuracy (and BLEU or sub-field accuracy) report for one split.
+
+    Every output is deterministic, so ``seed`` is unused; it stays because
+    ``perfbench/workloads.py`` passes it.
+    """
     if not examples:
         raise ValueError("cannot evaluate an empty split")
     labels = np.array([ex.label for ex in examples])
@@ -482,16 +483,15 @@ def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
         "top1": topk_accuracy(probs, labels, 1),
         "top3": topk_accuracy(probs, labels, 3),
     }
-    rng = np.random.default_rng([seed, 31])
     if bundle.form == "numeric":
         golden = np.array([ex.subscores for ex in examples])
-        predicted = generate_explanations(bundle, examples, rng, batch_size)
+        predicted = generate_explanations(bundle, examples, batch_size=batch_size)
         report["fields"] = {
             letter: 100.0 * float((predicted[:, f] == golden[:, f]).mean())
             for f, letter in enumerate(SUBSCORE_LETTERS)
         }
     else:
-        decoded = generate_explanations(bundle, examples, rng, batch_size)
+        decoded = generate_explanations(bundle, examples, batch_size=batch_size)
         bleu = {}
         all_cands, all_refs = [], []
         for polarity in POLARITIES:

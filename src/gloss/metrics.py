@@ -10,22 +10,23 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(candidates, references, max_n: int = 4,
-                smooth: bool = False) -> dict[str, float]:
-    """Corpus BLEU-1..max_n as percentages, single reference per candidate.
+MAX_N = 4  # BLEU-1 .. BLEU-4
+
+
+def corpus_bleu(candidates, references) -> dict[str, float]:
+    """Corpus BLEU-1..4 as percentages, single reference per candidate.
 
     Modified n-gram precision with clipping, geometric mean of the first n
     precisions, and brevity penalty exp(1 - r/c) when the candidate corpus
-    is shorter than the reference corpus. Without smoothing, a zero
-    precision at any order zeroes that order and every higher one; with
-    ``smooth=True`` zero counts are floored at a small epsilon instead.
+    is shorter than the reference corpus. There is no smoothing: a zero
+    precision at any order zeroes that order and every higher one.
     """
     if len(candidates) != len(references):
         raise ValueError("candidate and reference lists differ in length")
     if not candidates:
         raise ValueError("empty corpus")
-    matched = np.zeros(max_n)
-    total = np.zeros(max_n)
+    matched = np.zeros(MAX_N)
+    total = np.zeros(MAX_N)
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
@@ -33,7 +34,7 @@ def corpus_bleu(candidates, references, max_n: int = 4,
         ref = list(ref)
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             cand_counts = _ngram_counts(cand, n)
             if not cand_counts:
                 continue
@@ -44,16 +45,9 @@ def corpus_bleu(candidates, references, max_n: int = 4,
                 for gram, count in cand_counts.items()
             )
     bp = 1.0 if cand_len >= ref_len else float(np.exp(1.0 - ref_len / max(cand_len, 1)))
-    precisions = []
-    for n in range(max_n):
-        if total[n] == 0:
-            precisions.append(0.0)
-        elif matched[n] == 0:
-            precisions.append(1e-9 if smooth else 0.0)
-        else:
-            precisions.append(matched[n] / total[n])
+    precisions = [matched[n] / total[n] if total[n] else 0.0 for n in range(MAX_N)]
     report = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         ps = precisions[:n]
         if min(ps) <= 0.0:
             score = 0.0

@@ -20,6 +20,7 @@ from .data import (BOS, EOS, N_CLASSES, PAD, SUBSCORE_FIELDS, Vocab,
 
 ENCODER_KINDS = ("bow", "gru", "lstm", "cnn")
 N_CONTROLS = 3  # positive / negative / neutral control signals
+N_LEVELS = 6  # a sub-field score is an integer 0..5
 
 
 class Module:
@@ -38,8 +39,6 @@ class Module:
                     if isinstance(item, Module):
                         for key, tensor in item.parameters().items():
                             out[f"{name}.{i}.{key}"] = tensor
-                    elif isinstance(item, Tensor):
-                        out[f"{name}.{i}"] = item
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
@@ -58,13 +57,12 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, rng, n_in: int, n_out: int, bias: bool = True):
+    def __init__(self, rng, n_in: int, n_out: int):
         self.w = Tensor(_xavier(rng, n_in, n_out), requires_grad=True)
-        self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        return y + self.b if self.b is not None else y
+        return ad.matmul(x, self.w) + self.b
 
 
 class Embedding(Module):
@@ -94,7 +92,6 @@ class GRU(Module):
 
 class LSTM(Module):
     def __init__(self, rng, n_in: int, n_hidden: int):
-        self.n_hidden = n_hidden
         self.w_x = Tensor(_xavier(rng, n_in, 4 * n_hidden), requires_grad=True)
         self.w_h = Tensor(_xavier(rng, n_hidden, 4 * n_hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * n_hidden), requires_grad=True)
@@ -250,7 +247,6 @@ class Predictor(Module):
     """Linear head mapping the review representation to label probabilities."""
 
     def __init__(self, rng, hidden_dim: int, n_classes: int):
-        self.n_classes = n_classes
         self.out = Linear(rng, hidden_dim, n_classes)
 
     def logits(self, v_e: Tensor) -> Tensor:
@@ -263,17 +259,14 @@ class Predictor(Module):
 class NumericGenerator(Module):
     """Five independent 6-way score heads over the review representation."""
 
-    def __init__(self, rng, hidden_dim: int, n_fields: int = len(SUBSCORE_FIELDS),
-                 n_levels: int = 6):
-        self.n_fields = n_fields
-        self.n_levels = n_levels
-        self.heads = [Linear(rng, hidden_dim, n_levels) for _ in range(n_fields)]
+    def __init__(self, rng, hidden_dim: int):
+        self.heads = [Linear(rng, hidden_dim, N_LEVELS) for _ in SUBSCORE_FIELDS]
 
     def logits(self, v_e: Tensor) -> list[Tensor]:
         return [head(v_e) for head in self.heads]
 
     def scores(self, v_e: Tensor) -> np.ndarray:
-        """Per-field argmax scores, shape (batch, n_fields)."""
+        """Per-field argmax scores, shape (batch, 5)."""
         return np.stack([l.argmax(axis=1) for l in self.logits(v_e)], axis=1)
 
 
@@ -314,7 +307,6 @@ class TextCvae(Module):
 
     def __init__(self, rng, vocab_size: int, cond_input_dim: int, config: CvaeConfig):
         self.config = config
-        self.vocab_size = vocab_size
         cond_dim = config.control_dim + cond_input_dim
         self.embed = Embedding(rng, vocab_size, config.embedding_dim)
         self.ctrl = Embedding(rng, N_CONTROLS, config.control_dim)
@@ -390,30 +382,21 @@ class TextCvae(Module):
         states = self.dec(ad.concat([self.embed(dec_in), ctrl], axis=2),
                           h0=self._decode_hidden(z, cond))
         logits = self.dec_out(states.reshape(batch * steps, self.config.decoder_hidden))
-        ce = ad.cross_entropy(logits, targets.reshape(-1), reduction="none")
+        ce = ad.cross_entropy(logits, targets.reshape(-1))
         recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
         return recon, kl
 
-    def decode(self, v_e: Tensor, controls: np.ndarray, rng: np.random.Generator,
-               z_mode: str = "mean") -> list[list[int]]:
-        """Greedy decoding until EOS or the cap, latent taken from the prior.
+    def decode(self, v_e: Tensor, controls: np.ndarray) -> list[list[int]]:
+        """Greedy decoding until EOS or the cap, latent at the prior's mean.
 
         Row i, under control id ``controls[i]``, yields its tokens before
         the first EOS. The golden explanation is absent at test time, so the
-        latent comes from the prior network: its mean by default
-        (deterministic), or a reparameterized sample with ``z_mode="sample"``.
+        latent is the prior network's mean, which keeps decoding deterministic.
         """
         with ad.no_grad():
             cond = self.condition(v_e, controls)
-            mu_p, logvar_p = self.prior(cond)
-            if z_mode == "sample":
-                eps = Tensor(rng.standard_normal(mu_p.shape))
-                z = mu_p + ad.mul(ad.exp(ad.mul(logvar_p, Tensor(0.5))), eps)
-            elif z_mode == "mean":
-                z = mu_p
-            else:
-                raise ValueError(f"unknown z_mode {z_mode!r}")
-            h = self._decode_hidden(z, cond)
+            mu_p, _ = self.prior(cond)
+            h = self._decode_hidden(mu_p, cond)
             batch = v_e.shape[0]
             ctrl = self.ctrl(controls[:, None])
             tokens = np.full(batch, BOS, dtype=np.int64)
@@ -442,23 +425,21 @@ class ClassifierNumeric(Module):
     and "food = 3" are different evidence.
     """
 
-    def __init__(self, rng, n_classes: int, emb_dim: int = 16, hidden: int = 64,
-                 n_fields: int = len(SUBSCORE_FIELDS), n_levels: int = 6):
-        self.n_fields = n_fields
-        self.n_levels = n_levels
+    def __init__(self, rng, n_classes: int, emb_dim: int = 16, hidden: int = 64):
         self.emb_dim = emb_dim
-        self.embed = Embedding(rng, n_fields * n_levels, emb_dim)
-        self.hidden = Linear(rng, n_fields * emb_dim, hidden)
+        self.embed = Embedding(rng, len(SUBSCORE_FIELDS) * N_LEVELS, emb_dim)
+        self.hidden = Linear(rng, len(SUBSCORE_FIELDS) * emb_dim, hidden)
         self.out = Linear(rng, hidden, n_classes)
         self.frozen = False
 
     def logits_hard(self, subscores: np.ndarray) -> Tensor:
         subscores = np.asarray(subscores, dtype=np.int64)
-        if subscores.ndim != 2 or subscores.shape[1] != self.n_fields:
-            raise ValueError(f"expected (batch, {self.n_fields}) scores")
-        offsets = np.arange(self.n_fields) * self.n_levels
+        n_fields = len(SUBSCORE_FIELDS)
+        if subscores.ndim != 2 or subscores.shape[1] != n_fields:
+            raise ValueError(f"expected (batch, {n_fields}) scores")
+        offsets = np.arange(n_fields) * N_LEVELS
         flat = self.embed(subscores + offsets).reshape(
-            subscores.shape[0], self.n_fields * self.emb_dim)
+            subscores.shape[0], n_fields * self.emb_dim)
         return self.out(ad.tanh(self.hidden(flat)))
 
     def probs_hard(self, subscores: np.ndarray) -> Tensor:
@@ -475,7 +456,6 @@ class ClassifierText(Module):
 
     def __init__(self, rng, vocab_size: int, n_classes: int,
                  emb_dim: int = 32, hidden: int = 48):
-        self.vocab_size = vocab_size
         self.embed = Embedding(rng, vocab_size, emb_dim)
         self.rnn = BiGRU(rng, emb_dim, hidden)
         self.out = Linear(rng, 3 * (2 * hidden + emb_dim), n_classes)

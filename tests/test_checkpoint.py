@@ -126,6 +126,24 @@ def test_rejects_meta_nested_too_deeply_to_parse(tmp_path):
         checkpoint.load(path)
 
 
+@pytest.mark.parametrize("dims", ["+10", "1_0", "\u0661\u0660"])  # \u0661\u0660: Arabic-Indic 10
+def test_rejects_dimension_that_is_not_plain_ascii_digits(tmp_path, dims):
+    # int() reads each of these as 10, which 80 payload bytes would satisfy
+    path = tmp_path / "dims.ckpt"
+    _write(path, ["GLOSSCKPT 1", f"tensor a {dims} 0"], _floats(*range(10)))
+    with pytest.raises(checkpoint.CheckpointError, match="bad tensor line"):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("offset", ["+8", "0_8", "\u0668"])  # \u0668: Arabic-Indic 8
+def test_rejects_offset_that_is_not_plain_ascii_digits(tmp_path, offset):
+    path = tmp_path / "offset.ckpt"
+    _write(path, ["GLOSSCKPT 1", "tensor a 1 0", f"tensor b 1 {offset}"],
+           _floats(1.0, 2.0))
+    with pytest.raises(checkpoint.CheckpointError, match="expected 8"):
+        checkpoint.load(path)
+
+
 @pytest.mark.parametrize("offset", ["-16", "0", "16"])
 def test_rejects_offset_other_than_running_size(tmp_path, offset):
     # the second tensor must start at byte 8; -16 would read the bytes of 2.0

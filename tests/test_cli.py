@@ -52,6 +52,18 @@ def trained_model(tmp_path_factory, numeric_corpus, numeric_classifier):
     return ckpt, log
 
 
+@pytest.fixture(scope="module")
+def text_model(tmp_path_factory, text_corpus):
+    ckpt = tmp_path_factory.mktemp("text_model") / "model.ckpt"
+    code = run_cli("train", "--corpus", text_corpus, "--schema", "pcmag",
+                   "--mode", "baseline", "--out", ckpt, "--epochs", "1",
+                   "--encoder", "bow", "--hidden-dim", "16",
+                   "--embedding-dim", "12", "--latent-dim", "6",
+                   "--decoder-hidden", "16", "--seed", "2", "--quiet")
+    assert code == 0
+    return ckpt
+
+
 class TestSynth:
     def test_output_reloads_cleanly(self, numeric_corpus):
         examples, diagnostics = load_jsonl(numeric_corpus, "skytrax")
@@ -173,6 +185,15 @@ class TestTrain:
         assert err.startswith("error: config file") and "Traceback" not in err
         assert not out.exists()
 
+    def test_gef_rejects_classifier_of_other_schema(self, text_corpus, numeric_classifier,
+                                                    tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("train", "--corpus", text_corpus, "--schema", "pcmag",
+                       "--classifier", numeric_classifier, "--out", tmp_path / "m.ckpt",
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: classifier schema skytrax != pcmag\n"
+
     def test_bad_schema_exit_code(self, numeric_corpus, tmp_path):
         assert run_cli("train", "--corpus", numeric_corpus, "--out",
                        tmp_path / "x.ckpt", "--mode", "baseline",
@@ -230,16 +251,22 @@ class TestEvalAndExplain:
                 "--out", b, "--seed", "9", "--quiet")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_text_explain_emits_comments(self, text_corpus, tmp_path):
-        model = tmp_path / "tm.ckpt"
-        code = run_cli("train", "--corpus", text_corpus, "--schema", "pcmag",
-                       "--mode", "baseline", "--out", model, "--epochs", "1",
-                       "--encoder", "bow", "--hidden-dim", "16",
-                       "--embedding-dim", "12", "--latent-dim", "6",
-                       "--decoder-hidden", "16", "--seed", "2", "--quiet")
-        assert code == 0
+    def test_text_outputs_do_not_depend_on_seed(self, text_corpus, text_model, tmp_path):
+        # decoding is greedy from the prior mean, so --seed feeds nothing
+        for seed in ("0", "5"):
+            assert run_cli("eval", "--checkpoint", text_model, "--corpus", text_corpus,
+                           "--json", tmp_path / f"report{seed}.json",
+                           "--seed", seed, "--quiet") == 0
+            assert run_cli("explain", "--checkpoint", text_model, "--input", text_corpus,
+                           "--out", tmp_path / f"explained{seed}.jsonl",
+                           "--seed", seed, "--quiet") == 0
+        for name in ("report{}.json", "explained{}.jsonl"):
+            first = (tmp_path / name.format("0")).read_bytes()
+            assert first and first == (tmp_path / name.format("5")).read_bytes()
+
+    def test_text_explain_emits_comments(self, text_corpus, text_model, tmp_path):
         out_path = tmp_path / "explained.jsonl"
-        assert run_cli("explain", "--checkpoint", model, "--input", text_corpus,
+        assert run_cli("explain", "--checkpoint", text_model, "--input", text_corpus,
                        "--out", out_path, "--quiet") == 0
         record = json.loads(out_path.read_text().splitlines()[0])
         assert {"pred_overall", "pred_pos", "pred_neg", "pred_neu"} <= set(record)

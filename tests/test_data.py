@@ -181,22 +181,24 @@ class TestFilterAndSplit:
     def test_split_sizes(self):
         examples = [_skytrax(5) for _ in range(100)]
         split = filter_and_split(examples, "skytrax", seed=7)
-        assert split.sizes() == (80, 10, 10)
+        assert (len(split.train), len(split.dev), len(split.test)) == (80, 10, 10)
 
     def test_split_reproducible_and_disjoint(self):
         examples = [_skytrax(i % 20 + 1) for i in range(50)]
         a = filter_and_split(examples, "skytrax", seed=3)
         b = filter_and_split(examples, "skytrax", seed=3)
-        for part_a, part_b in zip(a, b):
+        parts_a, parts_b = (a.train, a.dev, a.test), (b.train, b.dev, b.test)
+        for part_a, part_b in zip(parts_a, parts_b):
             assert [id(x) for x in part_a] == [id(x) for x in part_b]
-        ids = [id(x) for part in a for x in part]
+        ids = [id(x) for part in parts_a for x in part]
         assert len(ids) == len(set(ids)) == 50
 
     def test_different_seed_same_sizes(self):
         examples = [_skytrax(5) for _ in range(103)]
         a = filter_and_split(examples, "skytrax", seed=1)
         b = filter_and_split(examples, "skytrax", seed=2)
-        assert a.sizes() == b.sizes()
+        assert ((len(a.train), len(a.dev), len(a.test))
+                == (len(b.train), len(b.dev), len(b.test)))
         assert [id(x) for x in a.train] != [id(x) for x in b.train]
 
     def test_empty_after_filter(self):
@@ -237,10 +239,10 @@ class TestVocab:
 
 
 def test_pad_batch():
-    ids, mask = pad_batch([[5, 6], [7]], min_len=1)
+    ids, mask = pad_batch([[5, 6], [7]])
     np.testing.assert_array_equal(ids, [[5, 6], [7, 0]])
     np.testing.assert_array_equal(mask, [[1.0, 1.0], [1.0, 0.0]])
-    ids, mask = pad_batch([[]], min_len=1)
+    ids, mask = pad_batch([[]])
     assert ids.shape == (1, 1) and mask.sum() == 0
 
 

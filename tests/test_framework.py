@@ -119,8 +119,7 @@ class TestJointLossAnalytics:
         batch = split.train[:32]
         labels = np.array([ex.label for ex in batch])
         v_e = bundle.encode_reviews(batch)
-        lp = ad.cross_entropy(bundle.predictor.logits(v_e), labels,
-                              reduction="none")
+        lp = ad.cross_entropy(bundle.predictor.logits(v_e), labels)
         le = fw._generation_loss(bundle, v_e, batch, beta=1.0,
                                  rng=np.random.default_rng(0))
         assert lp.data.mean() == pytest.approx(math.log(10), abs=1e-12)
@@ -202,11 +201,11 @@ class TestTrainer:
         gold = fw._gold_prob_cache(bundle, classifier, batch)
         v_e = bundle.encode_reviews(batch)
         logits = bundle.predictor.logits(v_e)
-        lp = ad.cross_entropy(logits, labels, reduction="none")
+        lp = ad.cross_entropy(logits, labels)
         le = fw._generation_loss(bundle, v_e, batch, 1.0, np.random.default_rng(0))
         loss_vec = lp + le
         factor, mrt = fw._risk_terms(bundle, classifier, v_e, logits, labels,
-                                     loss_vec, gold, np.random.default_rng(1))
+                                     loss_vec, gold)
         p_pred = ad.softmax(logits).data[np.arange(3), labels]
         scores = bundle.generator.scores(v_e)
         p_cls = classifier.probs_hard(scores).data[np.arange(3), labels]
@@ -227,7 +226,7 @@ class TestTrainer:
             gold = fw._gold_prob_cache(bundle, classifier, batch)
             v_e = bundle.encode_reviews(batch)
             logits = bundle.predictor.logits(v_e)
-            lp = ad.cross_entropy(logits, labels, reduction="none")
+            lp = ad.cross_entropy(logits, labels)
             le = fw._generation_loss(bundle, v_e, batch, 1.0,
                                      np.random.default_rng(0))
             loss_vec = lp + le
@@ -241,8 +240,7 @@ class TestTrainer:
                 mrt = ad.mul(loss_vec, Tensor(factor))
             else:
                 factor, mrt = fw._risk_terms(
-                    bundle, classifier, v_e, logits, labels, loss_vec,
-                    gold, np.random.default_rng(1))
+                    bundle, classifier, v_e, logits, labels, loss_vec, gold)
             total = (loss_vec + mrt).mean()
             total.backward()
             return {k: t.grad.copy() for k, t in
@@ -414,7 +412,7 @@ class TestEvaluate:
             np.eye(9)[[ex.label for ex in bundle.examples(v_e)]])
         bundle.generator = type("G", (), {})()
 
-        def decode(v_e, controls, rng, _vocab=vocab):
+        def decode(v_e, controls, _vocab=vocab):
             from gloss.data import POLARITIES
             return [_vocab.encode(getattr(ex, POLARITIES[control]))
                     for ex, control in zip(bundle.examples(v_e), controls)]

@@ -252,16 +252,16 @@ class TestCvae:
     def test_decode_respects_cap_and_seed(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        out1 = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
-        out2 = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
+        out1 = cvae.decode(v_e, controls(4, 1))
+        out2 = cvae.decode(v_e, controls(4, 1))
         assert out1 == out2
         assert all(len(seq) <= 12 for seq in out1)
 
     def test_decode_differs_by_control(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        a = cvae.decode(v_e, controls(4, 0), np.random.default_rng(7))
-        b = cvae.decode(v_e, controls(4, 1), np.random.default_rng(7))
+        a = cvae.decode(v_e, controls(4, 0))
+        b = cvae.decode(v_e, controls(4, 1))
         assert a != b  # control signal conditions the decoder
 
     def test_single_token_vocab_reconstruction_vanishes(self, rng):
@@ -306,9 +306,9 @@ class TestCvae:
     def test_batched_decode_matches_per_polarity_calls(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        per_call = [cvae.decode(v_e, controls(4, k), None) for k in range(3)]
+        per_call = [cvae.decode(v_e, controls(4, k)) for k in range(3)]
         batched = cvae.decode(Tensor(np.concatenate([v_e.data] * 3)),
-                              np.repeat(np.arange(3), 4), None)
+                              np.repeat(np.arange(3), 4))
         assert batched == per_call[0] + per_call[1] + per_call[2]
 
     def test_decode_eos_rule_matches_reference_loop(self, rng):
@@ -317,7 +317,7 @@ class TestCvae:
         # a small EOS bias makes some rows stop early and others hit the cap
         cvae.dec_out.b.data[EOS] = 0.05
         ctrl = np.arange(12) % 3
-        out = cvae.decode(v_e, ctrl, None)
+        out = cvae.decode(v_e, ctrl)
         lengths = {len(row) for row in out}
         assert cvae.config.max_len in lengths and min(lengths) < cvae.config.max_len
         assert out == reference_greedy_decode(cvae, v_e, ctrl)
