@@ -274,8 +274,7 @@ def cmd_explain(args, config: dict) -> int:
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.input, schema, args)
-    probs = framework.predict_probs(bundle, examples)
-    generated = framework.generate_explanations(bundle, examples)
+    probs, generated = framework.predict_and_explain(bundle, examples)
 
     records = []
     for i, ex in enumerate(examples):
@@ -306,9 +305,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gloss",
                      description="classify text and generate fine-grained explanations")
     sub = parser.add_subparsers(dest="command", required=True)
+    # eval and explain keep --seed so that invocations passing it still run
+    ignored_seed = "accepted and ignored: the outputs are deterministic"
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, seed_help):
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--config", default=None, help="INI file with key=value settings")
         p.add_argument("--quiet", action="store_true")
 
@@ -316,7 +317,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--schema", required=True, choices=("pcmag", "skytrax"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, "seed of the generated corpus")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pretrain-c", help="pre-train and freeze the explanation classifier")
@@ -327,7 +328,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    common(p)
+    common(p, "seed of the initial weights and of every random draw in training")
     p.set_defaults(func=cmd_pretrain_c)
 
     p = sub.add_parser("train", help="train a model bundle (baseline or gef)")
@@ -349,7 +350,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--loss-weights", dest="loss_weights", default=None,
                    help="two comma-separated weights for (loss, risk loss)")
     p.add_argument("--freeze-threshold", dest="freeze_threshold", type=float, default=None)
-    common(p)
+    common(p, "seed of the initial weights and of every random draw in training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
@@ -359,14 +360,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--classifier", default=None)
     p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
     p.add_argument("--json", default=None, help="also write the report as JSON")
-    common(p)
+    common(p, ignored_seed)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explain", help="dump predictions and explanations side by side")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    common(p)
+    common(p, ignored_seed)
     p.set_defaults(func=cmd_explain)
     return parser
 

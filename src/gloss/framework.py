@@ -28,7 +28,9 @@ from . import checkpoint
 from .autodiff import Adam, Tensor
 from .data import (CorpusSplit, N_CLASSES, POLARITIES, SUBSCORE_LETTERS,
                    Vocab, pad_batch)
-from .metrics import corpus_bleu, topk_accuracy
+# corpus_bleu is not called here, but perfbench/tracing.py patches it by
+# this module's name, so it stays importable from here
+from .metrics import bleu_counts, bleu_scores, corpus_bleu, topk_accuracy  # noqa: F401
 from .models import (ClassifierNumeric, ClassifierText, CvaeConfig,
                      EncoderConfig, FORM_BY_SCHEMA, ModelBundle)
 
@@ -449,23 +451,37 @@ def predict_probs(bundle: ModelBundle, examples, batch_size: int = 128) -> np.nd
         examples, batch_size))
 
 
+def predict_and_explain(bundle: ModelBundle, examples, batch_size: int = 128):
+    """The predictor's label distributions and the generated explanations
+    for a list of examples, both read from one encoding of each batch.
+
+    Returns ``(probs, explanations)``. Numeric explanations are an (n, 5)
+    int array of scores; text explanations a dict mapping polarity to
+    decoded token-id lists.
+    """
+    def batch_outputs(exs):
+        v_e = bundle.encode_reviews(exs)
+        probs = bundle.predictor.probs(v_e).data
+        if bundle.form == "numeric":
+            return probs, bundle.generator.scores(v_e)
+        return probs, _decode_comments(bundle, v_e)
+
+    probs, explained = zip(*_in_batches(batch_outputs, examples, batch_size))
+    if bundle.form == "numeric":
+        return np.concatenate(probs), np.concatenate(explained)
+    return np.concatenate(probs), {
+        pol: [ids for parts in explained for ids in parts[k]]
+        for k, pol in enumerate(POLARITIES)}
+
+
 def generate_explanations(bundle: ModelBundle, examples, rng=None,
                           batch_size: int = 128):
-    """Generated explanations for a list of examples.
+    """The explanations of ``predict_and_explain``.
 
-    Numeric form returns an (n, 5) int array of scores; text form a dict
-    mapping polarity to decoded token-id lists. Decoding is greedy, so
-    ``rng`` is unused; it stays because ``perfbench/workloads.py`` passes it.
+    Decoding is greedy, so ``rng`` is unused; it stays because
+    ``perfbench/workloads.py`` passes it.
     """
-    if bundle.form == "numeric":
-        return np.concatenate(_in_batches(
-            lambda exs: bundle.generator.scores(bundle.encode_reviews(exs)),
-            examples, batch_size))
-    batches = _in_batches(
-        lambda exs: _decode_comments(bundle, bundle.encode_reviews(exs)),
-        examples, batch_size)
-    return {pol: [ids for parts in batches for ids in parts[k]]
-            for k, pol in enumerate(POLARITIES)}
+    return predict_and_explain(bundle, examples, batch_size)[1]
 
 
 def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
@@ -478,29 +494,25 @@ def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
     if not examples:
         raise ValueError("cannot evaluate an empty split")
     labels = np.array([ex.label for ex in examples])
-    probs = predict_probs(bundle, examples, batch_size)
+    probs, generated = predict_and_explain(bundle, examples, batch_size)
     report: dict = {
         "top1": topk_accuracy(probs, labels, 1),
         "top3": topk_accuracy(probs, labels, 3),
     }
     if bundle.form == "numeric":
         golden = np.array([ex.subscores for ex in examples])
-        predicted = generate_explanations(bundle, examples, batch_size=batch_size)
         report["fields"] = {
-            letter: 100.0 * float((predicted[:, f] == golden[:, f]).mean())
+            letter: 100.0 * float((generated[:, f] == golden[:, f]).mean())
             for f, letter in enumerate(SUBSCORE_LETTERS)
         }
     else:
-        decoded = generate_explanations(bundle, examples, batch_size=batch_size)
-        bleu = {}
-        all_cands, all_refs = [], []
-        for polarity in POLARITIES:
-            cands = [bundle.vocab.decode(ids) for ids in decoded[polarity]]
-            refs = [getattr(ex, polarity) for ex in examples]
-            bleu[polarity] = corpus_bleu(cands, refs)
-            all_cands.extend(cands)
-            all_refs.extend(refs)
-        bleu["aggregate"] = corpus_bleu(all_cands, all_refs)
+        # each polarity's n-grams are counted once; the aggregate adds the
+        # (integer-valued, so exact) counts of the three polarities
+        counts = {pol: bleu_counts([bundle.vocab.decode(ids) for ids in generated[pol]],
+                                   [getattr(ex, pol) for ex in examples])
+                  for pol in POLARITIES}
+        bleu = {pol: bleu_scores(c) for pol, c in counts.items()}
+        bleu["aggregate"] = bleu_scores(sum(counts.values()))
         report["bleu"] = bleu
     if classifier is not None:
         oracle_probs = _classifier_probs(classifier, examples, bundle.form,

@@ -13,13 +13,13 @@ def _ngram_counts(tokens, n: int) -> Counter:
 MAX_N = 4  # BLEU-1 .. BLEU-4
 
 
-def corpus_bleu(candidates, references) -> dict[str, float]:
-    """Corpus BLEU-1..4 as percentages, single reference per candidate.
+def bleu_counts(candidates, references) -> np.ndarray:
+    """The count pass of corpus BLEU, single reference per candidate.
 
-    Modified n-gram precision with clipping, geometric mean of the first n
-    precisions, and brevity penalty exp(1 - r/c) when the candidate corpus
-    is shorter than the reference corpus. There is no smoothing: a zero
-    precision at any order zeroes that order and every higher one.
+    One integer-valued float64 vector: the clipped n-gram matches of each
+    order, the candidate n-grams of each order, then the candidate and
+    reference corpus lengths. The counts of disjoint corpora add up to
+    those of their union.
     """
     if len(candidates) != len(references):
         raise ValueError("candidate and reference lists differ in length")
@@ -44,6 +44,19 @@ def corpus_bleu(candidates, references) -> dict[str, float]:
                 min(count, ref_counts.get(gram, 0))
                 for gram, count in cand_counts.items()
             )
+    return np.concatenate([matched, total, [cand_len, ref_len]])
+
+
+def bleu_scores(counts: np.ndarray) -> dict[str, float]:
+    """BLEU-1..4 as percentages from a corpus's ``bleu_counts``.
+
+    Modified n-gram precision with clipping, geometric mean of the first n
+    precisions, and brevity penalty exp(1 - r/c) when the candidate corpus
+    is shorter than the reference corpus. There is no smoothing: a zero
+    precision at any order zeroes that order and every higher one.
+    """
+    matched, total = counts[:MAX_N], counts[MAX_N:2 * MAX_N]
+    cand_len, ref_len = counts[2 * MAX_N:]
     bp = 1.0 if cand_len >= ref_len else float(np.exp(1.0 - ref_len / max(cand_len, 1)))
     precisions = [matched[n] / total[n] if total[n] else 0.0 for n in range(MAX_N)]
     report = {}
@@ -55,6 +68,12 @@ def corpus_bleu(candidates, references) -> dict[str, float]:
             score = bp * float(np.exp(np.mean(np.log(ps))))
         report[f"bleu_{n}"] = 100.0 * score
     return report
+
+
+def corpus_bleu(candidates, references) -> dict[str, float]:
+    """Corpus BLEU-1..4 as percentages, single reference per candidate
+    (see ``bleu_scores``)."""
+    return bleu_scores(bleu_counts(candidates, references))
 
 
 def topk_accuracy(prob_rows, labels, k: int) -> float:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gloss.models import ModelBundle
+
 
 def finite_difference_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of a scalar function at x."""
@@ -33,3 +35,17 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def encoder_calls(monkeypatch) -> list:
+    """The batch size of every ``ModelBundle.encode_reviews`` call."""
+    calls = []
+    original = ModelBundle.encode_reviews
+
+    def counted(self, examples):
+        calls.append(len(examples))
+        return original(self, examples)
+
+    monkeypatch.setattr(ModelBundle, "encode_reviews", counted)
+    return calls

@@ -264,6 +264,31 @@ class TestEvalAndExplain:
             first = (tmp_path / name.format("0")).read_bytes()
             assert first and first == (tmp_path / name.format("5")).read_bytes()
 
+    def test_explain_encodes_its_one_batch_once(self, numeric_corpus, trained_model,
+                                                tmp_path, encoder_calls):
+        ckpt, _ = trained_model
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(numeric_corpus.read_text().splitlines(True)[:100]))
+        assert run_cli("explain", "--checkpoint", ckpt, "--input", requests,
+                       "--out", tmp_path / "explained.jsonl", "--quiet") == 0
+        assert encoder_calls == [100]
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_seed_help_says_it_is_ignored(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--seed SEED accepted and ignored: the outputs are deterministic" in help_text
+
+    def test_seed_is_still_accepted(self, numeric_corpus, trained_model, tmp_path):
+        ckpt, _ = trained_model
+        assert run_cli("eval", "--checkpoint", ckpt, "--corpus", numeric_corpus,
+                       "--seed", "3", "--quiet") == 0
+        assert run_cli("explain", "--checkpoint", ckpt, "--input", numeric_corpus,
+                       "--out", tmp_path / "explained.jsonl", "--seed", "3",
+                       "--quiet") == 0
+
     def test_text_explain_emits_comments(self, text_corpus, text_model, tmp_path):
         out_path = tmp_path / "explained.jsonl"
         assert run_cli("explain", "--checkpoint", text_model, "--input", text_corpus,

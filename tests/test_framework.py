@@ -431,6 +431,67 @@ class TestEvaluate:
             evaluate(bundle, [], seed=0)
 
 
+def _serving_bundle(schema, kind, n=150, seed=5):
+    if schema == "skytrax":
+        examples = synth_numeric(n, seed=seed)
+        cvae = None
+    else:
+        examples = synth_text(n, seed=seed)
+        cvae = CvaeConfig(latent_dim=8, control_dim=4, decoder_hidden=24,
+                          comment_hidden=12, embedding_dim=16, mlp_hidden=12)
+    vocab = build_vocab(examples, schema)
+    cnn = dict(cnn_filters=8, cnn_filter_sizes=(2, 3)) if kind == "cnn" else {}
+    enc = EncoderConfig(kind=kind, vocab_size=len(vocab), embedding_dim=16,
+                        hidden_dim=24, **cnn)
+    return ModelBundle(schema, vocab, enc, cvae, seed=seed), examples
+
+
+def _encode_twice_reference(bundle, examples, batch_size):
+    """Per batch, one encoding for the probabilities and another for the
+    explanations, each output regrouped by hand."""
+    probs, explained = [], []
+    with ad.no_grad():
+        for start in range(0, len(examples), batch_size):
+            exs = examples[start:start + batch_size]
+            probs.append(bundle.predictor.probs(bundle.encode_reviews(exs)).data)
+            v_e = bundle.encode_reviews(exs)
+            if bundle.form == "numeric":
+                explained.append(bundle.generator.scores(v_e))
+            else:
+                decoded = bundle.generator.decode(
+                    ad.concat([v_e] * 3, axis=0), np.repeat(np.arange(3), len(exs)))
+                explained.append([decoded[k * len(exs):(k + 1) * len(exs)]
+                                  for k in range(3)])
+    if bundle.form == "numeric":
+        return np.concatenate(probs), np.concatenate(explained)
+    return np.concatenate(probs), {
+        pol: [ids for parts in explained for ids in parts[k]]
+        for k, pol in enumerate(("pos", "neg", "neu"))}
+
+
+class TestPredictAndExplain:
+    @pytest.mark.parametrize("schema, kind", [("skytrax", "bow"), ("skytrax", "lstm"),
+                                              ("skytrax", "cnn"), ("pcmag", "gru")])
+    def test_matches_separate_encodings_bitwise(self, schema, kind):
+        bundle, examples = _serving_bundle(schema, kind)
+        probs, explained = fw.predict_and_explain(bundle, examples, batch_size=64)
+        ref_probs, ref_explained = _encode_twice_reference(bundle, examples, 64)
+        assert len(examples) % 64  # the last batch is ragged
+        assert np.array_equal(probs, fw.predict_probs(bundle, examples, batch_size=64))
+        assert np.array_equal(probs, ref_probs)
+        if bundle.form == "numeric":
+            assert explained.shape == (len(examples), 5)
+            assert np.array_equal(explained, ref_explained)
+        else:
+            assert explained == ref_explained
+            assert all(len(explained[pol]) == len(examples) for pol in explained)
+
+    def test_evaluate_encodes_each_batch_once(self, encoder_calls):
+        bundle, examples = _serving_bundle("skytrax", "bow", n=130)
+        evaluate(bundle, examples, batch_size=64)
+        assert encoder_calls == [64, 64, 2]
+
+
 class TestPersistence:
     def test_bundle_checkpoint_roundtrip(self, numeric_world, tmp_path):
         split, vocab, enc, classifier = numeric_world

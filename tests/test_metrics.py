@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gloss.metrics import corpus_bleu, topk_accuracy
+from gloss.metrics import bleu_counts, bleu_scores, corpus_bleu, topk_accuracy
 
 
 class TestBleu:
@@ -91,6 +91,29 @@ class TestBleu:
         for lower, higher in zip(values, values[1:]):
             if lower == 0.0:
                 assert higher == 0.0
+
+
+    def test_summed_counts_give_the_pooled_corpus_score(self):
+        # no part shares a trigram with its references, and the third part
+        # shares no bigram either, so the pooled orders 3-4 score zero
+        parts = [([["a", "b", "c"]], [["a", "b", "d"]]),
+                 ([["x", "y"]], [["x", "y"]]),
+                 ([["q", "r", "s"]], [["s", "r", "q"]])]
+        pooled = corpus_bleu(sum((c for c, _ in parts), []), sum((r for _, r in parts), []))
+        assert bleu_scores(sum(bleu_counts(c, r) for c, r in parts)) == pooled
+        assert pooled["bleu_2"] > 0.0 and pooled["bleu_3"] == pooled["bleu_4"] == 0.0
+
+    @given(st.lists(st.lists(
+        st.tuples(st.lists(st.sampled_from("abc"), max_size=6),
+                  st.lists(st.sampled_from("abc"), max_size=6)),
+        min_size=1, max_size=5), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_summed_counts_match_pooled_counting(self, parts):
+        counts = [bleu_counts([c for c, _ in part], [r for _, r in part])
+                  for part in parts]
+        pairs = [pair for part in parts for pair in part]
+        pooled = corpus_bleu([c for c, _ in pairs], [r for _, r in pairs])
+        assert bleu_scores(sum(counts)) == pooled
 
 
 class TestTopkAccuracy:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gloss import framework
+from gloss import data, framework
 from gloss.framework import TrainConfig
 from gloss.models import ModelBundle
 
@@ -27,9 +27,15 @@ def test_every_traced_name_is_defined_on_its_owner():
 # (callable, positional arguments, keyword names) as perfbench/workloads.py passes them
 WORKLOAD_CALLS = [
     (framework.train, 3, ("classifier", "mode", "optimizer", "start_epoch")),
+    (framework.predict_probs, 2, ()),
     (framework.generate_explanations, 3, ()),
     (framework.evaluate, 2, ("seed",)),
     (TrainConfig.for_schema, 1, ("seed", "epochs", "batch_size", "lr")),
+    (framework.load_bundle, 1, ()),
+    (framework.load_classifier, 1, ()),
+    (data.load_jsonl, 2, ()),
+    (data.filter_and_split, 3, ()),
+    (data.build_vocab, 2, ()),
     (ModelBundle, 4, ("seed",)),
 ]
 
