@@ -399,10 +399,10 @@ def _reduce_mean(a: Tensor) -> Tensor:
 
 def _reduce_max(a: Tensor, axis: int) -> Tensor:
     data = a.data.max(axis=axis)
-    # First occurrence wins on ties, which keeps backward deterministic.
-    arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
     def backward(g):
+        # First occurrence wins on ties, which keeps backward deterministic.
+        arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
         full = np.zeros_like(a.data)
         np.put_along_axis(full, arg, np.expand_dims(g, axis), axis)
         _accumulate(a, full)

@@ -436,7 +436,7 @@ def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
             explanation = bundle.generator.scores(v_e)
         else:
             explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e)]
-        p_cls = classifier.probs_hard(explanation).data[rows, labels]
+        p_cls = ad.softmax(classifier.logits_hard(explanation)).data[rows, labels]
     factor = explanation_factor(ProbTriple(p_pred, p_cls, gold_probs))
     return factor, mrt_loss(loss_vec, Tensor(factor))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -207,28 +208,23 @@ class CnnEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        widest = max(self.config.cnn_filter_sizes)
-        if ids.shape[1] < widest:
-            pad = widest - ids.shape[1]
-            ids = np.concatenate([ids, np.full((ids.shape[0], pad), PAD, dtype=ids.dtype)], axis=1)
-            mask = np.concatenate([mask, np.zeros((mask.shape[0], pad))], axis=1)
-        emb = self.embed(ids)
-        steps = ids.shape[1]
+        pad = max(0, max(self.config.cnn_filter_sizes) - ids.shape[1])
+        ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=PAD)
+        mask = np.pad(mask, ((0, 0), (0, pad)))
         pooled = []
         for width, kernel in zip(self.config.cnn_filter_sizes, self.kernels):
-            n_windows = steps - width + 1
-            window = ad.concat(
-                [ad.slice_axis(emb, 1, j, j + n_windows) for j in range(width)], axis=2)
-            feats = ad.relu(kernel(window))
+            # one gather per width: (B, W, width) ids -> (B, W, width * E)
+            window_ids = sliding_window_view(ids, width, axis=1)
+            windows = self.embed(window_ids).reshape(*window_ids.shape[:2], -1)
             # a window is valid only when fully inside the sequence, so
             # padding can never win the max; rows shorter than the filter
             # fall back to their first window
-            valid = mask[:, :n_windows].copy()
-            for j in range(1, width):
-                valid *= mask[:, j:j + n_windows]
+            valid = sliding_window_view(mask, width, axis=1).prod(axis=2)
             valid[valid.sum(axis=1) == 0, 0] = 1.0
-            feats = feats + Tensor((valid[:, :, None] - 1.0) * 1e9)
-            pooled.append(feats.max(axis=1))
+            scores = ad.matmul(windows, kernel.w) + Tensor((valid[:, :, None] - 1.0) * 1e9)
+            # x -> x + b and relu are monotone, so relu(max(x) + b) is
+            # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
+            pooled.append(ad.relu(scores.max(axis=1) + kernel.b))
         return ad.tanh(self.proj(ad.concat(pooled, axis=1)))
 
 
@@ -442,9 +438,6 @@ class ClassifierNumeric(Module):
             subscores.shape[0], n_fields * self.emb_dim)
         return self.out(ad.tanh(self.hidden(flat)))
 
-    def probs_hard(self, subscores: np.ndarray) -> Tensor:
-        return ad.softmax(self.logits_hard(subscores))
-
 
 class ClassifierText(Module):
     """Maps the three polarity comments to an overall label.
@@ -470,8 +463,6 @@ class ClassifierText(Module):
         vecs = [self._comment_vec(self.embed(ids), mask) for ids, mask in comments]
         return self.out(ad.concat(vecs, axis=1))
 
-    def probs_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        return ad.softmax(self.logits_hard(comments))
 
 # -- bundle ----------------------------------------------------------------------
 

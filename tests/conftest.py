@@ -5,6 +5,10 @@ gradient the engine produces; it never touches the tape.
 """
 from __future__ import annotations
 
+# gloss sets its one-thread BLAS default at import, which only takes effect
+# if numpy has not loaded yet, so it comes first
+import gloss  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -104,6 +104,11 @@ class TestGradientChecks:
         x += np.arange(12).reshape(3, 4) * 0.01  # break ties
         check_op(lambda t: t.max(axis=1).sum(), x)
 
+    def test_max_ties_send_gradient_to_first_maximum(self):
+        t = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 0.0]]), requires_grad=True)
+        ad.mul(t.max(axis=1), Tensor(np.array([5.0, 7.0]))).sum().backward()
+        np.testing.assert_array_equal(t.grad, [[0.0, 5.0, 0.0], [7.0, 0.0, 0.0]])
+
     @pytest.mark.parametrize("point", range(3))
     def test_slice_and_reshape(self, rng, point):
         check_op(lambda t: ad.slice_axis(t, 1, 1, 3).sum(), rng.normal(size=(2, 4)))

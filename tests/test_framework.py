@@ -208,7 +208,7 @@ class TestTrainer:
                                      loss_vec, gold)
         p_pred = ad.softmax(logits).data[np.arange(3), labels]
         scores = bundle.generator.scores(v_e)
-        p_cls = classifier.probs_hard(scores).data[np.arange(3), labels]
+        p_cls = ad.softmax(classifier.logits_hard(scores)).data[np.arange(3), labels]
         for i in range(3):
             expected = explanation_factor(
                 ProbTriple(p_pred[i], p_cls[i], gold[i]))
@@ -234,7 +234,7 @@ class TestTrainer:
                 rows = np.arange(len(batch))
                 with ad.no_grad():
                     scores = bundle.generator.scores(v_e)
-                    p_cls = classifier.probs_hard(scores).data[rows, labels]
+                    p_cls = ad.softmax(classifier.logits_hard(scores)).data[rows, labels]
                 p_pred = ad.softmax(logits).data[rows, labels]
                 factor = explanation_factor(ProbTriple(p_pred, p_cls, gold))
                 mrt = ad.mul(loss_vec, Tensor(factor))
@@ -514,8 +514,8 @@ class TestPersistence:
         assert meta["report"]["dev_top1"] == 99.0
         scores = np.array([ex.subscores for ex in split.test[:16]])
         with ad.no_grad():
-            np.testing.assert_array_equal(classifier.probs_hard(scores).data,
-                                          loaded.probs_hard(scores).data)
+            np.testing.assert_array_equal(ad.softmax(classifier.logits_hard(scores)).data,
+                                          ad.softmax(loaded.logits_hard(scores)).data)
 
     def test_text_classifier_checkpoint_keeps_vocab(self, tmp_path):
         split, vocab, enc, cvae = small_text_setup(n=150)

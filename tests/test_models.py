@@ -8,6 +8,8 @@ from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
                           CvaeConfig, EncoderConfig, ModelBundle,
                           NumericGenerator, Predictor, TextCvae, build_encoder)
 
+from conftest import finite_difference_grad, relative_error
+
 
 def toy_vocab(n_extra: int = 30) -> Vocab:
     return Vocab(itos=["<pad>", "<unk>", "<bos>", "<eos>"]
@@ -95,6 +97,26 @@ class TestEncoders:
         grads = [t.grad for t in encoder.parameters().values()]
         assert all(g is not None for g in grads)
 
+    def test_gradients_match_finite_differences(self, encoder, rng):
+        ids, mask = toy_batch(rng)
+        weights = rng.normal(size=(4, 16))
+        ad.mul(encoder(ids, mask), Tensor(weights)).sum().backward()
+        for name, param in encoder.parameters().items():
+            flat = param.data.reshape(-1)
+            coords = rng.choice(flat.size, size=min(20, flat.size), replace=False)
+            orig = flat[coords].copy()
+
+            def loss_at(values):
+                flat[coords] = values
+                with ad.no_grad():
+                    loss = float((encoder(ids, mask).data * weights).sum())
+                flat[coords] = orig
+                return loss
+
+            want = finite_difference_grad(loss_at, orig.copy())
+            got = param.grad.reshape(-1)[coords]
+            assert relative_error(got, want) < 1e-4, name
+
 
 class TestMasking:
     """Padding never changes a state, and the sequence ops match plain loops."""
@@ -169,6 +191,48 @@ class TestMasking:
             want[:, t] = h
         got = gru(Tensor(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+    def test_cnn_encoder_matches_reference_loop(self, rng, monkeypatch):
+        widths = (2, 3, 5)
+        cnn = build_encoder(EncoderConfig(kind="cnn", vocab_size=34, embedding_dim=6,
+                                          hidden_dim=7, cnn_filters=5,
+                                          cnn_filter_sizes=widths), rng)
+        for kernel in cnn.kernels:
+            kernel.b.data[:] = rng.normal(size=kernel.b.shape)
+        # T=4 is below the widest filter; row 1 is shorter than widths 3 and 5
+        ids = rng.integers(4, 34, size=(3, 4))
+        mask = np.ones((3, 4))
+        mask[1, 2:] = mask[2, 3:] = 0.0
+        ids[mask == 0] = 0
+        table = cnn.embed.w.data
+        padded = np.concatenate([ids, np.zeros((3, 1), dtype=ids.dtype)], axis=1)
+        padded_mask = np.concatenate([mask, np.zeros((3, 1))], axis=1)
+        pooled = []
+        for width, kernel in zip(widths, cnn.kernels):
+            starts = range(padded.shape[1] - width + 1)
+            windows = np.array([[np.concatenate([table[row[s + j]] for j in range(width)])
+                                 for s in starts] for row in padded])
+            feats = np.maximum(windows @ kernel.w.data + kernel.b.data, 0.0)
+            valid = [[s for s in starts if row_mask[s:s + width].all()] or [0]
+                     for row_mask in padded_mask]
+            pooled.append(np.array([f[v].max(axis=0) for f, v in zip(feats, valid)]))
+        want = np.tanh(np.concatenate(pooled, axis=1) @ cnn.proj.w.data + cnn.proj.b.data)
+
+        ops = []
+        make = ad._make
+
+        def recording_make(data, parents, backward, opname):
+            ops.append(opname)
+            return make(data, parents, backward, opname)
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        taped = cnn(ids, mask)
+        assert taped.requires_grad
+        assert np.array_equal(taped.data, want)
+        assert ops.count("slice_axis") == 0 and ops.count("concat") == 1
+        assert ops.count("embedding_lookup") == len(widths)
+        with ad.no_grad():
+            assert np.array_equal(cnn(ids, mask).data, want)
 
 
 class TestPredictor:
@@ -370,17 +434,17 @@ class TestClassifierSoftHard:
     def test_numeric_wrong_arity(self, rng):
         c = ClassifierNumeric(rng, 10)
         with pytest.raises(ValueError):
-            c.probs_hard(np.array([[1, 2, 3]]))
+            c.logits_hard(np.array([[1, 2, 3]]))
 
     def test_text_wrong_arity(self, rng):
         c = ClassifierText(rng, 34, 9)
         with pytest.raises(ValueError):
-            c.probs_hard([pad_batch([[5]])] * 2)
+            c.logits_hard([pad_batch([[5]])] * 2)
 
     def test_text_handles_empty_comment(self, rng):
         c = ClassifierText(rng, 34, 9)
         comments = [pad_batch([[]]), pad_batch([[5]]), pad_batch([[6, 7]])]
-        probs = c.probs_hard(comments).data
+        probs = ad.softmax(c.logits_hard(comments)).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
