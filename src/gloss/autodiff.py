@@ -444,11 +444,11 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
     x = logits.data
     m = x.max(axis=1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
+    e = np.exp(x - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + m[:, 0]
     losses = lse - x[np.arange(batch), targets]
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = e / total
 
     def backward(g):
         d = probs.copy()

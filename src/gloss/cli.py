@@ -4,7 +4,9 @@ Every command that takes --seed is bitwise reproducible: rerunning with
 identical arguments and inputs rewrites identical logs, checkpoints, and
 reports. Data goes to stdout (or --out files); diagnostics go to stderr.
 
-Exit codes: 0 success, 1 validation error, 2 training divergence.
+Exit codes: 0 success; 1 validation error, including a checkpoint whose
+weights are not all finite; 2 a non-finite value computed by any command,
+such as training divergence.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import sys
 import numpy as np
 
 from . import framework
-from .checkpoint import CheckpointError
-from .data import (CorpusError, N_CLASSES, POLARITIES, SUBSCORE_FIELDS,
+from .autodiff import NonFiniteError
+from .data import (N_CLASSES, POLARITIES, SUBSCORE_FIELDS,
                    SUBSCORE_LETTERS, build_vocab, example_to_record,
                    filter_and_split, load_jsonl, write_jsonl)
 from .framework import TrainConfig, TrainingDiverged
@@ -37,7 +39,7 @@ SCHEMA_DEFAULTS = {
 }
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Validation failure surfaced to the user (exit code 1)."""
 
 
@@ -378,13 +380,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _read_config(args.config) if args.config else {}
         return args.func(args, config)
-    except CliError as err:
+    except (ValueError, OSError) as err:
+        # CliError, CorpusError and CheckpointError are all ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CorpusError, CheckpointError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TrainingDiverged as err:
+    except (TrainingDiverged, NonFiniteError) as err:
         print(f"diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -32,7 +32,7 @@ from .data import (CorpusSplit, N_CLASSES, POLARITIES, SUBSCORE_LETTERS,
 # this module's name, so it stays importable from here
 from .metrics import bleu_counts, bleu_scores, corpus_bleu, topk_accuracy  # noqa: F401
 from .models import (ClassifierNumeric, ClassifierText, CvaeConfig,
-                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle)
+                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle, N_LEVELS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -342,9 +342,6 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                 else:
                     total = (ad.mul(loss_vec, Tensor(weights[0]))
                              + ad.mul(mrt_vec, Tensor(weights[1]))).mean()
-                if not np.isfinite(total.data):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} step {optimizer.step_count}")
 
                 optimizer.zero_grad()
                 total.backward()
@@ -391,11 +388,9 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
     KL-annealed variational bound summed over the three comments."""
     if bundle.form == "numeric":
         subs = np.array([ex.subscores for ex in batch], dtype=np.int64)
-        le_vec = None
-        for f, head_logits in enumerate(bundle.generator.logits(v_e)):
-            ce = ad.cross_entropy(head_logits, subs[:, f])
-            le_vec = ce if le_vec is None else le_vec + ce
-        return le_vec
+        logits = bundle.generator.logits(v_e)
+        ce = ad.cross_entropy(logits.reshape(-1, N_LEVELS), subs.reshape(-1))
+        return ce.reshape(subs.shape).sum(axis=1)
     ids, mask = pad_batch([bundle.vocab.encode(getattr(ex, pol))
                            for pol in POLARITIES for ex in batch])
     v_rows, controls = _polarity_rows(v_e)

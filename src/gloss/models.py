@@ -49,6 +49,8 @@ class Module:
                 raise ValueError(f"missing tensor {prefix + name}")
             if source.shape != tensor.data.shape:
                 raise ValueError(f"shape mismatch for {prefix + name}")
+            if not np.isfinite(source).all():
+                raise ValueError(f"non-finite values in {prefix + name}")
             tensor.data[...] = source
 
 
@@ -258,12 +260,17 @@ class NumericGenerator(Module):
     def __init__(self, rng, hidden_dim: int):
         self.heads = [Linear(rng, hidden_dim, N_LEVELS) for _ in SUBSCORE_FIELDS]
 
-    def logits(self, v_e: Tensor) -> list[Tensor]:
-        return [head(v_e) for head in self.heads]
+    def logits(self, v_e: Tensor) -> Tensor:
+        """All five heads' logits as one (batch, 5, N_LEVELS) block."""
+        # concatenated per call, not stored as one parameter, so the
+        # per-head names generator.heads.{f}.w/b and checkpoints stay valid
+        w = ad.concat([head.w for head in self.heads], axis=1)
+        b = ad.concat([head.b for head in self.heads], axis=0)
+        return (ad.matmul(v_e, w) + b).reshape(-1, len(self.heads), N_LEVELS)
 
     def scores(self, v_e: Tensor) -> np.ndarray:
         """Per-field argmax scores, shape (batch, 5)."""
-        return np.stack([l.argmax(axis=1) for l in self.logits(v_e)], axis=1)
+        return self.logits(v_e).argmax(axis=2)
 
 
 # -- conditional VAE for text explanations ---------------------------------------
@@ -510,9 +517,6 @@ class ModelBundle(Module):
 
     @classmethod
     def from_meta(cls, meta: dict) -> "ModelBundle":
-        enc = dict(meta["encoder"])
-        if enc.get("cnn_filter_sizes") is not None:
-            enc["cnn_filter_sizes"] = tuple(enc["cnn_filter_sizes"])
         cvae = CvaeConfig(**meta["cvae"]) if "cvae" in meta else None
         return cls(meta["schema"], Vocab(itos=list(meta["vocab"])),
-                   EncoderConfig(**enc), cvae, seed=meta["seed"])
+                   EncoderConfig(**meta["encoder"]), cvae, seed=meta["seed"])

@@ -12,6 +12,7 @@ import gloss  # noqa: F401
 import numpy as np
 import pytest
 
+from gloss import autodiff as ad
 from gloss.models import ModelBundle
 
 
@@ -53,3 +54,17 @@ def encoder_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(ModelBundle, "encode_reviews", counted)
     return calls
+
+
+@pytest.fixture
+def made_ops(monkeypatch) -> list:
+    """The name of every op the engine builds, in call order."""
+    ops = []
+    make = ad._make
+
+    def recording_make(data, parents, backward, opname):
+        ops.append(opname)
+        return make(data, parents, backward, opname)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    return ops

@@ -394,5 +394,69 @@ class TestEvalAndExplain:
         assert "vocabulary" in err and "Traceback" not in err
 
 
+def poisoned(path, out, value):
+    """A copy of the checkpoint at ``path`` with one weight set to NaN
+    (``value="nan"``) or every model weight set to 1e200 (``"huge"``)."""
+    arrays, meta = checkpoint.load(path)
+    names = sorted(k for k in arrays if not k.startswith("optim"))
+    if value == "nan":
+        arrays[names[0]] = arrays[names[0]].copy()
+        arrays[names[0]].flat[0] = np.nan
+    else:
+        for name in names:
+            arrays[name] = np.full_like(arrays[name], 1e200)
+    checkpoint.save(out, arrays, meta)
+    return out
+
+
+class TestNonFiniteExitCodes:
+    """A checkpoint with non-finite weights is invalid input (exit 1); a
+    non-finite value computed from finite inputs is divergence (exit 2).
+    Neither ends in a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def quiet_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    @pytest.mark.parametrize("value,code", [("nan", 1), ("huge", 2)])
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_poisoned_bundle(self, numeric_corpus, trained_model, tmp_path, capsys,
+                             command, value, code):
+        ckpt = poisoned(trained_model[0], tmp_path / "bad.ckpt", value)
+        if command == "eval":
+            args = ("--corpus", numeric_corpus)
+        else:
+            args = ("--input", numeric_corpus, "--out", tmp_path / "out.jsonl")
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", ckpt, *args, "--quiet") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if code == 1 else "diverged: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nan_classifier(self, numeric_corpus, numeric_classifier, trained_model,
+                            tmp_path, capsys, command):
+        classifier = poisoned(numeric_classifier, tmp_path / "bad_cls.ckpt", "nan")
+        if command == "train":
+            args = ("train", "--corpus", numeric_corpus, "--schema", "skytrax",
+                    "--mode", "gef", "--out", tmp_path / "m.ckpt", "--epochs", "1",
+                    "--encoder", "bow", "--hidden-dim", "24", "--embedding-dim", "16")
+        else:
+            args = ("eval", "--checkpoint", trained_model[0], "--corpus", numeric_corpus)
+        capsys.readouterr()
+        assert run_cli(*args, "--classifier", classifier, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_pretrain_overflow(self, numeric_corpus, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("pretrain-c", "--corpus", numeric_corpus, "--schema", "skytrax",
+                       "--out", tmp_path / "c.ckpt", "--max-epochs", "2",
+                       "--lr", "1e300", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ") and "Traceback" not in err
+
+
 def test_unknown_argument_exits_1(capsys):
     assert run_cli("train", "--bogus-flag") == 1

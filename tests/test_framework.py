@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from gloss import autodiff as ad
 from gloss import framework as fw
 from gloss.autodiff import Tensor
-from gloss.data import build_vocab, filter_and_split
+from gloss.data import N_CLASSES, build_vocab, filter_and_split
 from gloss.framework import (LossBreakdown, ProbTriple, TrainConfig,
                              TrainingDiverged, evaluate, explanation_factor,
                              extract_gold_prob, final_loss, load_bundle,
                              load_classifier, mrt_loss, pretrain_classifier,
                              resume_optimizer, save_bundle, save_classifier,
                              train)
-from gloss.models import CvaeConfig, EncoderConfig, ModelBundle
+from gloss.models import (ClassifierNumeric, ClassifierText, CvaeConfig,
+                          EncoderConfig, ModelBundle)
 from gloss.synth import synth_numeric, synth_text
+
+from conftest import finite_difference_grad, relative_error
 
 
 class TestScalarContract:
@@ -124,6 +127,132 @@ class TestJointLossAnalytics:
                                  rng=np.random.default_rng(0))
         assert lp.data.mean() == pytest.approx(math.log(10), abs=1e-12)
         assert le.data.mean() == pytest.approx(5 * math.log(6), abs=1e-12)
+
+
+class TestNumericGenerationLoss:
+    """The five score heads' loss is one cross entropy over the (B, 5, 6)
+    block, summed per example in field order."""
+
+    @staticmethod
+    def _setup(rng):
+        split, vocab, enc = small_numeric_setup()
+        bundle = ModelBundle("skytrax", vocab, enc, None, seed=0)
+        for head in bundle.generator.heads:
+            head.b.data[:] = rng.normal(size=head.b.shape)
+        batch = split.train[:13]
+        v_e = Tensor(rng.normal(size=(len(batch), enc.hidden_dim)), requires_grad=True)
+        return bundle, batch, v_e
+
+    def test_matches_per_head_left_fold(self, rng):
+        bundle, batch, v_e = self._setup(rng)
+        subs = np.array([ex.subscores for ex in batch])
+        want = None
+        for f, head in enumerate(bundle.generator.heads):
+            ce = ad.cross_entropy(head(v_e), subs[:, f])
+            want = ce if want is None else want + ce
+        got = fw._generation_loss(bundle, v_e, batch, beta=1.0,
+                                  rng=np.random.default_rng(0))
+        assert np.array_equal(got.data, want.data)
+        params = bundle.generator.parameters().values()
+        want.sum().backward()
+        want_grads = [p.grad.copy() for p in params]
+        for p in params:
+            p.grad = None
+        got.sum().backward()
+        assert all(np.array_equal(p.grad, g) for p, g in zip(params, want_grads))
+
+    def test_op_count(self, rng, made_ops):
+        bundle, batch, v_e = self._setup(rng)
+        made_ops.clear()
+        fw._generation_loss(bundle, v_e, batch, beta=1.0, rng=np.random.default_rng(0))
+        assert made_ops == ["concat", "concat", "matmul", "add", "reshape",
+                       "reshape", "cross_entropy", "reshape", "sum"]
+
+
+def tiny_bundle(schema: str, kind: str):
+    """A bundle small enough for finite differences, a random classifier
+    standing in for the frozen one, and a short training batch."""
+    if schema == "skytrax":
+        examples, cvae = synth_numeric(60, seed=5), None
+    else:
+        examples = synth_text(60, seed=6)
+        cvae = CvaeConfig(latent_dim=3, control_dim=2, decoder_hidden=5,
+                          comment_hidden=3, embedding_dim=4, mlp_hidden=4,
+                          max_len=16)
+    split = filter_and_split(examples, schema, seed=13)
+    vocab = build_vocab(split.train, schema)
+    enc = EncoderConfig(kind=kind, vocab_size=len(vocab), embedding_dim=4,
+                        hidden_dim=5,
+                        cnn_filters=3 if kind == "cnn" else None,
+                        cnn_filter_sizes=(2, 3) if kind == "cnn" else None)
+    bundle = ModelBundle(schema, vocab, enc, cvae, seed=1)
+    rng = np.random.default_rng(2)
+    for name, param in bundle.parameters().items():
+        if name.endswith(".b") or name.endswith(".b_x"):
+            param.data[:] = rng.normal(scale=0.1, size=param.shape)
+    n_classes = N_CLASSES[schema]
+    if schema == "skytrax":
+        classifier = ClassifierNumeric(rng, n_classes, emb_dim=3, hidden=4)
+    else:
+        classifier = ClassifierText(rng, len(vocab), n_classes, emb_dim=3, hidden=3)
+    return bundle, classifier, split.train[:5]
+
+
+class TestWholeBundleGradients:
+    """``backward()`` of ``train``'s batch loss against central differences,
+    on every parameter of the encoder, predictor and generator together.
+
+    Criterion 1 checks each op alone; this catches faults that only show
+    when ops are composed, such as state shared by two calls of one op
+    before ``backward`` runs.
+    """
+
+    @pytest.mark.parametrize("schema,kind", [
+        ("skytrax", "bow"), ("skytrax", "gru"), ("skytrax", "lstm"),
+        ("skytrax", "cnn"), ("pcmag", "gru"), ("pcmag", "lstm")])
+    def test_batch_loss_matches_finite_differences(self, schema, kind):
+        bundle, classifier, batch = tiny_bundle(schema, kind)
+        labels = np.array([ex.label for ex in batch])
+        gold = np.random.default_rng(3).uniform(size=len(batch))
+        weights = (1.0, 0.7)
+        beta = 0.5
+
+        def loss_vec():
+            v_e = bundle.encode_reviews(batch)
+            logits = bundle.predictor.logits(v_e)
+            # the same ε draw on every call, so the CVAE's loss is a
+            # deterministic function of the parameters
+            le_vec = fw._generation_loss(bundle, v_e, batch, beta,
+                                         np.random.default_rng(4))
+            return v_e, logits, ad.cross_entropy(logits, labels) + le_vec
+
+        v_e, logits, vec = loss_vec()
+        # the factor is a constant per-example weight, as in train
+        factor, mrt_vec = fw._risk_terms(bundle, classifier, v_e, logits, labels,
+                                         vec, gold)
+
+        def total(vec):
+            return (ad.mul(vec, Tensor(weights[0]))
+                    + ad.mul(mrt_loss(vec, Tensor(factor)), Tensor(weights[1]))).mean()
+
+        assert np.array_equal(mrt_vec.data, mrt_loss(vec, Tensor(factor)).data)
+        total(vec).backward()
+        rng = np.random.default_rng(5)
+        for name, param in bundle.parameters().items():
+            flat = param.data.reshape(-1)
+            coords = rng.choice(flat.size, size=min(20, flat.size), replace=False)
+            orig = flat[coords].copy()
+
+            def loss_at(values):
+                flat[coords] = values
+                with ad.no_grad():
+                    loss = float(total(loss_vec()[2]).data)
+                flat[coords] = orig
+                return loss
+
+            want = finite_difference_grad(loss_at, orig.copy())
+            got = param.grad.reshape(-1)[coords]
+            assert relative_error(got, want) < 1e-4, name
 
 
 class TestPretrainClassifier:
@@ -471,7 +600,7 @@ def _encode_twice_reference(bundle, examples, batch_size):
 
 class TestPredictAndExplain:
     @pytest.mark.parametrize("schema, kind", [("skytrax", "bow"), ("skytrax", "lstm"),
-                                              ("skytrax", "cnn"), ("pcmag", "gru")])
+                                              ("skytrax", "cnn"), ("pcmag", "gru"), ("pcmag", "lstm")])
     def test_matches_separate_encodings_bitwise(self, schema, kind):
         bundle, examples = _serving_bundle(schema, kind)
         probs, explained = fw.predict_and_explain(bundle, examples, batch_size=64)

@@ -192,7 +192,7 @@ class TestMasking:
         got = gru(Tensor(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
-    def test_cnn_encoder_matches_reference_loop(self, rng, monkeypatch):
+    def test_cnn_encoder_matches_reference_loop(self, rng, made_ops):
         widths = (2, 3, 5)
         cnn = build_encoder(EncoderConfig(kind="cnn", vocab_size=34, embedding_dim=6,
                                           hidden_dim=7, cnn_filters=5,
@@ -218,19 +218,11 @@ class TestMasking:
             pooled.append(np.array([f[v].max(axis=0) for f, v in zip(feats, valid)]))
         want = np.tanh(np.concatenate(pooled, axis=1) @ cnn.proj.w.data + cnn.proj.b.data)
 
-        ops = []
-        make = ad._make
-
-        def recording_make(data, parents, backward, opname):
-            ops.append(opname)
-            return make(data, parents, backward, opname)
-
-        monkeypatch.setattr(ad, "_make", recording_make)
         taped = cnn(ids, mask)
         assert taped.requires_grad
         assert np.array_equal(taped.data, want)
-        assert ops.count("slice_axis") == 0 and ops.count("concat") == 1
-        assert ops.count("embedding_lookup") == len(widths)
+        assert made_ops.count("slice_axis") == 0 and made_ops.count("concat") == 1
+        assert made_ops.count("embedding_lookup") == len(widths)
         with ad.no_grad():
             assert np.array_equal(cnn(ids, mask).data, want)
 
@@ -259,19 +251,37 @@ class TestNumericGenerator:
     def test_shapes_and_normalization(self, rng):
         gen = NumericGenerator(rng, 16)
         v = Tensor(rng.normal(size=(7, 16)))
-        probs = [ad.softmax(head) for head in gen.logits(v)]
-        assert len(probs) == 5
-        for head in probs:
+        probs = ad.softmax(gen.logits(v)).data
+        assert probs.shape[1] == 5
+        for f in range(5):
+            head = probs[:, f]
             assert head.shape == (7, 6)
-            np.testing.assert_allclose(head.data.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(head.sum(axis=1), 1.0, atol=1e-12)
 
     def test_scores_are_argmaxes(self, rng):
         gen = NumericGenerator(rng, 16)
         v = Tensor(rng.normal(size=(3, 16)))
         scores = gen.scores(v)
         assert scores.shape == (3, 5)
-        for f, logits in enumerate(gen.logits(v)):
-            np.testing.assert_array_equal(scores[:, f], logits.data.argmax(axis=1))
+        logits = gen.logits(v).data
+        for f in range(5):
+            np.testing.assert_array_equal(scores[:, f], logits[:, f].argmax(axis=1))
+
+    def test_block_matches_each_head(self, rng):
+        gen = NumericGenerator(rng, 16)
+        for head in gen.heads:
+            head.b.data[:] = rng.normal(size=6)
+        v = Tensor(rng.normal(size=(9, 16)))
+        logits = gen.logits(v).data
+        scores = gen.scores(v)
+        for f, head in enumerate(gen.heads):
+            assert np.array_equal(logits[:, f], head(v).data)
+            assert np.array_equal(scores[:, f], head(v).data.argmax(axis=1))
+
+    def test_op_count(self, rng, made_ops):
+        gen = NumericGenerator(rng, 16)
+        gen.logits(Tensor(rng.normal(size=(4, 16))))
+        assert made_ops == ["concat", "concat", "matmul", "add", "reshape"]
 
 
 def toy_cvae(rng, vocab_size=34, cond=16):
