@@ -5,13 +5,15 @@ A small dynamic-graph engine: every operation wraps its output in a new
 ``Tensor.backward()`` replays the recorded graph in reverse topological
 order. The graph is rebuilt on every forward pass. A whole LSTM or GRU
 recurrence over a padded batch is a single op (:func:`lstm_sequence`,
-:func:`gru_sequence`) with hand-written backprop through time.
+:func:`gru_sequence`) with hand-written backprop through time, and so is
+a CNN filter's window product with its max-pool (:func:`conv_max`).
 
 Everything is float64 and single-threaded by design: the models in this
 package are desk-scale and the test suite leans on finite-difference
 gradient checks, so precision and determinism outrank throughput. Every
-op output is checked for NaN/Inf, and a :class:`NonFiniteError` is raised
-on the first hit.
+op output that computes new values is checked for NaN/Inf, and a
+:class:`NonFiniteError` is raised on the first hit; views and gathers of
+checked tensors are not checked again.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
+    "conv_max",
     "tanh",
     "relu",
     "exp",
@@ -208,6 +211,16 @@ def _recording(parents: tuple[Tensor, ...]) -> bool:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, opname: str) -> Tensor:
     _check_finite(data, opname)
+    return _node(data, parents, backward)
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op output, recorded on the tape when any parent needs a gradient.
+
+    Unchecked: ``reshape`` (a view) and ``embedding_lookup`` (a gather of
+    table rows) call this directly, since their outputs only copy elements
+    of checked tensors; every other op goes through :func:`_make`.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -277,11 +290,11 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. ``a`` may be 2-D or 3-D (leading batch axis), ``b`` 2-D."""
+    """Matrix product of 2-D ``a`` (m, k) and 2-D ``b`` (k, n)."""
     a, b = _lift(a), _lift(b)
-    if b.ndim != 2 or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul supports (m,k)@(k,n) or (b,m,k)@(k,n), got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul supports 2-D (m,k)@(k,n), got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
@@ -289,11 +302,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            k = a.shape[-1]
-            n = g.shape[-1]
-            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward, "matmul")
+
+
+def conv_max(windows: Tensor, w: Tensor, valid) -> Tensor:
+    """Max over valid windows of a window-by-filter product, shape (B, F).
+
+    ``windows`` is (B, W, K), ``w`` (K, F) and ``valid`` a (B, W) mask with
+    at least one valid window per row. Equal to ``windows @ w`` with the
+    invalid windows' scores set to -inf, then the max over axis 1; the
+    gradient goes to each row's first maximum, as ``Tensor.max`` sends it.
+    """
+    if windows.ndim != 3 or w.ndim != 2 or windows.shape[2] != w.shape[0]:
+        raise ShapeError(f"conv_max expects (B, W, K) windows and (K, F) weights, "
+                         f"got {windows.shape} and {w.shape}")
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != windows.shape[:2]:
+        raise ShapeError(f"conv_max mask shape {valid.shape} != {windows.shape[:2]}")
+    if not valid.any(axis=1).all():
+        raise ValueError("conv_max needs at least one valid window per row")
+    scores = windows.data @ w.data
+    scores[~valid] = -np.inf
+    # only the pooled output is checked: max passes a NaN score through
+    data = scores.max(axis=1)
+
+    def backward(g):
+        d = np.zeros_like(scores)
+        np.put_along_axis(d, np.argmax(scores, axis=1)[:, None], g[:, None], axis=1)
+        if windows.requires_grad:
+            _accumulate(windows, d @ w.data.T)
+        if w.requires_grad:
+            k, n = w.shape
+            _accumulate(w, windows.data.reshape(-1, k).T @ d.reshape(-1, n))
+
+    return _make(data, (windows, w), backward, "conv_max")
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -357,7 +401,7 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         _accumulate(a, g.reshape(old_shape))
 
-    return _make(data, (a,), backward, "reshape")
+    return _node(data, (a,), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -474,7 +518,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
 
-    return _make(data, (table,), backward, "embedding_lookup")
+    return _node(data, (table,), backward)
 
 
 # -- recurrent sequences -----------------------------------------------------

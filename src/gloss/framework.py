@@ -325,12 +325,13 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                 v_e = bundle.encode_reviews(batch)
                 logits = bundle.predictor.logits(v_e)
                 lp_vec = ad.cross_entropy(logits, labels)
-                le_vec = _generation_loss(bundle, v_e, batch, beta, epoch_rng)
+                le_vec, score_logits = _generation_loss(bundle, v_e, batch, beta,
+                                                        epoch_rng)
                 loss_vec = lp_vec + le_vec
 
                 if use_factor:
                     factor, mrt_vec = _risk_terms(
-                        bundle, classifier, v_e, logits, labels,
+                        bundle, classifier, v_e, logits, score_logits, labels,
                         loss_vec, gold_cache[idx])
                     sums["ef"] += float(factor.sum())
                     sums["l_mrt"] += float(mrt_vec.data.sum())
@@ -383,20 +384,24 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
 
 
 def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
-                     rng: np.random.Generator) -> Tensor:
+                     rng: np.random.Generator) -> tuple[Tensor, Tensor | None]:
     """Per-example explanation loss: five-head cross entropy, or the
-    KL-annealed variational bound summed over the three comments."""
+    KL-annealed variational bound summed over the three comments.
+
+    Also returns the (B, 5, N_LEVELS) score logits the numeric loss was
+    built from, for :func:`_risk_terms`; None for text.
+    """
     if bundle.form == "numeric":
         subs = np.array([ex.subscores for ex in batch], dtype=np.int64)
         logits = bundle.generator.logits(v_e)
         ce = ad.cross_entropy(logits.reshape(-1, N_LEVELS), subs.reshape(-1))
-        return ce.reshape(subs.shape).sum(axis=1)
+        return ce.reshape(subs.shape).sum(axis=1), logits
     ids, mask = pad_batch([bundle.vocab.encode(getattr(ex, pol))
                            for pol in POLARITIES for ex in batch])
     v_rows, controls = _polarity_rows(v_e)
     recon, kl = bundle.generator.elbo_per_example(v_rows, controls, ids, mask, rng)
     part = recon + ad.mul(kl, Tensor(beta))
-    return part.reshape(len(POLARITIES), len(batch)).sum(axis=0)
+    return part.reshape(len(POLARITIES), len(batch)).sum(axis=0), None
 
 
 def _polarity_rows(v_e: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -415,20 +420,21 @@ def _decode_comments(bundle: ModelBundle, v_e: Tensor) -> list[list[list[int]]]:
 
 
 def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
-                labels: np.ndarray, loss_vec: Tensor,
+                score_logits: Tensor | None, labels: np.ndarray, loss_vec: Tensor,
                 gold_probs: np.ndarray) -> tuple[np.ndarray, Tensor]:
     """Explanation factor and risk-weighted loss for one batch.
 
     Generated explanations are decoded hard and the frozen classifier reads
     them without recording a graph, so the factor is a constant
     per-example weight on the loss: gradients reach the model only
-    through ``loss_vec``.
+    through ``loss_vec``. Numeric scores are the argmax of
+    ``score_logits``, the logits :func:`_generation_loss` returned.
     """
     rows = np.arange(len(labels))
     with ad.no_grad():
         p_pred = ad.softmax(logits).data[rows, labels]
         if bundle.form == "numeric":
-            explanation = bundle.generator.scores(v_e)
+            explanation = score_logits.argmax(axis=2)
         else:
             explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e)]
         p_cls = ad.softmax(classifier.logits_hard(explanation)).data[rows, labels]

@@ -223,10 +223,9 @@ class CnnEncoder(Module):
             # fall back to their first window
             valid = sliding_window_view(mask, width, axis=1).prod(axis=2)
             valid[valid.sum(axis=1) == 0, 0] = 1.0
-            scores = ad.matmul(windows, kernel.w) + Tensor((valid[:, :, None] - 1.0) * 1e9)
             # x -> x + b and relu are monotone, so relu(max(x) + b) is
             # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
-            pooled.append(ad.relu(scores.max(axis=1) + kernel.b))
+            pooled.append(ad.relu(ad.conv_max(windows, kernel.w, valid) + kernel.b))
         return ad.tanh(self.proj(ad.concat(pooled, axis=1)))
 
 

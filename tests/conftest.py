@@ -5,6 +5,8 @@ gradient the engine produces; it never touches the tape.
 """
 from __future__ import annotations
 
+import sys
+
 # gloss sets its one-thread BLAS default at import, which only takes effect
 # if numpy has not loaded yet, so it comes first
 import gloss  # noqa: F401
@@ -60,11 +62,17 @@ def encoder_calls(monkeypatch) -> list:
 def made_ops(monkeypatch) -> list:
     """The name of every op the engine builds, in call order."""
     ops = []
-    make = ad._make
+    node = ad._node
 
-    def recording_make(data, parents, backward, opname):
-        ops.append(opname)
-        return make(data, parents, backward, opname)
+    def recording_node(data, parents, backward):
+        # every op output is built here, through _make (which knows the op
+        # name) or straight from the op function (reshape, embedding_lookup)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_make":
+            ops.append(caller.f_locals["opname"])
+        else:
+            ops.append(caller.f_code.co_name.lstrip("_"))
+        return node(data, parents, backward)
 
-    monkeypatch.setattr(ad, "_make", recording_make)
+    monkeypatch.setattr(ad, "_node", recording_node)
     return ops

@@ -40,11 +40,6 @@ class TestGradientChecks:
         check_op(lambda t: ad.matmul(Tensor(a), t).sum(), rng.normal(size=(4, 2)))
 
     @pytest.mark.parametrize("point", range(3))
-    def test_matmul_batched(self, rng, point):
-        b = rng.normal(size=(4, 2))
-        check_op(lambda t: ad.matmul(t, Tensor(b)).sum(), rng.normal(size=(2, 3, 4)))
-
-    @pytest.mark.parametrize("point", range(3))
     def test_softmax(self, rng, point):
         w = rng.normal(size=5)
         check_op(lambda t: ad.mul(ad.softmax(t), Tensor(w)).sum(),
@@ -168,6 +163,10 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_matmul_batched_is_rejected(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))))
+
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
@@ -218,6 +217,71 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.embedding_lookup(Tensor(np.ones((3, 2)), requires_grad=True),
                                 np.array([3]))
+
+
+class TestConvMax:
+    @staticmethod
+    def run(windows, w, valid, g):
+        """Output of conv_max and the gradients of sum(g * output)."""
+        wt, ww = Tensor(windows, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv_max(wt, ww, valid)
+        ad.mul(out, Tensor(g)).sum().backward()
+        return out.data, wt.grad, ww.grad
+
+    @staticmethod
+    def reference(windows, w, valid, g):
+        """The unfused pooling: a 3-D product, a -1e9 mask added to the
+        invalid windows and Tensor.max, then the matrix product's gradient
+        expressions applied to the scores' gradient."""
+        scores = Tensor(windows @ w, requires_grad=True)
+        pooled = (scores + Tensor((valid[:, :, None] - 1.0) * 1e9)).max(axis=1)
+        ad.mul(pooled, Tensor(g)).sum().backward()
+        k, n = w.shape
+        return (pooled.data, scores.grad @ w.T,
+                windows.reshape(-1, k).T @ scores.grad.reshape(-1, n))
+
+    @staticmethod
+    def ragged(rng, batch, n_windows, k, n):
+        windows = rng.normal(size=(batch, n_windows, k))
+        n_valid = rng.integers(0, n_windows + 1, size=batch)
+        n_valid[0] = n_windows
+        valid = (np.arange(n_windows)[None] < n_valid[:, None]).astype(float)
+        valid[n_valid == 0, 0] = 1.0  # the CNN encoder's fallback window
+        return windows, rng.normal(size=(k, n)) * 0.1, valid, rng.normal(size=(batch, n))
+
+    @pytest.mark.parametrize("shape", [(7, 9, 12, 5), (64, 40, 288, 256)])
+    def test_matches_masked_matmul_and_max_bitwise(self, rng, shape):
+        windows, w, valid, g = self.ragged(rng, *shape)
+        got = self.run(windows, w, valid, g)
+        want = self.reference(windows, w, valid, g)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_ties_send_gradient_to_first_maximum(self):
+        # row 1's masked windows score 0, above the valid -2, and must not win
+        windows = np.array([[[3.0], [1.0], [3.0], [5.0]], [[2.0], [2.0], [0.0], [0.0]]])
+        valid = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        out, d_windows, d_w = self.run(windows, np.array([[1.0, -1.0]]), valid,
+                                       np.array([[5.0, 7.0], [11.0, 13.0]]))
+        np.testing.assert_array_equal(out, [[3.0, -1.0], [2.0, -2.0]])
+        np.testing.assert_array_equal(d_windows[..., 0],
+                                      [[5.0, -7.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(d_w, [[37.0, 33.0]])
+
+    @pytest.mark.parametrize("windows,w,valid", [
+        ((3, 4), (4, 2), (3, 4)),
+        ((2, 3, 4), (4, 2, 1), (2, 3)),
+        ((2, 3, 4), (5, 2), (2, 3)),
+        ((2, 3, 4), (4, 2), (2, 4)),
+    ])
+    def test_shape_errors(self, windows, w, valid):
+        with pytest.raises(ShapeError):
+            ad.conv_max(Tensor(np.ones(windows)), Tensor(np.ones(w)), np.ones(valid))
+
+    def test_row_without_valid_window(self):
+        valid = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="valid window"):
+            ad.conv_max(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), valid)
 
 
 class TestTapeSemantics:

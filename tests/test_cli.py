@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gloss import checkpoint
 from gloss.cli import main
@@ -456,6 +460,71 @@ class TestNonFiniteExitCodes:
                        "--lr", "1e300", "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cnn_checkpoint(tmp_path_factory):
+    """A corpus and a tiny skytrax CNN checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("cnn")
+    corpus, ckpt = root / "corpus.jsonl", root / "cnn.ckpt"
+    assert run_cli("synth", "--schema", "skytrax", "--n", "80", "--seed", "31",
+                   "--out", corpus, "--quiet") == 0
+    assert run_cli("train", "--corpus", corpus, "--schema", "skytrax",
+                   "--mode", "baseline", "--encoder", "cnn", "--out", ckpt,
+                   "--epochs", "1", "--hidden-dim", "8", "--embedding-dim", "6",
+                   "--seed", "4", "--quiet") == 0
+    return corpus, ckpt
+
+
+class TestEvalOnCorruptedCheckpoint:
+    """``gloss eval`` on a damaged checkpoint ends with exit 0, 1 (invalid
+    checkpoint) or 2 (a non-finite value computed), never a traceback."""
+
+    @staticmethod
+    def eval_exit_code(corpus, ckpt) -> int:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus, "--quiet")
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    @settings(max_examples=40, deadline=None)
+    @given(in_header=st.booleans(),
+           flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.integers(1, 255)), min_size=1, max_size=4))
+    def test_flipped_bytes(self, cnn_checkpoint, in_header, flips):
+        corpus, ckpt = cnn_checkpoint
+        data = bytearray(ckpt.read_bytes())
+        payload = data.index(b"\ndata\n") + len(b"\ndata\n")
+        start, size = (0, payload) if in_header else (payload, len(data) - payload)
+        for where, mask in flips:
+            data[start + int(where * size)] ^= mask
+        bad = ckpt.with_name("corrupted.ckpt")
+        bad.write_bytes(data)
+        assert self.eval_exit_code(corpus, bad) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+           value=st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200]),
+           whole=st.booleans())
+    # the embedding table and the first kernel at 1e200 overflow the window scores
+    @example(picks=[0.0, 0.1], value=1e200, whole=True)
+    def test_overwritten_weights(self, cnn_checkpoint, picks, value, whole):
+        corpus, ckpt = cnn_checkpoint
+        arrays, meta = checkpoint.load(ckpt)
+        names = sorted(arrays)
+        for pick in picks:
+            name = names[int(pick * len(names))]
+            arrays[name] = arrays[name].copy()
+            if whole:
+                arrays[name][...] = value
+            else:
+                arrays[name].flat[int(pick * 7919) % arrays[name].size] = value
+        bad = ckpt.with_name("corrupted.ckpt")
+        checkpoint.save(bad, arrays, meta)
+        code = self.eval_exit_code(corpus, bad)
+        assert code in ((0, 1, 2) if np.isfinite(value) else (1,))
 
 
 def test_unknown_argument_exits_1(capsys):

@@ -19,7 +19,7 @@ from gloss.framework import (LossBreakdown, ProbTriple, TrainConfig,
                              resume_optimizer, save_bundle, save_classifier,
                              train)
 from gloss.models import (ClassifierNumeric, ClassifierText, CvaeConfig,
-                          EncoderConfig, ModelBundle)
+                          EncoderConfig, ModelBundle, NumericGenerator)
 from gloss.synth import synth_numeric, synth_text
 
 from conftest import finite_difference_grad, relative_error
@@ -123,8 +123,8 @@ class TestJointLossAnalytics:
         labels = np.array([ex.label for ex in batch])
         v_e = bundle.encode_reviews(batch)
         lp = ad.cross_entropy(bundle.predictor.logits(v_e), labels)
-        le = fw._generation_loss(bundle, v_e, batch, beta=1.0,
-                                 rng=np.random.default_rng(0))
+        le, _ = fw._generation_loss(bundle, v_e, batch, beta=1.0,
+                                    rng=np.random.default_rng(0))
         assert lp.data.mean() == pytest.approx(math.log(10), abs=1e-12)
         assert le.data.mean() == pytest.approx(5 * math.log(6), abs=1e-12)
 
@@ -150,8 +150,8 @@ class TestNumericGenerationLoss:
         for f, head in enumerate(bundle.generator.heads):
             ce = ad.cross_entropy(head(v_e), subs[:, f])
             want = ce if want is None else want + ce
-        got = fw._generation_loss(bundle, v_e, batch, beta=1.0,
-                                  rng=np.random.default_rng(0))
+        got, _ = fw._generation_loss(bundle, v_e, batch, beta=1.0,
+                                     rng=np.random.default_rng(0))
         assert np.array_equal(got.data, want.data)
         params = bundle.generator.parameters().values()
         want.sum().backward()
@@ -222,14 +222,14 @@ class TestWholeBundleGradients:
             logits = bundle.predictor.logits(v_e)
             # the same ε draw on every call, so the CVAE's loss is a
             # deterministic function of the parameters
-            le_vec = fw._generation_loss(bundle, v_e, batch, beta,
-                                         np.random.default_rng(4))
-            return v_e, logits, ad.cross_entropy(logits, labels) + le_vec
+            le_vec, score_logits = fw._generation_loss(bundle, v_e, batch, beta,
+                                                       np.random.default_rng(4))
+            return v_e, logits, score_logits, ad.cross_entropy(logits, labels) + le_vec
 
-        v_e, logits, vec = loss_vec()
+        v_e, logits, score_logits, vec = loss_vec()
         # the factor is a constant per-example weight, as in train
-        factor, mrt_vec = fw._risk_terms(bundle, classifier, v_e, logits, labels,
-                                         vec, gold)
+        factor, mrt_vec = fw._risk_terms(bundle, classifier, v_e, logits, score_logits,
+                                         labels, vec, gold)
 
         def total(vec):
             return (ad.mul(vec, Tensor(weights[0]))
@@ -246,7 +246,7 @@ class TestWholeBundleGradients:
             def loss_at(values):
                 flat[coords] = values
                 with ad.no_grad():
-                    loss = float(total(loss_vec()[2]).data)
+                    loss = float(total(loss_vec()[-1]).data)
                 flat[coords] = orig
                 return loss
 
@@ -331,10 +331,11 @@ class TestTrainer:
         v_e = bundle.encode_reviews(batch)
         logits = bundle.predictor.logits(v_e)
         lp = ad.cross_entropy(logits, labels)
-        le = fw._generation_loss(bundle, v_e, batch, 1.0, np.random.default_rng(0))
+        le, score_logits = fw._generation_loss(bundle, v_e, batch, 1.0,
+                                               np.random.default_rng(0))
         loss_vec = lp + le
-        factor, mrt = fw._risk_terms(bundle, classifier, v_e, logits, labels,
-                                     loss_vec, gold)
+        factor, mrt = fw._risk_terms(bundle, classifier, v_e, logits, score_logits,
+                                     labels, loss_vec, gold)
         p_pred = ad.softmax(logits).data[np.arange(3), labels]
         scores = bundle.generator.scores(v_e)
         p_cls = ad.softmax(classifier.logits_hard(scores)).data[np.arange(3), labels]
@@ -356,8 +357,8 @@ class TestTrainer:
             v_e = bundle.encode_reviews(batch)
             logits = bundle.predictor.logits(v_e)
             lp = ad.cross_entropy(logits, labels)
-            le = fw._generation_loss(bundle, v_e, batch, 1.0,
-                                     np.random.default_rng(0))
+            le, score_logits = fw._generation_loss(bundle, v_e, batch, 1.0,
+                                                   np.random.default_rng(0))
             loss_vec = lp + le
             if substitute_constants:
                 rows = np.arange(len(batch))
@@ -368,8 +369,8 @@ class TestTrainer:
                 factor = explanation_factor(ProbTriple(p_pred, p_cls, gold))
                 mrt = ad.mul(loss_vec, Tensor(factor))
             else:
-                factor, mrt = fw._risk_terms(
-                    bundle, classifier, v_e, logits, labels, loss_vec, gold)
+                factor, mrt = fw._risk_terms(bundle, classifier, v_e, logits,
+                                             score_logits, labels, loss_vec, gold)
             total = (loss_vec + mrt).mean()
             total.backward()
             return {k: t.grad.copy() for k, t in
@@ -714,3 +715,22 @@ def test_pcmag_gef_step_records_four_gru_sequences(monkeypatch):
     result = train(bundle, split, config, classifier=classifier, mode="gef")
     assert len(result.step_losses) == 1
     assert taped.count("gru_sequence") == 4
+
+
+def test_skytrax_gef_step_builds_score_logits_once(monkeypatch):
+    """The risk terms read the numeric scores off the logits the generation
+    loss built on the tape; no second five-head block is built."""
+    split, vocab, enc = small_numeric_setup(n=60)
+    classifier, _ = pretrain_classifier(split, "skytrax", seed=0, max_epochs=1)
+    bundle = ModelBundle("skytrax", vocab, enc, None, seed=0)
+    calls = []
+    logits = NumericGenerator.logits
+
+    def counted(self, v_e):
+        calls.append(v_e.shape[0])
+        return logits(self, v_e)
+
+    monkeypatch.setattr(NumericGenerator, "logits", counted)
+    config = TrainConfig.for_schema("skytrax", epochs=1, batch_size=16)
+    result = train(bundle, split, config, classifier=classifier, mode="gef")
+    assert len(calls) == len(result.step_losses) > 1
