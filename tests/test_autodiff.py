@@ -40,6 +40,15 @@ class TestGradientChecks:
         check_op(lambda t: ad.matmul(Tensor(a), t).sum(), rng.normal(size=(4, 2)))
 
     @pytest.mark.parametrize("point", range(3))
+    def test_matmul_batched(self, rng, point):
+        # the (B, W, K) @ (K, F) window product is computed inside conv_max
+        b = rng.normal(size=(4, 2))
+        g = Tensor(rng.normal(size=(2, 2)))
+        valid = np.ones((2, 3))
+        check_op(lambda t: ad.mul(ad.conv_max(t, Tensor(b), valid), g).sum(),
+                 rng.normal(size=(2, 3, 4)))
+
+    @pytest.mark.parametrize("point", range(3))
     def test_softmax(self, rng, point):
         w = rng.normal(size=5)
         check_op(lambda t: ad.mul(ad.softmax(t), Tensor(w)).sum(),
