@@ -217,9 +217,10 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, opname: str) 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """An op output, recorded on the tape when any parent needs a gradient.
 
-    Unchecked: ``reshape`` (a view) and ``embedding_lookup`` (a gather of
-    table rows) call this directly, since their outputs only copy elements
-    of checked tensors; every other op goes through :func:`_make`.
+    Unchecked: ``reshape`` (a view), ``slice_axis`` (a slice),
+    ``embedding_lookup`` (a gather of table rows) and ``concat`` call this
+    directly, since their outputs only copy elements of checked tensors;
+    every other op goes through :func:`_make`.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -391,7 +392,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 _accumulate(t, piece)
 
-    return _make(data, tuple(tensors), backward, "concat")
+    return _node(data, tuple(tensors), backward)
 
 
 def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -416,7 +417,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[index] = g
         _accumulate(a, full)
 
-    return _make(data, (a,), backward, "slice_axis")
+    return _node(data, (a,), backward)
 
 
 # -- reductions --------------------------------------------------------------

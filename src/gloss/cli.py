@@ -4,6 +4,11 @@ Every command that takes --seed is bitwise reproducible: rerunning with
 identical arguments and inputs rewrites identical logs, checkpoints, and
 reports. Data goes to stdout (or --out files); diagnostics go to stderr.
 
+Each key of ``SETTINGS`` is parsed as its type, whether a flag or a
+``--config`` INI file gives it. A flag wins over the config file, and a
+setting that neither gives is left to the library's default (for eval's
+split seed, the checkpoint's).
+
 Exit codes: 0 success; 1 validation error, including a checkpoint whose
 weights are not all finite; 2 a non-finite value computed by any command,
 such as training divergence.
@@ -23,19 +28,38 @@ from .data import (N_CLASSES, POLARITIES, SUBSCORE_FIELDS,
                    SUBSCORE_LETTERS, build_vocab, example_to_record,
                    filter_and_split, load_jsonl, write_jsonl)
 from .framework import TrainConfig, TrainingDiverged
-from .models import CvaeConfig, EncoderConfig, ModelBundle
+from .models import ENCODER_KINDS, CvaeConfig, EncoderConfig, ModelBundle
 from .synth import synth_numeric, synth_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 
-# desk defaults per schema; full-scale runs override via --config or flags
-SCHEMA_DEFAULTS = {
-    "pcmag": {"encoder": "gru", "hidden_dim": 128, "embedding_dim": 100,
-              "batch_size": 32},
-    "skytrax": {"encoder": "lstm", "hidden_dim": 256, "embedding_dim": 100,
-                "batch_size": 64},
+# the corpus split of every command that neither a flag nor the config
+# (nor, for eval, the checkpoint) gives a split seed
+SPLIT_SEED = 13
+
+# the encoder settings each schema takes where EncoderConfig's defaults
+# do not fit; full-scale runs override them via --config or flags
+SCHEMA_DEFAULTS = {"pcmag": {"kind": "gru"}, "skytrax": {"kind": "lstm", "hidden_dim": 256}}
+
+
+def weight_pair(text: str) -> tuple[float, float]:
+    """Two comma-separated loss weights, for (loss, risk loss)."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("loss_weights must be two comma-separated numbers")
+    return float(parts[0]), float(parts[1])
+
+
+# every setting a flag or a --config key can give, with the type its text
+# is parsed as; any other key in a --config file is a typo or a retired
+# setting and is rejected
+SETTINGS = {
+    "n": int, "seed": int, "split_seed": int, "lr": float, "batch_size": int, "max_epochs": int,
+    "schema": str, "encoder": str, "embedding_dim": int, "hidden_dim": int, "latent_dim": int,
+    "decoder_hidden": int, "epochs": int, "loss_weights": weight_pair,
+    "freeze_threshold": float, "kl_anneal_frac": float,
 }
 
 
@@ -54,16 +78,8 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-# every key some command reads through _setting; any other key in a
-# --config file is a typo or a retired setting and is rejected
-CONFIG_KEYS = frozenset({
-    "n", "seed", "split_seed", "lr", "batch_size", "max_epochs", "schema",
-    "encoder", "embedding_dim", "hidden_dim", "latent_dim", "decoder_hidden",
-    "epochs", "loss_weights", "freeze_threshold", "kl_anneal_frac",
-})
-
-
 def _read_config(path) -> dict:
+    """The settings in the INI file at ``path``, each parsed as its type."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -71,24 +87,24 @@ def _read_config(path) -> dict:
         raise CliError(f"config file {path}: {err}") from err
     if not read:
         raise CliError(f"config file {path} not found")
-    flat = {}
+    settings = {}
     for section in parser.sections():
-        for key, value in parser.items(section):
-            if key not in CONFIG_KEYS:
+        for key, text in parser.items(section):
+            if key not in SETTINGS:
                 raise CliError(f"unknown config key {key!r}")
-            flat[key] = value
-    return flat
+            try:
+                settings[key] = SETTINGS[key](text)
+            except ValueError as err:
+                raise CliError(f"config key {key!r}: {err}") from err
+    return settings
 
 
-def _setting(args, config: dict, key: str, default=None, cast=None):
-    """Precedence: CLI flag, then config file, then default."""
-    assert key in CONFIG_KEYS, key
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if value is None:
-        return None
-    return cast(value) if cast else value
+def _given(args, *keys: str, **renamed: str) -> dict:
+    """The settings among ``keys`` and ``renamed`` that a flag or the
+    config file gave, each ``key=name`` in ``renamed`` passed as ``name``."""
+    names = dict(zip(keys, keys), **renamed)
+    return {name: getattr(args, key) for key, name in names.items()
+            if getattr(args, key, None) is not None}
 
 
 def _load_corpus(path, schema: str, args) -> list:
@@ -128,30 +144,24 @@ def _format_table(rows: list[tuple], header: tuple) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_synth(args, config: dict) -> int:
-    n = _setting(args, config, "n", cast=int)
-    seed = _setting(args, config, "seed", 0, int)
-    if args.schema == "skytrax":
-        examples = synth_numeric(n, seed)
-    else:
-        examples = synth_text(n, seed)
+def cmd_synth(args) -> int:
+    generate = synth_numeric if args.schema == "skytrax" else synth_text
+    # the generators take no default seed
+    examples = generate(args.n, 0 if args.seed is None else args.seed)
     write_jsonl(args.out, [example_to_record(ex, args.schema) for ex in examples])
     _info(args, f"wrote {len(examples)} {args.schema} examples to {args.out}")
     return EXIT_OK
 
 
-def cmd_pretrain_c(args, config: dict) -> int:
+def cmd_pretrain_c(args) -> int:
     schema = args.schema
     examples = _load_corpus(args.corpus, schema, args)
-    split_seed = _setting(args, config, "split_seed", 13, int)
-    seed = _setting(args, config, "seed", 0, int)
+    split_seed = SPLIT_SEED if args.split_seed is None else args.split_seed
     split = filter_and_split(examples, schema, split_seed)
     vocab = build_vocab(split.train, schema) if schema == "pcmag" else None
     classifier, report = framework.pretrain_classifier(
-        split, schema, seed=seed, vocab=vocab,
-        lr=_setting(args, config, "lr", 2e-3, float),
-        batch_size=_setting(args, config, "batch_size", 128, int),
-        max_epochs=_setting(args, config, "max_epochs", 40, int))
+        split, schema, vocab=vocab,
+        **_given(args, "seed", "lr", "batch_size", "max_epochs"))
     report["split_seed"] = split_seed
     framework.save_classifier(args.out, classifier, schema, vocab=vocab,
                               report=report)
@@ -164,50 +174,23 @@ def cmd_pretrain_c(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _build_train_config(args, config: dict, schema: str) -> TrainConfig:
-    weights = _setting(args, config, "loss_weights", "1,1")
-    if isinstance(weights, str):
-        parts = weights.split(",")
-        if len(parts) != 2:
-            raise CliError("loss_weights must be two comma-separated numbers")
-        weights = (float(parts[0]), float(parts[1]))
-    threshold = _setting(args, config, "freeze_threshold", None, float)
-    return TrainConfig.for_schema(
-        schema,
-        batch_size=_setting(args, config, "batch_size",
-                            SCHEMA_DEFAULTS[schema]["batch_size"], int),
-        lr=_setting(args, config, "lr", 1e-3, float),
-        epochs=_setting(args, config, "epochs", 5, int),
-        seed=_setting(args, config, "seed", 0, int),
-        predictor_freeze_threshold=threshold,
-        loss_weights=weights,
-        kl_anneal_frac=_setting(args, config, "kl_anneal_frac", 0.2, float),
-    )
-
-
-def cmd_train(args, config: dict) -> int:
-    schema = _setting(args, config, "schema")
+def cmd_train(args) -> int:
+    schema = args.schema
     if schema not in N_CLASSES:
         raise CliError("--schema (pcmag or skytrax) is required")
     examples = _load_corpus(args.corpus, schema, args)
-    split_seed = _setting(args, config, "split_seed", 13, int)
+    split_seed = SPLIT_SEED if args.split_seed is None else args.split_seed
     split = filter_and_split(examples, schema, split_seed)
-    train_config = _build_train_config(args, config, schema)
+    train_config = TrainConfig.for_schema(schema, **_given(
+        args, "batch_size", "lr", "epochs", "seed", "loss_weights", "kl_anneal_frac",
+        freeze_threshold="predictor_freeze_threshold"))
 
     vocab = build_vocab(split.train, schema)
-    encoder_config = EncoderConfig(
-        kind=_setting(args, config, "encoder", SCHEMA_DEFAULTS[schema]["encoder"]),
-        vocab_size=len(vocab),
-        embedding_dim=_setting(args, config, "embedding_dim",
-                               SCHEMA_DEFAULTS[schema]["embedding_dim"], int),
-        hidden_dim=_setting(args, config, "hidden_dim",
-                            SCHEMA_DEFAULTS[schema]["hidden_dim"], int),
-    )
-    cvae_config = None
-    if schema == "pcmag":
-        cvae_config = CvaeConfig(
-            latent_dim=_setting(args, config, "latent_dim", 64, int),
-            decoder_hidden=_setting(args, config, "decoder_hidden", 128, int))
+    encoder_settings = SCHEMA_DEFAULTS[schema] | _given(
+        args, "embedding_dim", "hidden_dim", encoder="kind")
+    encoder_config = EncoderConfig(vocab_size=len(vocab), **encoder_settings)
+    cvae_config = (CvaeConfig(**_given(args, "latent_dim", "decoder_hidden"))
+                   if schema == "pcmag" else None)
     bundle = ModelBundle(schema, vocab, encoder_config, cvae_config,
                          seed=train_config.seed)
 
@@ -233,11 +216,11 @@ def cmd_train(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, config: dict) -> int:
+def cmd_eval(args) -> int:
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.corpus, schema, args)
-    split_seed = args.split_seed if args.split_seed is not None else meta.get("split_seed", 13)
+    split_seed = meta.get("split_seed", SPLIT_SEED) if args.split_seed is None else args.split_seed
     if type(split_seed) is not int:  # a JSON true would pass isinstance(..., int)
         raise CliError(f"checkpoint split_seed must be an integer, got {split_seed!r}")
     split = filter_and_split(examples, schema, split_seed)
@@ -272,7 +255,7 @@ def cmd_eval(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_explain(args, config: dict) -> int:
+def cmd_explain(args) -> int:
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.input, schema, args)
@@ -309,49 +292,44 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     # eval and explain keep --seed so that invocations passing it still run
     ignored_seed = "accepted and ignored: the outputs are deterministic"
+    schemas = tuple(N_CLASSES)
+
+    def setting(p, *keys, **kwargs):
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=SETTINGS[key], **kwargs)
 
     def common(p, seed_help):
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        setting(p, "seed", help=seed_help)
         p.add_argument("--config", default=None, help="INI file with key=value settings")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--schema", required=True, choices=("pcmag", "skytrax"))
-    p.add_argument("--n", type=int, required=True)
+    setting(p, "schema", required=True, choices=schemas)
+    setting(p, "n", required=True)
     p.add_argument("--out", required=True)
     common(p, "seed of the generated corpus")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pretrain-c", help="pre-train and freeze the explanation classifier")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True, choices=("pcmag", "skytrax"))
+    setting(p, "schema", required=True, choices=schemas)
     p.add_argument("--out", required=True)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
+    setting(p, "split_seed", "lr", "batch_size", "max_epochs")
     common(p, "seed of the initial weights and of every random draw in training")
     p.set_defaults(func=cmd_pretrain_c)
 
     p = sub.add_parser("train", help="train a model bundle (baseline or gef)")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", choices=("pcmag", "skytrax"), default=None)
+    setting(p, "schema", choices=schemas)
     p.add_argument("--mode", choices=("baseline", "gef"), default="gef")
     p.add_argument("--classifier", default=None, help="frozen classifier checkpoint (gef mode)")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="append one JSON record per epoch")
-    p.add_argument("--encoder", choices=("bow", "gru", "lstm", "cnn"), default=None)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=None)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
-    p.add_argument("--decoder-hidden", dest="decoder_hidden", type=int, default=None)
-    p.add_argument("--loss-weights", dest="loss_weights", default=None,
-                   help="two comma-separated weights for (loss, risk loss)")
-    p.add_argument("--freeze-threshold", dest="freeze_threshold", type=float, default=None)
+    setting(p, "encoder", choices=ENCODER_KINDS)
+    setting(p, "split_seed", "epochs", "batch_size", "lr", "hidden_dim", "embedding_dim",
+            "latent_dim", "decoder_hidden")
+    setting(p, "loss_weights", help="two comma-separated weights for (loss, risk loss)")
+    setting(p, "freeze_threshold")
     common(p, "seed of the initial weights and of every random draw in training")
     p.set_defaults(func=cmd_train)
 
@@ -360,7 +338,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p.add_argument("--classifier", default=None)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
+    setting(p, "split_seed")
     p.add_argument("--json", default=None, help="also write the report as JSON")
     common(p, ignored_seed)
     p.set_defaults(func=cmd_eval)
@@ -379,7 +357,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _read_config(args.config) if args.config else {}
-        return args.func(args, config)
+        vars(args).update({k: v for k, v in config.items() if getattr(args, k, None) is None})
+        return args.func(args)
     except (ValueError, OSError) as err:
         # CliError, CorpusError and CheckpointError are all ValueErrors
         print(f"error: {err}", file=sys.stderr)

@@ -74,11 +74,21 @@ def mrt_loss(loss: float, factor: float) -> float:
 
 def final_loss(loss: float, risk_loss: float,
                weights: tuple[float, float] = (1.0, 1.0)) -> float:
-    """Weighted sum of the plain loss and the risk-weighted loss."""
-    return weights[0] * loss + weights[1] * risk_loss
+    """Weighted sum of the plain loss and the risk-weighted loss: floats,
+    or per-example Tensors."""
+    return loss * weights[0] + risk_loss * weights[1]
 
 
 # -- configuration ----------------------------------------------------------------
+
+
+def _check_schedule(lr: float, **counts: int) -> None:
+    """Reject an lr that is not finite and > 0, or a count below 1."""
+    if not 0 < lr < np.inf:  # a chained comparison is False for NaN, here and below
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 @dataclass
@@ -97,10 +107,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.schema not in FORM_BY_SCHEMA:
             raise ValueError(f"unknown schema {self.schema!r}")
-        if self.predictor_freeze_threshold is not None and self.predictor_freeze_threshold < 0:
-            raise ValueError("freeze threshold must be >= 0")
-        if min(self.loss_weights) < 0 or max(self.loss_weights) <= 0:
-            raise ValueError("loss weights must be nonnegative and not all zero")
+        _check_schedule(self.lr, batch_size=self.batch_size, epochs=self.epochs)
+        threshold = self.predictor_freeze_threshold
+        if threshold is not None and not 0 <= threshold < np.inf:
+            raise ValueError("freeze threshold must be finite and >= 0")
+        if not all(0 <= w < np.inf for w in self.loss_weights) or max(self.loss_weights) <= 0:
+            raise ValueError("loss weights must be finite, nonnegative and not all zero")
+        if not 0 <= self.kl_anneal_frac < np.inf:
+            raise ValueError("kl_anneal_frac must be finite and >= 0")
         self.loss_weights = (float(self.loss_weights[0]), float(self.loss_weights[1]))
 
     @classmethod
@@ -186,6 +200,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
     number a perfect generator could reach. The classifier keeps its
     constructor's default sizes.
     """
+    _check_schedule(lr, batch_size=batch_size, max_epochs=max_epochs)
     form = FORM_BY_SCHEMA[schema]
     rng = np.random.default_rng(seed)
     n_classes = N_CLASSES[schema]
@@ -339,10 +354,9 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                     mrt_vec = None
 
                 if weights[1] == 0.0:
-                    total = ad.mul(loss_vec, Tensor(weights[0])).mean()
+                    total = (loss_vec * weights[0]).mean()
                 else:
-                    total = (ad.mul(loss_vec, Tensor(weights[0]))
-                             + ad.mul(mrt_vec, Tensor(weights[1]))).mean()
+                    total = final_loss(loss_vec, mrt_vec, weights).mean()
 
                 optimizer.zero_grad()
                 total.backward()

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 from pathlib import Path
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gloss import checkpoint
+from gloss import checkpoint, cli, framework
 from gloss.cli import main
 from gloss.data import load_jsonl
+from gloss.framework import TrainConfig, TrainResult
+from gloss.models import CvaeConfig, EncoderConfig
 
 
 def run_cli(*args) -> int:
@@ -214,6 +218,160 @@ class TestTrain:
                            "--embedding-dim", "12", "--lr", "1e200",
                            "--seed", "1", "--quiet")
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "small.jsonl"
+    assert run_cli("synth", "--schema", "skytrax", "--n", "60", "--out", path,
+                   "--quiet") == 0
+    return path
+
+
+@pytest.fixture
+def train_calls(monkeypatch) -> list:
+    """The (bundle, config) of every ``framework.train`` call, which trains
+    nothing, so that a command's settings are cheap to inspect."""
+    calls = []
+
+    def record(bundle, split, config, **kwargs):
+        calls.append((bundle, config))
+        return TrainResult()
+
+    monkeypatch.setattr(framework, "train", record)
+    return calls
+
+
+class TestSettings:
+    """Each setting comes from a flag, else the config file, else the
+    library's default (for eval's split seed, the checkpoint's)."""
+
+    @pytest.mark.parametrize("schema", ["skytrax", "pcmag"])
+    def test_train_leaves_defaults_to_the_library(self, schema, numeric_corpus,
+                                                  text_corpus, tmp_path, train_calls):
+        corpus = numeric_corpus if schema == "skytrax" else text_corpus
+        assert run_cli("train", "--corpus", corpus, "--schema", schema,
+                       "--mode", "baseline", "--out", tmp_path / "m.ckpt", "--quiet") == 0
+        (bundle, config), = train_calls
+        assert config == TrainConfig.for_schema(schema)
+        assert bundle.encoder_config == EncoderConfig(
+            vocab_size=len(bundle.vocab), **cli.SCHEMA_DEFAULTS[schema])
+        assert bundle.cvae_config == (CvaeConfig() if schema == "pcmag" else None)
+
+    def test_pretrain_leaves_defaults_to_the_library(self, small_corpus, tmp_path,
+                                                     monkeypatch):
+        class Stop(Exception):
+            """Raised in place of any training."""
+
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(inspect.signature(pretrain).bind(*args, **kwargs).arguments)
+            raise Stop
+
+        pretrain = framework.pretrain_classifier
+        monkeypatch.setattr(framework, "pretrain_classifier", record)
+        with pytest.raises(Stop):
+            run_cli("pretrain-c", "--corpus", small_corpus, "--schema", "skytrax",
+                    "--out", tmp_path / "c.ckpt", "--quiet")
+        assert not {"seed", "lr", "batch_size", "max_epochs"} & set(calls[0])
+
+    def test_config_only_key_reaches_train_config(self, small_corpus, tmp_path,
+                                                  train_calls):
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nkl_anneal_frac = 0.5\nloss_weights = 0.5,2\n"
+                          "freeze_threshold = 1.5\nlr = 0.003\n")
+        assert run_cli("train", "--corpus", small_corpus, "--schema", "skytrax",
+                       "--mode", "baseline", "--out", tmp_path / "m.ckpt",
+                       "--config", config, "--lr", "0.004", "--quiet") == 0
+        (_, train_config), = train_calls
+        assert train_config == TrainConfig.for_schema(
+            "skytrax", kl_anneal_frac=0.5, loss_weights=(0.5, 2.0),
+            predictor_freeze_threshold=1.5, lr=0.004)
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_config_value_of_the_wrong_type_exits_1(self, small_corpus, tmp_path,
+                                                    capsys, command):
+        # synth reads no lr, and still rejects the file
+        config = tmp_path / "bad.ini"
+        config.write_text("[train]\nlr = abc\n")
+        out = tmp_path / "out"
+        args = {"synth": ("--schema", "skytrax", "--n", "5"),
+                "train": ("--corpus", small_corpus, "--schema", "skytrax",
+                          "--mode", "baseline")}[command]
+        capsys.readouterr()
+        assert run_cli(command, *args, "--out", out, "--config", config, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key 'lr': could not convert string to float: 'abc'\n"
+        assert not out.exists()
+
+    def test_eval_split_seed_precedence(self, numeric_corpus, trained_model, tmp_path,
+                                        monkeypatch):
+        arrays, meta = checkpoint.load(trained_model[0])
+        meta["split_seed"] = 11
+        ckpt = tmp_path / "seed11.ckpt"
+        checkpoint.save(ckpt, arrays, meta)
+        config = tmp_path / "run.ini"
+        config.write_text("[eval]\nsplit_seed = 5\n")
+        seeds = []
+
+        def record(examples, schema, seed):
+            seeds.append(seed)
+            return split(examples, schema, seed)
+
+        split = cli.filter_and_split
+        monkeypatch.setattr(cli, "filter_and_split", record)
+        base = ("eval", "--checkpoint", ckpt, "--corpus", numeric_corpus, "--quiet")
+        for extra in ((), ("--config", config), ("--config", config, "--split-seed", "7")):
+            assert run_cli(*base, *extra) == 0
+        assert seeds == [11, 5, 7]
+
+    def test_every_setting_is_a_flag_or_config_only(self):
+        # the keys a --config file may set that no command has a flag for
+        config_only = {"kl_anneal_frac"}
+        # flags that are paths, modes or switches, not settings
+        not_settings = {"help", "config", "quiet", "out", "corpus", "input",
+                        "checkpoint", "classifier", "log", "json", "mode", "split"}
+        subparsers, = (a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        flags = [a for p in subparsers.choices.values() for a in p._actions
+                 if a.dest not in not_settings]
+        assert {a.dest for a in flags} | config_only == set(cli.SETTINGS)
+        assert {a.dest for a in flags}.isdisjoint(config_only)
+        for action in flags:  # a flag is parsed as its config key is
+            assert action.type is cli.SETTINGS[action.dest], action.dest
+            assert action.default is None, action.dest
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ("--batch-size", "-1")),
+        ("train", ("--epochs", "0")),
+        ("train", ("--loss-weights", "nan,1")),
+        ("train", ("--loss-weights", "1,2,3")),
+        ("train", ("--lr", "nan")),
+        ("train", ("--lr", "0")),
+        ("train", ("--freeze-threshold", "nan")),
+        ("train", ("--config", "kl_anneal_frac = nan")),
+        ("train", ("--config", "kl_anneal_frac = -0.5")),
+        ("pretrain-c", ("--lr", "nan")),
+        ("pretrain-c", ("--batch-size", "0")),
+        ("pretrain-c", ("--max-epochs", "0")),
+    ])
+    def test_bad_training_setting_exits_1(self, small_corpus, tmp_path, capsys,
+                                          command, flags):
+        if flags[0] == "--config":
+            config = tmp_path / "run.ini"
+            config.write_text(f"[train]\n{flags[1]}\n")
+            flags = ("--config", config)
+        out = tmp_path / "out.ckpt"
+        capsys.readouterr()
+        code = run_cli(command, "--corpus", small_corpus, "--schema", "skytrax",
+                       "--out", out, *flags, "--quiet",
+                       *(("--mode", "baseline") if command == "train" else ()))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEvalAndExplain:

@@ -60,6 +60,9 @@ class TestScalarContract:
         loss, factor = 1.7, 0.3
         assert final_loss(loss, mrt_loss(loss, factor)) == pytest.approx(
             loss * (1 + factor), rel=1e-15)
+        # per-example Tensors, as train() builds its batch loss
+        total = final_loss(Tensor([1.0, 2.0]), Tensor([0.5, 0.25]), (0.5, 2.0))
+        np.testing.assert_array_equal(total.data, [1.5, 1.5])
 
     def test_matches_independent_reimplementation(self, rng):
         for _ in range(1000):
@@ -255,6 +258,28 @@ class TestWholeBundleGradients:
             assert relative_error(got, want) < 1e-4, name
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"batch_size": -1}, {"epochs": 0},
+        {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
+        {"loss_weights": (math.nan, 1.0)}, {"loss_weights": (1.0, math.inf)},
+        {"loss_weights": (-1.0, 1.0)}, {"loss_weights": (0.0, 0.0)},
+        {"predictor_freeze_threshold": math.nan},
+        {"predictor_freeze_threshold": math.inf},
+        {"predictor_freeze_threshold": -0.5},
+        {"kl_anneal_frac": -0.1}, {"kl_anneal_frac": math.nan},
+        {"kl_anneal_frac": math.inf}])
+    def test_rejects_settings_training_cannot_run(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig.for_schema("skytrax", **bad)
+
+    @pytest.mark.parametrize("edge", [
+        {"batch_size": 1, "epochs": 1}, {"lr": 1e300}, {"loss_weights": (0.0, 1.0)},
+        {"predictor_freeze_threshold": 0.0}, {"kl_anneal_frac": 0.0}])
+    def test_accepts_edge_values(self, edge):
+        TrainConfig.for_schema("skytrax", **edge)
+
+
 class TestPretrainClassifier:
     def test_numeric_oracle_and_freeze(self):
         split, vocab, enc = small_numeric_setup(n=3000)
@@ -275,6 +300,13 @@ class TestPretrainClassifier:
         split, *_ = small_text_setup(n=60)
         with pytest.raises(ValueError):
             pretrain_classifier(split, "pcmag", seed=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"lr": math.nan}, {"lr": 0.0}, {"batch_size": 0}, {"max_epochs": 0}])
+    def test_rejects_settings_training_cannot_run(self, bad):
+        split, *_ = small_numeric_setup(n=60)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            pretrain_classifier(split, "skytrax", **bad)
 
 
 @pytest.fixture(scope="module")

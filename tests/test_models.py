@@ -283,6 +283,16 @@ class TestNumericGenerator:
         gen.logits(Tensor(rng.normal(size=(4, 16))))
         assert made_ops == ["concat", "concat", "matmul", "add", "reshape"]
 
+    @pytest.mark.parametrize("part", ["w", "b"])
+    def test_nan_head_parameter_raises_at_the_next_checked_op(self, rng, part):
+        # concat copies the heads unchecked; the matmul or bias add that reads
+        # the copy is the op that reports the NaN
+        gen = NumericGenerator(rng, 16)
+        getattr(gen.heads[2], part).data[0] = np.nan
+        op = "matmul" if part == "w" else "add"
+        with pytest.raises(ad.NonFiniteError, match=f"produced by {op}$"):
+            gen.logits(Tensor(rng.normal(size=(4, 16))))
+
 
 def toy_cvae(rng, vocab_size=34, cond=16):
     config = CvaeConfig(latent_dim=6, control_dim=4, decoder_hidden=12,
