@@ -6,7 +6,8 @@ A small dynamic-graph engine: every operation wraps its output in a new
 order. The graph is rebuilt on every forward pass. A whole LSTM or GRU
 recurrence over a padded batch is a single op (:func:`lstm_sequence`,
 :func:`gru_sequence`) with hand-written backprop through time, and so is
-a CNN filter's window product with its max-pool (:func:`conv_max`).
+a CNN filter's convolution over embedded ids with its max-pool
+(:func:`conv_max`).
 
 Everything is float64 and single-threaded by design: the models in this
 package are desk-scale and the test suite leans on finite-difference
@@ -308,37 +309,85 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def conv_max(windows: Tensor, w: Tensor, valid) -> Tensor:
-    """Max over valid windows of a window-by-filter product, shape (B, F).
+# Bytes of window scores that conv_max sums and pools at once: about what
+# stays in a core's L2 cache beside the gathered rows being added in.
+_CONV_BLOCK_BYTES = 1 << 18
 
-    ``windows`` is (B, W, K), ``w`` (K, F) and ``valid`` a (B, W) mask with
-    at least one valid window per row. Equal to ``windows @ w`` with the
-    invalid windows' scores set to -inf, then the max over axis 1; the
-    gradient goes to each row's first maximum, as ``Tensor.max`` sends it.
+
+def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
+    """Max over valid windows of a convolution over embedded ids, shape (B, F).
+
+    ``table`` is the (V, E) embedding table, ``ids`` a (B, T) array of its
+    row indices, ``w`` a (width * E, F) kernel and ``valid`` a (B, W) mask,
+    W = T - width + 1, with at least one valid window per row. Equal to
+    gathering each window's embeddings into a (B, W, width * E) array,
+    multiplying it by ``w``, setting the invalid windows' scores to -inf and
+    taking the max over windows; the gradient goes to each row's first
+    maximum, as ``Tensor.max`` sends it. Each distinct id is projected
+    through each kernel offset once and a window's score is the sum of its
+    tokens' projected rows, so the product scales with the distinct ids in
+    the batch, not with B * W * width.
     """
-    if windows.ndim != 3 or w.ndim != 2 or windows.shape[2] != w.shape[0]:
-        raise ShapeError(f"conv_max expects (B, W, K) windows and (K, F) weights, "
-                         f"got {windows.shape} and {w.shape}")
+    ids = np.asarray(ids)
+    if table.ndim != 2 or ids.ndim != 2 or w.ndim != 2 or w.shape[0] % table.shape[1]:
+        raise ShapeError(f"conv_max expects a (V, E) table, (B, T) ids and a "
+                         f"(width * E, F) kernel, got {table.shape}, {ids.shape} "
+                         f"and {w.shape}")
+    n_embed = table.shape[1]
+    width = w.shape[0] // n_embed
+    n_windows = ids.shape[1] - width + 1
     valid = np.asarray(valid, dtype=bool)
-    if valid.shape != windows.shape[:2]:
-        raise ShapeError(f"conv_max mask shape {valid.shape} != {windows.shape[:2]}")
+    if width == 0 or n_windows < 1 or valid.shape != (ids.shape[0], n_windows):
+        raise ShapeError(f"conv_max mask shape {valid.shape} != "
+                         f"({ids.shape[0]}, {n_windows}) windows of width {width}")
     if not valid.any(axis=1).all():
         raise ValueError("conv_max needs at least one valid window per row")
-    scores = windows.data @ w.data
-    scores[~valid] = -np.inf
-    # only the pooled output is checked: max passes a NaN score through
-    data = scores.max(axis=1)
+    uniq, inv = np.unique(ids, return_inverse=True)
+    if uniq[0] < 0 or uniq[-1] >= table.shape[0]:
+        raise IndexError(f"embedding index out of range [0, {table.shape[0]})")
+    inv = inv.reshape(ids.shape)
+    rows = table.data[uniq]
+    n_filters = w.shape[1]
+    # (E, width * F): column block j is the kernel slice for window offset j
+    kernel = w.data.reshape(width, n_embed, n_filters).transpose(1, 0, 2).reshape(n_embed, -1)
+    proj = (rows @ kernel).reshape(len(uniq), width, n_filters)
+    batch = ids.shape[0]
+    data = np.empty((batch, n_filters))
+    recording = _recording((table, w))
+    first = np.empty((batch, n_filters), dtype=np.intp) if recording else None
+    # a few rows at a time, so each block's (rows, W, F) scores are summed
+    # and pooled while they sit in cache
+    step = max(1, _CONV_BLOCK_BYTES // (n_windows * n_filters * 8))
+    for lo in range(0, batch, step):
+        hi = lo + step
+        block = inv[lo:hi]
+        scores = proj[:, 0][block[:, :n_windows]]
+        for j in range(1, width):
+            scores += proj[:, j][block[:, j:j + n_windows]]
+        scores[~valid[lo:hi]] = -np.inf
+        # only the pooled output is checked: max passes a NaN score through
+        np.max(scores, axis=1, out=data[lo:hi])
+        if recording:
+            np.argmax(scores, axis=1, out=first[lo:hi])
 
     def backward(g):
-        d = np.zeros_like(scores)
-        np.put_along_axis(d, np.argmax(scores, axis=1)[:, None], g[:, None], axis=1)
-        if windows.requires_grad:
-            _accumulate(windows, d @ w.data.T)
+        # the window at ``first`` holds token inv[b, first + j] at offset j,
+        # and that token's projected row at offset j takes the gradient
+        offsets = np.arange(width)[:, None, None]
+        tokens = inv[np.arange(batch)[:, None], first + offsets]
+        slots = (tokens * width + offsets) * n_filters + np.arange(n_filters)
+        d_proj = np.bincount(slots.ravel(), weights=np.broadcast_to(g, slots.shape).ravel(),
+                             minlength=proj.size).reshape(len(uniq), -1)
         if w.requires_grad:
-            k, n = w.shape
-            _accumulate(w, windows.data.reshape(-1, k).T @ d.reshape(-1, n))
+            d_w = (rows.T @ d_proj).reshape(n_embed, width, n_filters)
+            _accumulate(w, d_w.transpose(1, 0, 2).reshape(w.shape))
+        if table.requires_grad:
+            # the rows are distinct, so a fancy-indexed += adds each once
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            table.grad[uniq] += d_proj @ kernel.T
 
-    return _make(data, (windows, w), backward, "conv_max")
+    return _make(data, (table, w), backward, "conv_max")
 
 
 # -- nonlinearities ----------------------------------------------------------

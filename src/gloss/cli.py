@@ -358,7 +358,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _read_config(args.config) if args.config else {}
         vars(args).update({k: v for k, v in config.items() if getattr(args, k, None) is None})
-        return args.func(args)
+        # a non-finite value ends the command with exit 2 through
+        # NonFiniteError, so numpy's own warnings about it are noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as err:
         # CliError, CorpusError and CheckpointError are all ValueErrors
         print(f"error: {err}", file=sys.stderr)

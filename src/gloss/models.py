@@ -215,9 +215,6 @@ class CnnEncoder(Module):
         mask = np.pad(mask, ((0, 0), (0, pad)))
         pooled = []
         for width, kernel in zip(self.config.cnn_filter_sizes, self.kernels):
-            # one gather per width: (B, W, width) ids -> (B, W, width * E)
-            window_ids = sliding_window_view(ids, width, axis=1)
-            windows = self.embed(window_ids).reshape(*window_ids.shape[:2], -1)
             # a window is valid only when fully inside the sequence, so
             # padding can never win the max; rows shorter than the filter
             # fall back to their first window
@@ -225,7 +222,8 @@ class CnnEncoder(Module):
             valid[valid.sum(axis=1) == 0, 0] = 1.0
             # x -> x + b and relu are monotone, so relu(max(x) + b) is
             # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
-            pooled.append(ad.relu(ad.conv_max(windows, kernel.w, valid) + kernel.b))
+            pooled.append(ad.relu(ad.conv_max(self.embed.w, ids, kernel.w, valid)
+                                  + kernel.b))
         return ad.tanh(self.proj(ad.concat(pooled, axis=1)))
 
 

@@ -65,8 +65,9 @@ def made_ops(monkeypatch) -> list:
     node = ad._node
 
     def recording_node(data, parents, backward):
-        # every op output is built here, through _make (which knows the op
-        # name) or straight from the op function (reshape, slice_axis,
+        # every op output is built here: through _make, which knows the op
+        # name (conv_max, which gathers its own rows, among them), or
+        # straight from an op that only moves elements (reshape, slice_axis,
         # embedding_lookup, concat)
         caller = sys._getframe(1)
         if caller.f_code.co_name == "_make":

@@ -49,11 +49,13 @@ def gradient_cases(rng) -> list:
     w3 = Tensor(rng.normal(size=3))
     w4 = Tensor(rng.normal(size=4))
     w224 = Tensor(rng.normal(size=(2, 2, 4)))
-    # row 0's last window is masked; row 1 keeps only its first (fallback) window
+    # width-2 windows over (2, 4) ids with a repeated token: row 0's last
+    # window is masked; row 1 keeps only its first (fallback) window
+    conv_ids = np.array([[0, 2, 1, 2], [1, 1, 0, 2]])
     valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    w83 = Tensor(rng.normal(size=(8, 3)))
+    w32 = Tensor(rng.normal(size=(3, 2)))
     w23 = Tensor(rng.normal(size=(2, 3)))
-    w24 = Tensor(rng.normal(size=(2, 4)))
-    w233 = Tensor(rng.normal(size=(2, 3, 3)))
     cases = [
         lambda t: ad.matmul(t, w42).sum(),
         lambda t: ad.matmul(w53, t.reshape(3, 4)).sum(),
@@ -71,8 +73,8 @@ def gradient_cases(rng) -> list:
         lambda t: t.max(axis=1).sum(),
         lambda t: ad.slice_axis(t, 1, 1, 3).sum(),
         lambda t: ad.mul(ad.embedding_lookup(t, ids), w224).sum(),
-        lambda t: ad.mul(ad.conv_max(t.reshape(2, 3, 2), w23, valid), w23).sum(),
-        lambda t: ad.mul(ad.conv_max(w233, t, valid), w24).sum(),
+        lambda t: ad.mul(ad.conv_max(t, conv_ids, w83, valid), w23).sum(),
+        lambda t: ad.mul(ad.conv_max(w32, conv_ids, t.reshape(4, 3), valid), w23).sum(),
     ]
 
     # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs,

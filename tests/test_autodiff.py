@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gloss import autodiff as ad
 from gloss.autodiff import Adam, NonFiniteError, ShapeError, Tensor
@@ -41,12 +42,16 @@ class TestGradientChecks:
 
     @pytest.mark.parametrize("point", range(3))
     def test_matmul_batched(self, rng, point):
-        # the (B, W, K) @ (K, F) window product is computed inside conv_max
-        b = rng.normal(size=(4, 2))
+        # the window product, through conv_max: width-2 windows over (2, 4)
+        # ids with a repeated token, one masked window and one fallback row
+        ids = np.array([[0, 2, 1, 2], [1, 1, 0, 2]])
+        valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        table, kernel = rng.normal(size=(3, 4)), rng.normal(size=(8, 2))
         g = Tensor(rng.normal(size=(2, 2)))
-        valid = np.ones((2, 3))
-        check_op(lambda t: ad.mul(ad.conv_max(t, Tensor(b), valid), g).sum(),
-                 rng.normal(size=(2, 3, 4)))
+        check_op(lambda t: ad.mul(ad.conv_max(t, ids, Tensor(kernel), valid), g).sum(),
+                 table)
+        check_op(lambda t: ad.mul(ad.conv_max(Tensor(table), ids, t, valid), g).sum(),
+                 kernel)
 
     @pytest.mark.parametrize("point", range(3))
     def test_softmax(self, rng, point):
@@ -230,67 +235,108 @@ class TestForwardValues:
 
 class TestConvMax:
     @staticmethod
-    def run(windows, w, valid, g):
+    def run(table, ids, w, valid, g):
         """Output of conv_max and the gradients of sum(g * output)."""
-        wt, ww = Tensor(windows, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ad.conv_max(wt, ww, valid)
+        tt, wt = Tensor(table, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv_max(tt, ids, wt, valid)
         ad.mul(out, Tensor(g)).sum().backward()
-        return out.data, wt.grad, ww.grad
+        return out.data, tt.grad, wt.grad
 
     @staticmethod
-    def reference(windows, w, valid, g):
-        """The unfused pooling: a 3-D product, a -1e9 mask added to the
-        invalid windows and Tensor.max, then the matrix product's gradient
-        expressions applied to the scores' gradient."""
-        scores = Tensor(windows @ w, requires_grad=True)
-        pooled = (scores + Tensor((valid[:, :, None] - 1.0) * 1e9)).max(axis=1)
-        ad.mul(pooled, Tensor(g)).sum().backward()
+    def reference(table, ids, w, valid, g):
+        """The plain window product: gathered (B, W, K) windows @ w, the
+        invalid windows set to -inf and the max over windows, then the
+        matrix product's gradient expressions applied to the gradient of
+        each row's first maximum and scattered back to the table."""
+        width = w.shape[0] // table.shape[1]
+        window_ids = sliding_window_view(ids, width, axis=1)
+        windows = table[window_ids].reshape(*window_ids.shape[:2], -1)
+        scores = windows @ w
+        scores[valid == 0] = -np.inf
+        d_scores = np.zeros_like(scores)
+        np.put_along_axis(d_scores, scores.argmax(axis=1)[:, None], g[:, None], axis=1)
+        d_table = np.zeros_like(table)
+        np.add.at(d_table, window_ids.reshape(-1),
+                  (d_scores @ w.T).reshape(-1, table.shape[1]))
         k, n = w.shape
-        return (pooled.data, scores.grad @ w.T,
-                windows.reshape(-1, k).T @ scores.grad.reshape(-1, n))
+        return (scores.max(axis=1), d_table,
+                windows.reshape(-1, k).T @ d_scores.reshape(-1, n))
 
     @staticmethod
-    def ragged(rng, batch, n_windows, k, n):
-        windows = rng.normal(size=(batch, n_windows, k))
+    def ragged(rng, batch, steps, n_embed, n_filters, width, vocab):
+        ids = rng.integers(0, vocab, size=(batch, steps))
+        n_windows = steps - width + 1
         n_valid = rng.integers(0, n_windows + 1, size=batch)
         n_valid[0] = n_windows
         valid = (np.arange(n_windows)[None] < n_valid[:, None]).astype(float)
         valid[n_valid == 0, 0] = 1.0  # the CNN encoder's fallback window
-        return windows, rng.normal(size=(k, n)) * 0.1, valid, rng.normal(size=(batch, n))
+        return (rng.normal(size=(vocab, n_embed)), ids,
+                rng.normal(size=(width * n_embed, n_filters)) * 0.1, valid,
+                rng.normal(size=(batch, n_filters)))
 
-    @pytest.mark.parametrize("shape", [(7, 9, 12, 5), (64, 40, 288, 256)])
-    def test_matches_masked_matmul_and_max_bitwise(self, rng, shape):
-        windows, w, valid, g = self.ragged(rng, *shape)
-        got = self.run(windows, w, valid, g)
-        want = self.reference(windows, w, valid, g)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    def check_against_reference(self, args):
+        for got, want in zip(self.run(*args), self.reference(*args)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # a ragged small batch, then the serving shape: 64 rows of 41 tokens
+    # from a 51-token vocabulary, 256 filters of width 6
+    @pytest.mark.parametrize("shape", [(7, 11, 4, 5, 3, 9), (64, 41, 48, 256, 6, 51)])
+    def test_matches_window_product(self, rng, shape):
+        self.check_against_reference(self.ragged(rng, *shape))
+
+    def test_all_ids_distinct(self, rng):
+        table, _, w, valid, g = self.ragged(rng, 6, 9, 4, 5, 3, 54)
+        ids = rng.permutation(54).reshape(6, 9)
+        self.check_against_reference((table, ids, w, valid, g))
+
+    def test_token_in_several_windows_adds_up(self):
+        # filter 0 reads a window's first token and filter 1 its second: in
+        # row 0 the token at position 1 fills both winning windows, in row 1
+        # token 2 wins once at position 0 and once at position 2
+        table = np.array([[0.0], [1.0], [2.0]])
+        out, d_table, d_w = self.run(table, np.array([[1, 2, 1], [2, 1, 2]]), np.eye(2),
+                                     np.ones((2, 2)), np.array([[5.0, 7.0], [11.0, 13.0]]))
+        np.testing.assert_array_equal(out, [[2.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(d_table, [[0.0], [0.0], [36.0]])
+        np.testing.assert_array_equal(d_w, [[32.0, 20.0], [16.0, 40.0]])
 
     def test_ties_send_gradient_to_first_maximum(self):
-        # row 1's masked windows score 0, above the valid -2, and must not win
-        windows = np.array([[[3.0], [1.0], [3.0], [5.0]], [[2.0], [2.0], [0.0], [0.0]]])
-        valid = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
-        out, d_windows, d_w = self.run(windows, np.array([[1.0, -1.0]]), valid,
-                                       np.array([[5.0, 7.0], [11.0, 13.0]]))
+        # row 0 repeats the window of token 3 and ties it with token 5's
+        # equal score: the gradient goes once, to the first; row 1's masked
+        # windows score 0, above the valid -2, and must not win
+        table = np.array([[0.0], [1.0], [2.0], [3.0], [5.0], [3.0]])
+        ids = np.array([[3, 1, 3, 5, 4], [2, 2, 0, 0, 0]])
+        valid = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0]])
+        out, d_table, d_w = self.run(table, ids, np.array([[1.0, -1.0]]), valid,
+                                     np.array([[5.0, 7.0], [11.0, 13.0]]))
         np.testing.assert_array_equal(out, [[3.0, -1.0], [2.0, -2.0]])
-        np.testing.assert_array_equal(d_windows[..., 0],
-                                      [[5.0, -7.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(d_table[:, 0], [0.0, -7.0, -2.0, 5.0, 0.0, 0.0])
         np.testing.assert_array_equal(d_w, [[37.0, 33.0]])
 
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_index_error(self, bad_id):
+        ids = np.array([[0, 1, bad_id]])
+        with pytest.raises(IndexError):
+            ad.conv_max(Tensor(np.ones((3, 2))), ids, Tensor(np.ones((4, 2))), np.ones((1, 2)))
+
+    # ``windows`` is the shape of the ids the windows are cut from; the
+    # table is (3, 2), so a kernel of 4 rows has width 2
     @pytest.mark.parametrize("windows,w,valid", [
-        ((3, 4), (4, 2), (3, 4)),
-        ((2, 3, 4), (4, 2, 1), (2, 3)),
-        ((2, 3, 4), (5, 2), (2, 3)),
-        ((2, 3, 4), (4, 2), (2, 4)),
+        ((2, 3, 4), (4, 2), (2, 2)),
+        ((2, 3), (4, 2, 1), (2, 2)),
+        ((2, 3), (5, 2), (2, 2)),
+        ((2, 3), (4, 2), (2, 3)),
     ])
     def test_shape_errors(self, windows, w, valid):
         with pytest.raises(ShapeError):
-            ad.conv_max(Tensor(np.ones(windows)), Tensor(np.ones(w)), np.ones(valid))
+            ad.conv_max(Tensor(np.ones((3, 2))), np.zeros(windows, dtype=int),
+                        Tensor(np.ones(w)), np.ones(valid))
 
     def test_row_without_valid_window(self):
         valid = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="valid window"):
-            ad.conv_max(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), valid)
+            ad.conv_max(Tensor(np.ones((3, 2))), np.zeros((2, 4), dtype=int),
+                        Tensor(np.ones((4, 2))), valid)
 
 
 class TestTapeSemantics:

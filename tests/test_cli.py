@@ -3,6 +3,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,16 +211,23 @@ class TestTrain:
                        "--quiet") == 1
 
     def test_divergence_exit_code(self, numeric_corpus, tmp_path):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = run_cli("train", "--corpus", numeric_corpus, "--schema",
-                           "skytrax", "--mode", "baseline",
-                           "--out", tmp_path / "d.ckpt", "--epochs", "1",
-                           "--encoder", "bow", "--hidden-dim", "16",
-                           "--embedding-dim", "12", "--lr", "1e200",
-                           "--seed", "1", "--quiet")
+        code = run_cli("train", "--corpus", numeric_corpus, "--schema",
+                       "skytrax", "--mode", "baseline",
+                       "--out", tmp_path / "d.ckpt", "--epochs", "1",
+                       "--encoder", "bow", "--hidden-dim", "16",
+                       "--embedding-dim", "12", "--lr", "1e200",
+                       "--seed", "1", "--quiet")
         assert code == 2
+
+    def test_divergence_stderr_is_one_line(self, small_corpus, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gloss.cli", "pretrain-c", "--corpus", str(small_corpus),
+             "--schema", "skytrax", "--out", str(tmp_path / "c.ckpt"), "--lr", "1e300",
+             "--max-epochs", "2"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "diverged: non-finite value produced by matmul\n"
 
 
 @pytest.fixture(scope="module")

@@ -220,11 +220,13 @@ class TestMasking:
 
         taped = cnn(ids, mask)
         assert taped.requires_grad
-        assert np.array_equal(taped.data, want)
-        per_width = ["embedding_lookup", "reshape", "conv_max", "add", "relu"]
+        # conv_max sums each window's projected tokens, not one K-long dot
+        # product, so it rounds differently from the loop
+        np.testing.assert_allclose(taped.data, want, rtol=0, atol=1e-12)
+        per_width = ["conv_max", "add", "relu"]
         assert made_ops == per_width * len(widths) + ["concat", "matmul", "add", "tanh"]
         with ad.no_grad():
-            assert np.array_equal(cnn(ids, mask).data, want)
+            assert np.array_equal(cnn(ids, mask).data, taped.data)
 
 
 class TestPredictor:
