@@ -402,10 +402,25 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "tanh")
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: exp(min(x, 0)) / (exp(-|x|) + 1).
+
+    Bit for bit the masked form (1 where x >= 0, else exp(-|x|)) over
+    1 + exp(-|x|), NaN signs included, which is why the minimum is ``fmin``.
+    ``scratch`` is a buffer of x's shape that must not overlap ``out``;
+    ``out`` may be ``x``.
+    """
+    out = np.empty_like(x) if out is None else out
+    e = np.empty_like(x) if scratch is None else scratch
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    np.fmin(x, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= e
+    return out
 
 
 def relu(a: Tensor) -> Tensor:
@@ -581,6 +596,19 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # h <- h + m * (h_new - h); with no mask every step replaces it. The
 # (B, T, H) output holds the state after each position, so the final state
 # of a forward pass is position T-1 and of a reverse pass position 0.
+#
+# The LSTM keeps its per-step work gate-major, so that each elementwise
+# call runs over contiguous memory: the gate activations are (T, 4, B, H)
+# and the bias add copies the (B, 4H) recurrent product into a (4, B, H)
+# buffer. h and c share one (2, slots, B, H) block, so one masked carry
+# moves both; under a tape it keeps every step after a zero slot 0, and
+# without one a single slot is updated in place and each h copied out.
+# Backward builds each step's (4, B, H) gate gradient and copies it once
+# into the (T, B, 4H) array that feeds the recurrent and weight products.
+# Every step writes into buffers allocated once per call. Each value is
+# computed by the same float operations, in the same order, as the
+# batch-major loop before this layout, so outputs and gradients are
+# bitwise those of that loop (tests/test_recurrence_bitwise.py).
 
 
 def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str):
@@ -643,47 +671,92 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tenso
     record = _recording(parents)
     steps, batch, _ = proj.shape
     nh = w_h.shape[0]
+    if record:
+        # [h, c] before the first step and after each step
+        hc = np.zeros((2, steps + 1, batch, nh))
+        states = hc[0, 1:]
+    else:
+        # one [h, c] slot updated in place; each step's h is copied out
+        hc = np.zeros((2, 1, batch, nh))
+        states = np.empty((steps, batch, nh))
     slots = steps if record else 1  # without a tape, one reused slot
-    states = np.empty((steps, batch, nh))
-    cells = np.empty((slots, batch, nh))
-    acts = np.empty((slots, batch, 4 * nh))  # sigmoid(i, f, o), tanh(g)
+    acts = np.empty((slots, 4, batch, nh))  # sigmoid(i, f, o), tanh(g)
     tanh_c = np.empty((slots, batch, nh))
-    h = c = np.zeros((batch, nh))
+    gates = np.empty((batch, 4 * nh))  # the recurrent product
+    pre = np.empty((4, batch, nh))  # gate pre-activations
+    # each step is done with gates and pre before it writes these views
+    sig_scratch = gates.reshape(4, batch, nh)[:3]
+    new = pre[:2]  # [h, c] of the step before masking
+    b4 = b.data.reshape(4, 1, nh)
     for t in range(steps):
         k = t if record else 0
-        gates = h @ w_h.data
+        prev = hc[:, k]
+        cur = hc[:, k + 1] if record else prev
+        np.matmul(prev[0], w_h.data, out=gates)
         gates += proj[t]
-        gates += b.data
+        np.add(gates.reshape(batch, 4, nh).transpose(1, 0, 2), b4, out=pre)
         act = acts[k]
-        _sigmoid(gates[:, :3 * nh], out=act[:, :3 * nh])
-        np.tanh(gates[:, 3 * nh:], out=act[:, 3 * nh:])
-        c_new = act[:, nh:2 * nh] * c
-        c_new += act[:, :nh] * act[:, 3 * nh:]
-        h_new = act[:, 2 * nh:3 * nh] * np.tanh(c_new, out=tanh_c[k])
-        _carry(h, h_new, mask, t, states[t])
-        _carry(c, c_new, mask, t, cells[k])
-        h, c = states[t], cells[k]
+        _sigmoid(pre[:3], out=act[:3], scratch=sig_scratch)
+        np.tanh(pre[3], out=act[3])
+        # c = f * c + i * g and h = o * tanh(c), new[0] holding i * g first
+        np.multiply(act[1], prev[1], out=new[1])
+        np.multiply(act[0], act[3], out=new[0])
+        new[1] += new[0]
+        np.multiply(act[2], np.tanh(new[1], out=tanh_c[k]), out=new[0])
+        if mask is None:
+            cur[...] = new
+        else:
+            new -= prev
+            new *= mask[t]
+            np.add(prev, new, out=cur)
+        if not record:
+            states[t] = cur[0]
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         d_gates = np.empty((steps, batch, 4 * nh))
-        dh = dc = 0.0
+        d = np.zeros((2, batch, nh))  # [dh, dc] passed to the step before
+        d_new = np.empty((2, batch, nh))  # their share in this step's new [h, c]
+        dgm = np.empty((4, batch, nh))  # one step's gate gradients, gate-major
+        deriv = np.empty((3, batch, nh))
+        tmp = np.empty((batch, nh))
         for t in range(steps - 1, -1, -1):
-            dh_new, dh = _split_carry(dh + grad[t], mask, t)
-            dc_new, dc = _split_carry(dc, mask, t)
+            d[0] += grad[t]
+            if mask is None:
+                d, d_new = d_new, d
+                d.fill(0.0)
+            else:
+                np.multiply(mask[t], d, out=d_new)
+                d -= d_new
+            dh_new, dc_new = d_new
             act = acts[t]
-            ifo, g = act[:, :3 * nh], act[:, 3 * nh:]
             tc = tanh_c[t]
-            dc_new = dc_new + dh_new * act[:, 2 * nh:3 * nh] * (1.0 - tc * tc)
+            # dc_new += dh_new * o * (1 - tanh(c)^2), dgm[2] as scratch
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dh_new, act[2], out=dgm[2])
+            dgm[2] *= tmp
+            dc_new += dgm[2]
+            # gate gradients before the activations' derivatives
+            np.multiply(dc_new, act[3], out=dgm[0])
+            np.multiply(dc_new, hc[1, t], out=dgm[1])
+            np.multiply(dh_new, tc, out=dgm[2])
+            # sigmoid' = s * (1 - s) for i, f, o; tanh' = 1 - g^2 for g
+            np.subtract(1.0, act[:3], out=deriv)
+            deriv *= act[:3]
+            dgm[:3] *= deriv
+            np.multiply(act[3], act[3], out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dc_new, act[0], out=dgm[3])
+            dgm[3] *= tmp
+            # dc += dc_new * f and dh += dg @ w_h^T
+            np.multiply(dc_new, act[1], out=tmp)
+            d[1] += tmp
             dg = d_gates[t]
-            np.multiply(dc_new, g, out=dg[:, :nh])
-            np.multiply(dc_new, cells[t - 1] if t else 0.0, out=dg[:, nh:2 * nh])
-            np.multiply(dh_new, tc, out=dg[:, 2 * nh:3 * nh])
-            dg[:, :3 * nh] *= ifo * (1.0 - ifo)
-            np.multiply(dc_new * act[:, :nh], 1.0 - g * g, out=dg[:, 3 * nh:])
-            dc = dc + dc_new * act[:, nh:2 * nh]
-            dh = dh + dg @ w_h_t
+            dg.reshape(batch, 4, nh)[...] = dgm.transpose(1, 0, 2)
+            np.matmul(dg, w_h_t, out=tmp)
+            d[0] += tmp
         flat = d_gates.reshape(steps * batch, 4 * nh)
         if w_h.requires_grad:
             # step 0 starts from the zero state and adds nothing
@@ -718,12 +791,13 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     zr_all = np.empty((slots, batch, 2 * nh))
     cand_all = np.empty((slots, batch, nh))
     rh_all = np.empty((slots, batch, nh))
+    sig_scratch = np.empty((batch, 2 * nh))
     h = h_init
     for t in order:
         k = t if record else 0
         pre = h @ w_h.data
         pre += proj[t, :, :2 * nh]
-        zr = _sigmoid(pre, out=zr_all[k])
+        zr = _sigmoid(pre, out=zr_all[k], scratch=sig_scratch)
         rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
         pre = rh @ w_hn.data
         pre += proj[t, :, 2 * nh:]

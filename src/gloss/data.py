@@ -40,8 +40,10 @@ class CorpusError(ValueError):
 # -- tokenization --------------------------------------------------------------
 
 # Deterministic rule tokenizer standing in for a full NLP tokenizer:
-# lowercase, keep decimal numbers whole, split punctuation off words.
-_TOKEN_RE = re.compile(r"\d+\.\d+|\d+|[a-z]+(?:'[a-z]+)*|[^\sa-z0-9]")
+# lowercase, keep decimal numbers whole, split punctuation off words. The
+# alternatives start with disjoint character classes, so their order picks
+# no token; words, the commonest, come first.
+_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*|\d+(?:\.\d+)?|[^\sa-z0-9]")
 
 
 def tokenize(text: str) -> list[str]:

@@ -215,13 +215,32 @@ class TestForwardValues:
 
     def test_sigmoid_matches_masked_formula_bitwise(self, rng):
         x = np.concatenate([rng.normal(size=200) * 20,
-                            [-800.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 800.0]])
+                            [-800.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 800.0,
+                             np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                             2.2e-308, -2.2e-308, 709.0, -745.0]])
         want = np.empty_like(x)
         pos = x >= 0
         want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         want[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(ad._sigmoid(x), want)
+        bits = want.view(np.uint64)
+        assert np.array_equal(ad._sigmoid(x).view(np.uint64), bits)
+        # 2-D input, and a strided out= with a scratch buffer
+        x2 = x.reshape(7, 31)
+        assert np.array_equal(ad._sigmoid(x2).view(np.uint64), bits.reshape(7, 31))
+        buf = np.full((x.size, 3), 7.0)
+        got = ad._sigmoid(x, out=buf[:, 1], scratch=np.empty_like(x))
+        assert got.base is buf
+        assert np.array_equal(buf[:, 1].view(np.uint64), bits)
+        assert (buf[:, [0, 2]] == 7.0).all()
+        # in place: out may be the input itself
+        inplace = x2.copy()
+        ad._sigmoid(inplace, out=inplace)
+        assert np.array_equal(inplace.view(np.uint64), bits.reshape(7, 31))
+
+    def test_sigmoid_keeps_nan(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ad._sigmoid(np.array([np.nan, -np.nan]))).all()
 
     def test_sigmoid_tanh_zero(self):
         assert ad._sigmoid(np.array(0.0)) == 0.5
