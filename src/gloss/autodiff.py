@@ -716,11 +716,11 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tenso
         grad = grad.transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         d_gates = np.empty((steps, batch, 4 * nh))
-        d = np.zeros((2, batch, nh))  # [dh, dc] passed to the step before
-        d_new = np.empty((2, batch, nh))  # their share in this step's new [h, c]
-        dgm = np.empty((4, batch, nh))  # one step's gate gradients, gate-major
-        deriv = np.empty((3, batch, nh))
-        tmp = np.empty((batch, nh))
+        # one block, which left less heap behind than five arrays: [dh, dc]
+        # passed to the step before, their share in this step's new [h, c],
+        # the step's gate gradients gate-major, sigmoid derivatives, scratch
+        work = np.zeros((12, batch, nh))
+        d, d_new, dgm, deriv, tmp = work[:2], work[2:4], work[4:8], work[8:11], work[11]
         for t in range(steps - 1, -1, -1):
             d[0] += grad[t]
             if mask is None:
