@@ -606,9 +606,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # Backward builds each step's (4, B, H) gate gradient and copies it once
 # into the (T, B, 4H) array that feeds the recurrent and weight products.
 # Every step writes into buffers allocated once per call. Each value is
-# computed by the same float operations, in the same order, as the
-# batch-major loop before this layout, so outputs and gradients are
-# bitwise those of that loop (tests/test_recurrence_bitwise.py).
+# computed by the same float operations, in the same order, as in a plain
+# batch-major loop, so outputs and gradients are bitwise those of that
+# loop (tests/test_recurrence_bitwise.py keeps it as the reference).
 
 
 def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str):

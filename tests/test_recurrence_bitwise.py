@@ -1,10 +1,10 @@
-"""The LSTM op against the batch-major loop it replaced, bit for bit.
+"""The LSTM op against a plain batch-major loop, bit for bit.
 
-``reference_lstm_sequence`` is ``autodiff.lstm_sequence`` as it was before
-the gates went gate-major: (B, 4H) gate rows, a temporary per elementwise
-call and the masked sigmoid formula. The arithmetic of each value is the
-same in both, so outputs and gradients must match exactly, not to a
-tolerance.
+``reference_lstm_sequence`` keeps the gates as (B, 4H) rows, makes a
+temporary for each elementwise call and uses the masked sigmoid formula.
+It computes each value by the same float operations in the same order as
+``autodiff.lstm_sequence``, so outputs and gradients must match exactly,
+not to a tolerance.
 """
 from __future__ import annotations
 
