@@ -58,9 +58,42 @@ def sentence_count(tokens: list[str]) -> int:
 
 # -- examples ------------------------------------------------------------------
 
+_RAW = "_raw_"  # prefix of the instance attribute holding a field's raw text
+
+
+class _LazyText:
+    """Lets an example hold its text fields as raw strings until they are read.
+
+    ``example_from_record`` builds examples this way, so a corpus can be
+    filtered and split without tokenizing what is then thrown away. The
+    first read of a field tokenizes it and stores the tokens as a plain
+    attribute, so later reads cost nothing, and drops the raw string.
+    """
+
+    def __getattr__(self, name):
+        # reached only while ``name`` is not an instance attribute yet
+        try:
+            text = self.__dict__.pop(_RAW + name)
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        tokens = self.__dict__[name] = tokenize(text)
+        return tokens
+
+    @classmethod
+    def _from_text(cls, texts: dict, **fields):
+        example = object.__new__(cls)
+        vars(example).update({_RAW + name: text for name, text in texts.items()}, **fields)
+        return example
+
+
+def _raw_text(example, name: str):
+    """The raw text of ``example``'s field ``name``, or None once it is tokens."""
+    return vars(example).get(_RAW + name)
+
 
 @dataclass
-class PCMagExample:
+class PCMagExample(_LazyText):
     """A review with three polarity comments and a half-point overall score."""
 
     review: list[str]
@@ -78,7 +111,7 @@ class PCMagExample:
 
 
 @dataclass
-class SkytraxExample:
+class SkytraxExample(_LazyText):
     """A review with five integer sub-field scores and an integer overall."""
 
     review: list[str]
@@ -104,28 +137,37 @@ def _require(record: dict, key: str):
     return record[key]
 
 
+def _text(record: dict, key: str) -> str:
+    value = _require(record, key)
+    if not isinstance(value, str):
+        raise CorpusError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _review(record: dict) -> str:
+    review = _text(record, "review")
+    # exactly when tokenize(review) == []
+    if _TOKEN_RE.search(review.lower()) is None:
+        raise CorpusError("empty review")
+    return review
+
+
 def example_from_record(record: dict, schema: str):
-    """Validate one JSONL record and build the schema's example type."""
+    """Validate one JSONL record and build the schema's example type.
+
+    The text fields stay raw strings until first read (see ``_LazyText``).
+    """
     if schema == "pcmag":
-        review = tokenize(str(_require(record, "review")))
-        if not review:
-            raise CorpusError("empty review")
+        review = _review(record)
         overall = _require(record, "overall")
         if not isinstance(overall, (int, float)) or isinstance(overall, bool):
             raise CorpusError(f"overall must be a number, got {overall!r}")
-        ex = PCMagExample(
-            review=review,
-            pos=tokenize(str(_require(record, "pos"))),
-            neg=tokenize(str(_require(record, "neg"))),
-            neu=tokenize(str(_require(record, "neu"))),
-            overall=float(overall),
-        )
+        texts = {"review": review} | {pol: _text(record, pol) for pol in POLARITIES}
+        ex = PCMagExample._from_text(texts, overall=float(overall))
         ex.label  # validates the grid
         return ex
     if schema == "skytrax":
-        review = tokenize(str(_require(record, "review")))
-        if not review:
-            raise CorpusError("empty review")
+        review = _review(record)
         scores = []
         for name in SUBSCORE_FIELDS:
             value = _require(record, name)
@@ -135,7 +177,8 @@ def example_from_record(record: dict, schema: str):
         overall = _require(record, "overall")
         if not isinstance(overall, int) or isinstance(overall, bool) or not 1 <= overall <= 10:
             raise CorpusError(f"overall must be an integer in 1..10, got {overall!r}")
-        return SkytraxExample(review=review, subscores=tuple(scores), overall=overall)
+        return SkytraxExample._from_text({"review": review}, subscores=tuple(scores),
+                                         overall=overall)
     raise CorpusError(f"unknown schema {schema!r}")
 
 
@@ -166,8 +209,9 @@ def load_jsonl(path, schema: str) -> tuple[list, list[str]]:
     """
     examples = []
     diagnostics = []
-    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # undecodable bytes become lone surrogates, which valid UTF-8 never yields;
+    # utf-8-sig drops a byte order mark at the start of the file
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -197,13 +241,32 @@ def write_jsonl(path, records: list[dict]) -> None:
 
 
 def passes_filter(example, schema: str) -> bool:
+    """The schema's length filter.
+
+    A field still held as raw text is tokenized only when a bound taken from
+    the text does not settle the question:
+    - a field has at most ``len(text.lower())`` tokens, as every token is at
+      least one character of the lowered text (``'İ'.lower()`` has two);
+    - a review has at most as many sentence-ender tokens as it has ``.``,
+      ``!`` and ``?`` characters.
+    """
     if schema == "pcmag":
-        if sentence_count(example.review) > PCMAG_MAX_SENTENCES:
+        text = _raw_text(example, "review")
+        if ((text is None or sum(map(text.count, _SENTENCE_ENDERS)) > PCMAG_MAX_SENTENCES)
+                and sentence_count(example.review) > PCMAG_MAX_SENTENCES):
             return False
-        return all(len(c) <= PCMAG_MAX_COMMENT_TOKENS for c in example.comments())
+        return all(_at_most_tokens(example, pol, PCMAG_MAX_COMMENT_TOKENS)
+                   for pol in POLARITIES)
     if schema == "skytrax":
-        return len(example.review) <= SKYTRAX_MAX_REVIEW_TOKENS
+        return _at_most_tokens(example, "review", SKYTRAX_MAX_REVIEW_TOKENS)
     raise CorpusError(f"unknown schema {schema!r}")
+
+
+def _at_most_tokens(example, name: str, cap: int) -> bool:
+    text = _raw_text(example, name)
+    if text is not None and len(text.lower()) <= cap:
+        return True
+    return len(getattr(example, name)) <= cap
 
 
 @dataclass

@@ -1,14 +1,9 @@
 """Corpus-level BLEU and top-k classification accuracy."""
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
 
 import numpy as np
-
-
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
 
 MAX_N = 4  # BLEU-1 .. BLEU-4
 
@@ -20,31 +15,41 @@ def bleu_counts(candidates, references) -> np.ndarray:
     order, the candidate n-grams of each order, then the candidate and
     reference corpus lengths. The counts of disjoint corpora add up to
     those of their union.
+
+    Every token is mapped to an int and each order's n-grams to a dense
+    key that also tells the pairs apart. The keys of order n re-rank the
+    (key of order n-1, next token) pairs, so they stay below the number of
+    tokens instead of growing as V**n, which would overflow int64.
     """
     if len(candidates) != len(references):
         raise ValueError("candidate and reference lists differ in length")
     if not candidates:
         raise ValueError("empty corpus")
+    ids: dict = {}
+    tokens = np.array([ids.setdefault(t, len(ids))
+                       for seq in chain(candidates, references) for t in seq], dtype=np.int64)
+    lengths = np.array([len(seq) for seq in chain(candidates, references)])
+    n_pairs, n_tokens = len(candidates), len(tokens)
+    seq_of = np.repeat(np.arange(2 * n_pairs), lengths)
+    # tokens from each position to the end of its sequence
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
+    from_cand = seq_of < n_pairs
+    vocab = len(ids)
+    key = np.unique(seq_of % n_pairs * vocab + tokens, return_inverse=True)[1]
     matched = np.zeros(MAX_N)
     total = np.zeros(MAX_N)
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand = list(cand)
-        ref = list(ref)
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, MAX_N + 1):
-            cand_counts = _ngram_counts(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += sum(cand_counts.values())
-            matched[n - 1] += sum(
-                min(count, ref_counts.get(gram, 0))
-                for gram, count in cand_counts.items()
-            )
-    return np.concatenate([matched, total, [cand_len, ref_len]])
+    for n in range(1, MAX_N + 1):
+        if n > 1:
+            key = np.unique(key[:-1] * vocab + tokens[n - 1:], return_inverse=True)[1]
+        m = len(key)
+        starts = left[:m] >= n  # the n-grams within one sequence
+        in_cand = starts & from_cand[:m]
+        cand = np.bincount(key[in_cand], minlength=m)
+        ref = np.bincount(key[starts ^ in_cand], minlength=m)
+        matched[n - 1] = np.minimum(cand, ref).sum()
+        total[n - 1] = cand.sum()
+    return np.concatenate([matched, total,
+                           [lengths[:n_pairs].sum(), lengths[n_pairs:].sum()]])
 
 
 def bleu_scores(counts: np.ndarray) -> dict[str, float]:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gloss import checkpoint, cli, framework
+from gloss import checkpoint, cli, data, framework
 from gloss.cli import main
-from gloss.data import load_jsonl
+from gloss.data import POLARITIES, filter_and_split, load_jsonl
 from gloss.framework import TrainConfig, TrainResult
 from gloss.models import CvaeConfig, EncoderConfig
 
@@ -399,6 +399,34 @@ class TestEvalAndExplain:
         report = json.loads(report_path.read_text())
         assert report["top3"] >= report["top1"]
         assert set(report["fields"]) == {"s", "c", "f", "i", "t"}
+
+    @pytest.mark.parametrize("schema", ["skytrax", "pcmag"])
+    def test_eval_tokenizes_only_the_scored_split(self, schema, numeric_corpus, text_corpus,
+                                                  trained_model, text_model, monkeypatch):
+        corpus, ckpt, fields = {
+            "skytrax": (numeric_corpus, trained_model[0], ("review",)),
+            "pcmag": (text_corpus, text_model, ("review",) + POLARITIES)}[schema]
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        # every line is settled by the raw-text bounds of passes_filter
+        assert all(len(r[f].lower()) <= 75 for r in records for f in fields[1:])
+        assert all(len(r["review"].lower()) <= 300 if schema == "skytrax"
+                   else sum(map(r["review"].count, ".!?")) <= 70 for r in records)
+        examples, _ = load_jsonl(corpus, schema)
+        position = {id(ex): i for i, ex in enumerate(examples)}
+        test = filter_and_split(examples, schema, cli.SPLIT_SEED).test
+        scored = sorted(records[position[id(ex)]][f] for ex in test for f in fields)
+
+        tokenized = []
+        tokenize = data.tokenize
+
+        def recording(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(data, "tokenize", recording)
+        assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus,
+                       "--split", "test", "--quiet") == 0
+        assert sorted(tokenized) == scored
 
     def test_explain_roundtrips_through_loader(self, numeric_corpus,
                                                trained_model, tmp_path):

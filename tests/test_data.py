@@ -78,6 +78,31 @@ class TestRecords:
         with pytest.raises(CorpusError, match="pos"):
             example_from_record({"review": "x", "overall": 3.0}, "pcmag")
 
+    @pytest.mark.parametrize("value", [None, ["x"], 3, {"a": "b"}, True])
+    @pytest.mark.parametrize("schema, key", [("pcmag", "review"), ("pcmag", "pos"),
+                                             ("pcmag", "neg"), ("pcmag", "neu"),
+                                             ("skytrax", "review")])
+    def test_non_string_text_field(self, schema, key, value):
+        record = {"review": "fine.", "pos": "a", "neg": "b", "neu": "c", "overall": 3,
+                  "seat": 1, "cabin": 1, "food": 1, "inflight": 1, "value": 1}
+        record[key] = value
+        with pytest.raises(CorpusError) as info:
+            example_from_record(record, schema)
+        assert str(info.value) == f"{key} must be a string, got {value!r}"
+
+    def test_text_is_tokenized_on_first_read(self):
+        ex = example_from_record({"review": "Fine. OK", "pos": "a", "neg": "b c",
+                                  "neu": "", "overall": 3.0}, "pcmag")
+        assert data._raw_text(ex, "review") == "Fine. OK"
+        tokens = ex.review
+        assert tokens == ["fine", ".", "ok"] and vars(ex)["review"] is tokens
+        assert data._raw_text(ex, "review") is None and ex.review is tokens
+        assert ex == PCMagExample(review=["fine", ".", "ok"], pos=["a"], neg=["b", "c"],
+                                  neu=[], overall=3.0)
+        assert not any(name.startswith(data._RAW) for name in vars(ex))
+        with pytest.raises(AttributeError):
+            ex.nonexistent
+
     def test_extra_keys_ignored(self):
         record = {"review": "fine.", "pos": "a", "neg": "b", "neu": "c",
                   "overall": 3.0, "pred_overall": 2.5}
@@ -141,6 +166,24 @@ class TestLoadJsonl:
         examples, diagnostics = load_jsonl(path, "pcmag")
         assert [ex.overall for ex in examples] == [4.0]
         assert [d.split(":")[0] for d in diagnostics] == ["line 1", "line 2", "line 3"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        record = {"review": "fine .", "pos": "a", "neg": "b", "neu": "c", "overall": 4.0}
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + (json.dumps(record) + "\n").encode() * 2)
+        examples, diagnostics = load_jsonl(path, "pcmag")
+        assert diagnostics == [] and len(examples) == 2
+        assert examples[0].review == ["fine", "."]
+
+    def test_non_string_text_field_is_a_line_diagnostic(self, tmp_path):
+        record = {"review": None, "pos": "a", "neg": "b", "neu": "c", "overall": 4.0}
+        path = tmp_path / "null.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps(dict(record, review="ok", neg=["x"])) + "\n")
+        examples, diagnostics = load_jsonl(path, "pcmag")
+        assert examples == []
+        assert diagnostics == ["line 1: review must be a string, got None",
+                               "line 2: neg must be a string, got ['x']"]
 
     def test_invalid_utf8_is_a_line_diagnostic(self, tmp_path):
         good = json.dumps({"review": "caf\u00e9 .", "seat": 3, "cabin": 3, "food": 3,
@@ -279,3 +322,119 @@ def test_load_jsonl_any_bytes_gives_examples_and_diagnostics(tmp_path, blob, sch
     path.write_bytes(blob)
     examples, diagnostics = load_jsonl(path, schema)
     assert all(isinstance(line, str) for line in diagnostics)
+
+
+# -- lazy loading against an eager reference ----------------------------------
+
+
+def eager_example(record: dict, schema: str):
+    """``example_from_record`` with every text field tokenized at once, for
+    records whose numeric fields are valid."""
+    def text(key):
+        if key not in record:
+            raise CorpusError(f"missing field {key!r}")
+        if not isinstance(record[key], str):
+            raise CorpusError(f"{key} must be a string, got {record[key]!r}")
+        return tokenize(record[key])
+
+    review = text("review")
+    if not review:
+        raise CorpusError("empty review")
+    if schema == "pcmag":
+        return PCMagExample(review=review, pos=text("pos"), neg=text("neg"),
+                            neu=text("neu"), overall=float(record["overall"]))
+    return SkytraxExample(review=review, overall=record["overall"],
+                          subscores=tuple(record[name] for name in data.SUBSCORE_FIELDS))
+
+
+def eager_passes_filter(example, schema: str) -> bool:
+    if schema == "pcmag":
+        return (sentence_count(example.review) <= data.PCMAG_MAX_SENTENCES
+                and all(len(c) <= data.PCMAG_MAX_COMMENT_TOKENS for c in example.comments()))
+    return len(example.review) <= data.SKYTRAX_MAX_REVIEW_TOKENS
+
+
+# Texts on both sides of every bound that ``passes_filter`` reads from raw
+# text: the token caps (300 review tokens, 75 comment tokens) and the
+# 70-sentence cap, reached by long words, lone punctuation, 'İ' (two tokens
+# from one character), and '3.5' (a '.' that ends no sentence).
+BOUNDARY_TEXTS = [
+    " ".join(["longword"] * 300), " ".join(["longword"] * 301),
+    "." * 300, "." * 301, "İ" * 150, "İ" * 151,
+    "a. " * 70, "a. " * 71, "!" * 70, "?" * 71, "3.5 " * 80, "3.5. " * 71,
+    "x " * 75, "x " * 76, "," * 75, "," * 76, "İ" * 37, "İ" * 38,
+    "", " ", "  \t\n ", "...", "!?", "'",
+]
+PIECES = ["word", " ", "İ", "3.5", ".", "!", "?", "don't", "\t", "É", ",", "x", "9"]
+texts = st.one_of(
+    st.sampled_from(BOUNDARY_TEXTS),
+    st.tuples(st.sampled_from(BOUNDARY_TEXTS),
+              st.lists(st.sampled_from(PIECES), max_size=4)).map(lambda t: t[0] + "".join(t[1])),
+    st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+    st.text(max_size=20))
+text_values = st.one_of(texts, texts, texts, st.none(), st.lists(st.just("x"), max_size=1))
+
+
+@pytest.mark.parametrize("text", BOUNDARY_TEXTS, ids=range(len(BOUNDARY_TEXTS)))
+@pytest.mark.parametrize("schema, key", [("pcmag", "review"), ("pcmag", "neg"),
+                                         ("skytrax", "review")])
+def test_filter_bounds_match_eager_reference(schema, key, text):
+    record = {"review": "fine.", "pos": "a", "neg": "b", "neu": "c", "overall": 3,
+              "seat": 1, "cabin": 1, "food": 1, "inflight": 1, "value": 1, key: text}
+    try:
+        eager = eager_example(record, schema)
+    except CorpusError:
+        with pytest.raises(CorpusError, match="empty review"):
+            example_from_record(record, schema)
+        return
+    lazy = example_from_record(record, schema)
+    assert data.passes_filter(lazy, schema) == eager_passes_filter(eager, schema)
+    assert lazy == eager
+
+
+@st.composite
+def corpus_records(draw, schema):
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        names = ["review"] + (list(data.POLARITIES) if schema == "pcmag" else [])
+        record = {name: draw(text_values) for name in names
+                  if draw(st.integers(0, 15))}  # now and then a field is missing
+        if schema == "pcmag":
+            record["overall"] = draw(st.sampled_from([1.0, 2.5, 4, 5.0]))
+        else:
+            record.update((name, draw(st.integers(0, 5))) for name in data.SUBSCORE_FIELDS)
+            record["overall"] = draw(st.integers(1, 10))
+        records.append(record)
+    return records
+
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(drawn=st.data(), schema=st.sampled_from(["pcmag", "skytrax"]))
+def test_lazy_loader_matches_eager_reference(tmp_path, drawn, schema):
+    records = drawn.draw(corpus_records(schema))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    eager, eager_diagnostics = [], []
+    for line_no, record in enumerate(records, start=1):
+        try:
+            eager.append(eager_example(record, schema))
+        except CorpusError as err:
+            eager_diagnostics.append(f"line {line_no}: {err}")
+
+    lazy, diagnostics = load_jsonl(path, schema)
+    assert diagnostics == eager_diagnostics
+    keep = [eager_passes_filter(ex, schema) for ex in eager]
+    assert [data.passes_filter(ex, schema) for ex in lazy] == keep
+    if any(keep):
+        fresh, _ = load_jsonl(path, schema)
+        parts = [[[id(ex) for ex in part] for part in (s.train, s.dev, s.test)]
+                 for s in (filter_and_split(fresh, schema, 5),
+                           filter_and_split(eager, schema, 5))]
+        index = [{id(ex): i for i, ex in enumerate(exs)} for exs in (fresh, eager)]
+        assert ([[index[0][i] for i in part] for part in parts[0]]
+                == [[index[1][i] for i in part] for part in parts[1]])
+    assert lazy == eager
+    assert not any(name.startswith(data._RAW) for ex in lazy for name in vars(ex))

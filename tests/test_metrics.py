@@ -1,9 +1,34 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gloss.metrics import bleu_counts, bleu_scores, corpus_bleu, topk_accuracy
+from gloss.metrics import MAX_N, bleu_counts, bleu_scores, corpus_bleu, topk_accuracy
+
+
+def counter_bleu_counts(candidates, references) -> np.ndarray:
+    """``bleu_counts`` with one ``Counter`` of n-grams per sequence and
+    order, as Papineni et al. (2002) define the clipped counts: the oracle
+    of the array version."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    matched, total = np.zeros(MAX_N), np.zeros(MAX_N)
+    for cand, ref in zip(candidates, references):
+        for n in range(1, MAX_N + 1):
+            cand_counts, ref_counts = ngrams(cand, n), ngrams(ref, n)
+            total[n - 1] += sum(cand_counts.values())
+            matched[n - 1] += sum(min(count, ref_counts[gram])
+                                  for gram, count in cand_counts.items())
+    lengths = [sum(map(len, candidates)), sum(map(len, references))]
+    return np.concatenate([matched, total, lengths])
+
+
+# few token types, so n-grams repeat; "<unk>" is what decoding an
+# out-of-vocabulary id gives, and a reference may hold it literally
+sequences = st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), max_size=9)
 
 
 class TestBleu:
@@ -114,6 +139,39 @@ class TestBleu:
         pairs = [pair for part in parts for pair in part]
         pooled = corpus_bleu([c for c, _ in pairs], [r for _, r in pairs])
         assert bleu_scores(sum(counts)) == pooled
+
+
+class TestBleuCountsOracle:
+    @given(st.lists(st.tuples(sequences, sequences), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_counter_counts(self, pairs):
+        cands, refs = [c for c, _ in pairs], [r for _, r in pairs]
+        got = bleu_counts(cands, refs)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, counter_bleu_counts(cands, refs))
+
+    @pytest.mark.parametrize("cands, refs", [
+        ([[]], [[]]),                                  # no tokens at all
+        ([[], ["a"]], [["a"], []]),                    # empty candidate and reference
+        ([["a", "b", "c"]], [["a", "b", "c", "d"]]),   # candidate shorter than 4
+        ([["a", "a", "a", "a", "a"]], [["a", "a"]]),   # repeats clipped
+        ([["a", "b"], ["b", "c"]], [["x", "a"], ["b", "y"]]),  # no n-gram across pairs
+        ([["<unk>", "b"]], [["<unk>", "b"]]),
+    ])
+    def test_edge_cases(self, cands, refs):
+        np.testing.assert_array_equal(bleu_counts(cands, refs),
+                                      counter_bleu_counts(cands, refs))
+
+    def test_many_distinct_tokens_do_not_overflow(self):
+        # 2**17 token types: a 4-gram code a*V**3 + b*V**2 + c*V + d wraps in
+        # int64, where 4-grams whose first tokens differ by 2**13 collide.
+        # Each reference 4-gram is such a twin of a candidate 4-gram.
+        vocab = [f"t{i}" for i in range(2 ** 17)]
+        ref = [tok for j in range(0, 4000, 4)
+               for tok in (vocab[j + 2 ** 13], vocab[j + 1], vocab[j + 2], vocab[j + 3])]
+        got = bleu_counts([vocab], [ref])
+        np.testing.assert_array_equal(got, counter_bleu_counts([vocab], [ref]))
+        assert got[2] > 0 and got[3] == 0
 
 
 class TestTopkAccuracy:
