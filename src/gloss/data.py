@@ -61,30 +61,44 @@ def sentence_count(tokens: list[str]) -> int:
 _RAW = "_raw_"  # prefix of the instance attribute holding a field's raw text
 
 
-class _LazyText:
-    """Lets an example hold its text fields as raw strings until they are read.
+class _TextField:
+    """A text field that an example built by ``_from_text`` holds as its raw
+    string until it is first read.
 
-    ``example_from_record`` builds examples this way, so a corpus can be
-    filtered and split without tokenizing what is then thrown away. The
-    first read of a field tokenizes it and stores the tokens as a plain
-    attribute, so later reads cost nothing, and drops the raw string.
+    That read tokenizes the string, drops it and stores the tokens as an
+    instance attribute. Later reads find that attribute before this non-data
+    descriptor and never call it.
     """
 
-    def __getattr__(self, name):
-        # reached only while ``name`` is not an instance attribute yet
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, example, owner=None):
+        if example is None:
+            return self
         try:
-            text = self.__dict__.pop(_RAW + name)
+            text = vars(example).pop(_RAW + self.name)
         except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}") from None
-        tokens = self.__dict__[name] = tokenize(text)
+            raise AttributeError(self.name) from None
+        tokens = vars(example)[self.name] = tokenize(text)
         return tokens
 
-    @classmethod
-    def _from_text(cls, texts: dict, **fields):
-        example = object.__new__(cls)
-        vars(example).update({_RAW + name: text for name, text in texts.items()}, **fields)
-        return example
+
+def _text_fields(*names):
+    """Class decorator: the dataclass fields ``names`` become ``_TextField``s."""
+    def decorate(cls):
+        for name in names:
+            setattr(cls, name, _TextField(name))
+        return cls
+    return decorate
+
+
+def _from_text(cls, texts: dict, **fields):
+    """An example of ``cls`` holding ``texts`` as raw strings, so a corpus
+    can be filtered and split without tokenizing what is then thrown away."""
+    example = object.__new__(cls)
+    vars(example).update({_RAW + name: text for name, text in texts.items()}, **fields)
+    return example
 
 
 def _raw_text(example, name: str):
@@ -92,8 +106,9 @@ def _raw_text(example, name: str):
     return vars(example).get(_RAW + name)
 
 
+@_text_fields("review", *POLARITIES)
 @dataclass
-class PCMagExample(_LazyText):
+class PCMagExample:
     """A review with three polarity comments and a half-point overall score."""
 
     review: list[str]
@@ -110,8 +125,9 @@ class PCMagExample(_LazyText):
         return (self.pos, self.neg, self.neu)
 
 
+@_text_fields("review")
 @dataclass
-class SkytraxExample(_LazyText):
+class SkytraxExample:
     """A review with five integer sub-field scores and an integer overall."""
 
     review: list[str]
@@ -155,7 +171,7 @@ def _review(record: dict) -> str:
 def example_from_record(record: dict, schema: str):
     """Validate one JSONL record and build the schema's example type.
 
-    The text fields stay raw strings until first read (see ``_LazyText``).
+    The text fields stay raw strings until first read (see ``_TextField``).
     """
     if schema == "pcmag":
         review = _review(record)
@@ -163,7 +179,7 @@ def example_from_record(record: dict, schema: str):
         if not isinstance(overall, (int, float)) or isinstance(overall, bool):
             raise CorpusError(f"overall must be a number, got {overall!r}")
         texts = {"review": review} | {pol: _text(record, pol) for pol in POLARITIES}
-        ex = PCMagExample._from_text(texts, overall=float(overall))
+        ex = _from_text(PCMagExample, texts, overall=float(overall))
         ex.label  # validates the grid
         return ex
     if schema == "skytrax":
@@ -177,8 +193,8 @@ def example_from_record(record: dict, schema: str):
         overall = _require(record, "overall")
         if not isinstance(overall, int) or isinstance(overall, bool) or not 1 <= overall <= 10:
             raise CorpusError(f"overall must be an integer in 1..10, got {overall!r}")
-        return SkytraxExample._from_text({"review": review}, subscores=tuple(scores),
-                                         overall=overall)
+        return _from_text(SkytraxExample, {"review": review}, subscores=tuple(scores),
+                          overall=overall)
     raise CorpusError(f"unknown schema {schema!r}")
 
 

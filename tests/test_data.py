@@ -408,6 +408,12 @@ def corpus_records(draw, schema):
     return records
 
 
+def split_positions(examples: list, schema: str) -> list[list[int]]:
+    """Where in ``examples`` each member of the train, dev and test split sits."""
+    split = filter_and_split(examples, schema, seed=5)
+    where = {id(ex): i for i, ex in enumerate(examples)}
+    return [[where[id(ex)] for ex in part] for part in (split.train, split.dev, split.test)]
+
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -430,11 +436,6 @@ def test_lazy_loader_matches_eager_reference(tmp_path, drawn, schema):
     assert [data.passes_filter(ex, schema) for ex in lazy] == keep
     if any(keep):
         fresh, _ = load_jsonl(path, schema)
-        parts = [[[id(ex) for ex in part] for part in (s.train, s.dev, s.test)]
-                 for s in (filter_and_split(fresh, schema, 5),
-                           filter_and_split(eager, schema, 5))]
-        index = [{id(ex): i for i, ex in enumerate(exs)} for exs in (fresh, eager)]
-        assert ([[index[0][i] for i in part] for part in parts[0]]
-                == [[index[1][i] for i in part] for part in parts[1]])
+        assert split_positions(fresh, schema) == split_positions(eager, schema)
     assert lazy == eager
     assert not any(name.startswith(data._RAW) for ex in lazy for name in vars(ex))
