@@ -267,15 +267,19 @@ def passes_filter(example, schema: str) -> bool:
       ``!`` and ``?`` characters.
     """
     if schema == "pcmag":
-        text = _raw_text(example, "review")
-        if ((text is None or sum(map(text.count, _SENTENCE_ENDERS)) > PCMAG_MAX_SENTENCES)
-                and sentence_count(example.review) > PCMAG_MAX_SENTENCES):
-            return False
-        return all(_at_most_tokens(example, pol, PCMAG_MAX_COMMENT_TOKENS)
-                   for pol in POLARITIES)
+        return (_at_most_sentences(example, PCMAG_MAX_SENTENCES)
+                and all(_at_most_tokens(example, pol, PCMAG_MAX_COMMENT_TOKENS)
+                        for pol in POLARITIES))
     if schema == "skytrax":
         return _at_most_tokens(example, "review", SKYTRAX_MAX_REVIEW_TOKENS)
     raise CorpusError(f"unknown schema {schema!r}")
+
+
+def _at_most_sentences(example, cap: int) -> bool:
+    text = _raw_text(example, "review")
+    if text is not None and sum(map(text.count, _SENTENCE_ENDERS)) <= cap:
+        return True
+    return sentence_count(example.review) <= cap
 
 
 def _at_most_tokens(example, name: str, cap: int) -> bool:
