@@ -592,8 +592,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # projection is one (T*B, E) @ W_x matmul outside the time loop, the
 # recurrence runs in numpy over time-major arrays, and backward is
 # hand-written backprop through time that gathers the weight gradients in
-# one matmul over all steps. A masked step carries the state:
-# h <- h + m * (h_new - h); with no mask every step replaces it. The
+# one matmul over all steps. Both cells carry a masked step's state by one
+# rule, _carry: h <- h + m * (h_new - h), and split its gradient in place
+# with _split_carry; with no mask every step replaces the state. The
 # (B, T, H) output holds the state after each position, so the final state
 # of a forward pass is position T-1 and of a reverse pass position 0.
 #
@@ -605,10 +606,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # without one a single slot is updated in place and each h copied out.
 # Backward builds each step's (4, B, H) gate gradient and copies it once
 # into the (T, B, 4H) array that feeds the recurrent and weight products.
-# Every step writes into buffers allocated once per call. Each value is
-# computed by the same float operations, in the same order, as in a plain
-# batch-major loop, so outputs and gradients are bitwise those of that
-# loop (tests/test_recurrence_bitwise.py keeps it as the reference).
+# The GRU's (T+1, B, H) state block holds the states and, one slot over,
+# the states each step started from. Every step writes into buffers
+# allocated once per call. Each value is computed by the same float
+# operations, in the same order, as in a plain loop, so outputs and
+# gradients are bitwise those of that loop (tests/test_recurrence_bitwise.py
+# keeps one per cell).
 
 
 def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str):
@@ -652,12 +655,15 @@ def _carry(h: np.ndarray, h_new: np.ndarray, mask, t: int, out: np.ndarray) -> N
         np.add(h, h_new, out=out)
 
 
-def _split_carry(d, mask, t: int):
-    """Gradient of a carried state, split into (new state's, old state's)."""
+def _split_carry(d: np.ndarray, d_new: np.ndarray, mask, t: int):
+    """Split step t's carried-state gradient ``d`` in place, into the buffers
+    (old state's share, new state's share); with no mask they swap."""
     if mask is None:
-        return d, 0.0
-    d_new = mask[t] * d
-    return d_new, d - d_new
+        d_new.fill(0.0)
+        return d_new, d
+    np.multiply(mask[t], d, out=d_new)
+    d -= d_new
+    return d, d_new
 
 
 def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tensor:
@@ -703,12 +709,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tenso
         np.multiply(act[0], act[3], out=new[0])
         new[1] += new[0]
         np.multiply(act[2], np.tanh(new[1], out=tanh_c[k]), out=new[0])
-        if mask is None:
-            cur[...] = new
-        else:
-            new -= prev
-            new *= mask[t]
-            np.add(prev, new, out=cur)
+        _carry(prev, new, mask, t, cur)
         if not record:
             states[t] = cur[0]
 
@@ -723,12 +724,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tenso
         d, d_new, dgm, deriv, tmp = work[:2], work[2:4], work[4:8], work[8:11], work[11]
         for t in range(steps - 1, -1, -1):
             d[0] += grad[t]
-            if mask is None:
-                d, d_new = d_new, d
-                d.fill(0.0)
-            else:
-                np.multiply(mask[t], d, out=d_new)
-                d -= d_new
+            d, d_new = _split_carry(d, d_new, mask, t)
             dh_new, dc_new = d_new
             act = acts[t]
             tc = tanh_c[t]
@@ -784,17 +780,20 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     steps, batch, _ = proj.shape
     nh = w_hn.shape[0]
     proj += b_x.data
-    h_init = np.zeros((batch, nh)) if h0 is None else h0.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    after = 0 if reverse else 1  # step t's state sits in slot t + after
+    block = np.empty((steps + 1, batch, nh))
+    block[steps if reverse else 0] = 0.0 if h0 is None else h0.data
+    states = block[after:after + steps]
+    h_prev = block[1 - after:1 - after + steps]
     slots = steps if record else 1  # without a tape, one reused slot
-    states = np.empty((steps, batch, nh))
     zr_all = np.empty((slots, batch, 2 * nh))
     cand_all = np.empty((slots, batch, nh))
     rh_all = np.empty((slots, batch, nh))
     sig_scratch = np.empty((batch, 2 * nh))
-    h = h_init
     for t in order:
         k = t if record else 0
+        h = h_prev[t]
         pre = h @ w_h.data
         pre += proj[t, :, :2 * nh]
         zr = _sigmoid(pre, out=zr_all[k], scratch=sig_scratch)
@@ -806,21 +805,16 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
         h_new *= zr[:, :nh]
         h_new += cand
         _carry(h, h_new, mask, t, states[t])
-        h = states[t]
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         w_hn_t = np.ascontiguousarray(w_hn.data.T)
-        # the state each step started from
-        if reverse:
-            h_prev = np.concatenate([states[1:], h_init[None]])
-        else:
-            h_prev = np.concatenate([h_init[None], states[:-1]])
         d_proj = np.empty((steps, batch, 3 * nh))
-        dh = 0.0
+        dh, dh_new = np.zeros((2, batch, nh))  # to the step before, to h_new
         for t in reversed(order):
-            dh_new, dh = _split_carry(dh + grad[t], mask, t)
+            dh += grad[t]
+            dh, dh_new = _split_carry(dh, dh_new, mask, t)
             zr = zr_all[t]
             z, r = zr[:, :nh], zr[:, nh:]
             hp, cand = h_prev[t], cand_all[t]
@@ -830,7 +824,9 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
             np.multiply(dh_new, hp - cand, out=dp[:, :nh])
             np.multiply(d_rh, hp, out=dp[:, nh:2 * nh])
             dp[:, :2 * nh] *= zr * (1.0 - zr)
-            dh = dh + z * dh_new + d_rh * r + dp[:, :2 * nh] @ w_h_t
+            dh += z * dh_new
+            dh += d_rh * r
+            dh += dp[:, :2 * nh] @ w_h_t
         flat = d_proj.reshape(steps * batch, 3 * nh)
         if w_h.requires_grad:
             _accumulate(w_h, h_prev.reshape(-1, nh).T @ flat[:, :2 * nh])

@@ -352,10 +352,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# parse_args keeps nothing between calls, so one parser serves every call
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         config = _read_config(args.config) if args.config else {}
         vars(args).update({k: v for k, v in config.items() if getattr(args, k, None) is None})
         # a non-finite value ends the command with exit 2 through

@@ -82,6 +82,14 @@ def final_loss(loss: float, risk_loss: float,
 # -- configuration ----------------------------------------------------------------
 
 
+def _check_split(split: CorpusSplit) -> None:
+    """Reject a split with no train or no dev example: training needs both."""
+    for name, part in (("train", split.train), ("dev", split.dev)):
+        if not part:
+            raise ValueError(f"the {name} split is empty ({len(split.train)} train, "
+                             f"{len(split.dev)} dev, {len(split.test)} test examples)")
+
+
 def _check_schedule(lr: float, **counts: int) -> None:
     """Reject an lr that is not finite and > 0, or a count below 1."""
     if not 0 < lr < np.inf:  # a chained comparison is False for NaN, here and below
@@ -201,6 +209,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
     constructor's default sizes.
     """
     _check_schedule(lr, batch_size=batch_size, max_epochs=max_epochs)
+    _check_split(split)
     form = FORM_BY_SCHEMA[schema]
     rng = np.random.default_rng(seed)
     n_classes = N_CLASSES[schema]
@@ -309,6 +318,7 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
             raise ValueError("gef mode requires a pre-trained classifier")
         if not classifier.frozen:
             raise ValueError("classifier must be frozen before gef training")
+    _check_split(split)
 
     params = bundle.parameters()
     if optimizer is None:

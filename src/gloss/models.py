@@ -22,6 +22,7 @@ from .data import (BOS, EOS, N_CLASSES, PAD, SUBSCORE_FIELDS, Vocab,
 ENCODER_KINDS = ("bow", "gru", "lstm", "cnn")
 N_CONTROLS = 3  # positive / negative / neutral control signals
 N_LEVELS = 6  # a sub-field score is an integer 0..5
+EMBEDDING_SCALE = 0.1  # standard deviation of the initial embeddings
 
 
 class Module:
@@ -71,8 +72,8 @@ class Linear(Module):
 class Embedding(Module):
     """Randomly initialized token embeddings (no pre-trained import path)."""
 
-    def __init__(self, rng, n_rows: int, dim: int, scale: float = 0.1):
-        self.w = Tensor(rng.normal(0.0, scale, size=(n_rows, dim)), requires_grad=True)
+    def __init__(self, rng, n_rows: int, dim: int):
+        self.w = Tensor(rng.normal(0.0, EMBEDDING_SCALE, size=(n_rows, dim)), requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
         return ad.embedding_lookup(self.w, ids)

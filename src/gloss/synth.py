@@ -122,6 +122,8 @@ def synth_numeric(n: int, seed: int, ambiguity: float = 0.0) -> list[SkytraxExam
 # -- text corpus ----------------------------------------------------------------
 
 N_GRADES = 9
+# the chance that a review's middle sentence drifts to an adjacent grade
+DRIFT_RATE = 0.3
 GRADE_ADJECTIVES = (
     "atrocious", "terrible", "bad", "mediocre", "average",
     "decent", "good", "great", "superb",
@@ -182,7 +184,7 @@ def comment_grade(tokens) -> int:
     return _COMMENT_TO_GRADE[tuple(tokens)]
 
 
-def synth_text(n: int, seed: int, noise: float = 0.3) -> list[PCMagExample]:
+def synth_text(n: int, seed: int) -> list[PCMagExample]:
     """Generate product-style examples whose comments encode a 0..8 grade."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -195,7 +197,7 @@ def synth_text(n: int, seed: int, noise: float = 0.3) -> list[PCMagExample]:
         product = _PRODUCTS[int(rng.integers(len(_PRODUCTS)))]
         # one mention may drift to an adjacent grade for texture
         drift = grade
-        if rng.random() < noise:
+        if rng.random() < DRIFT_RATE:
             drift = min(N_GRADES - 1, max(0, grade + (1 if rng.random() < 0.5 else -1)))
         review = " ".join([
             _TEXT_OPENERS[int(rng.integers(len(_TEXT_OPENERS)))].format(p=product),

@@ -336,6 +336,38 @@ class TestSettings:
             assert run_cli(*base, *extra) == 0
         assert seeds == [11, 5, 7]
 
+    def test_consecutive_calls_share_nothing(self, numeric_corpus, trained_model,
+                                             small_corpus, tmp_path, capsys, train_calls,
+                                             monkeypatch):
+        # main parses with the parser it built once; it builds no other
+        monkeypatch.setattr(cli, "_build_parser", None)
+        synth = ("synth", "--schema", "skytrax", "--n", "5", "--out", tmp_path / "s.jsonl")
+        capsys.readouterr()
+        assert run_cli(*synth, "--quiet") == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*synth) == 0
+        assert capsys.readouterr().err.startswith("wrote 5 skytrax examples")
+
+        ckpt, _ = trained_model
+        evaluate = ("eval", "--checkpoint", ckpt, "--corpus", numeric_corpus, "--quiet")
+        assert run_cli(*evaluate, "--split", "dev") == 0
+        assert "dev%" in capsys.readouterr().out
+        assert run_cli(*evaluate) == 0
+        assert "test%" in capsys.readouterr().out
+
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nlr = 0.003\nkl_anneal_frac = 0.5\nhidden_dim = 8\n")
+        train = ("train", "--corpus", small_corpus, "--schema", "skytrax",
+                 "--mode", "baseline", "--out", tmp_path / "m.ckpt", "--quiet")
+        assert run_cli(*train, "--config", config) == 0
+        assert run_cli(*train) == 0
+        (first_bundle, first), (second_bundle, second) = train_calls
+        assert first == TrainConfig.for_schema("skytrax", lr=0.003, kl_anneal_frac=0.5)
+        assert first_bundle.encoder_config.hidden_dim == 8
+        assert second == TrainConfig.for_schema("skytrax")
+        assert second_bundle.encoder_config == EncoderConfig(
+            vocab_size=len(second_bundle.vocab), **cli.SCHEMA_DEFAULTS["skytrax"])
+
     def test_every_setting_is_a_flag_or_config_only(self):
         # the keys a --config file may set that no command has a flag for
         config_only = {"kl_anneal_frac"}
@@ -382,6 +414,43 @@ class TestSettings:
         assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestTinyCorpus:
+    """Below 10 kept examples the 80/10/10 split leaves dev empty, and
+    below 2 train as well; training rejects such a split by name."""
+
+    @staticmethod
+    def corpus(tmp_path, n) -> Path:
+        path = tmp_path / f"tiny{n}.jsonl"
+        assert run_cli("synth", "--schema", "skytrax", "--n", n, "--seed", "3",
+                       "--out", path, "--quiet") == 0
+        examples, _ = load_jsonl(path, "skytrax")
+        assert len(examples) == n
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "pretrain-c"])
+    @pytest.mark.parametrize("n,empty", [(1, "train"), (9, "dev")])
+    def test_empty_split_exits_1(self, tmp_path, capsys, command, n, empty):
+        out = tmp_path / "out.ckpt"
+        corpus = self.corpus(tmp_path, n)
+        capsys.readouterr()
+        code = run_cli(command, "--corpus", corpus, "--schema", "skytrax", "--out", out,
+                       "--quiet", *(("--mode", "baseline") if command == "train" else ()))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {empty} split is empty (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_scores_the_split_it_has(self, trained_model, tmp_path, capsys):
+        ckpt, _ = trained_model
+        corpus = self.corpus(tmp_path, 9)
+        assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus, "--quiet") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus,
+                       "--split", "dev", "--quiet") == 1
+        assert capsys.readouterr().err == "error: cannot evaluate an empty split\n"
 
 
 class TestEvalAndExplain:
