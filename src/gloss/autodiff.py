@@ -779,6 +779,8 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     record = _recording(parents)
     steps, batch, _ = proj.shape
     nh = w_hn.shape[0]
+    if h0 is not None and h0.shape != (batch, nh):
+        raise ShapeError(f"gru_sequence h0 shape {h0.shape} != {(batch, nh)}")
     proj += b_x.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     after = 0 if reverse else 1  # step t's state sits in slot t + after

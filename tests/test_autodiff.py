@@ -439,6 +439,14 @@ class TestTapeSemantics:
             ad.gru_sequence(x, Tensor(rng.normal(size=(2, 6))), Tensor(np.zeros(6)),
                             gru_w_h, Tensor(np.eye(2)), mask)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2,)])
+    def test_gru_h0_shape_error(self, rng, shape):
+        # a (1, H) state would broadcast over the batch and get a (B, H) gradient
+        with pytest.raises(ShapeError, match="h0 shape"):
+            ad.gru_sequence(Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(2, 6))),
+                            Tensor(np.zeros(6)), Tensor(rng.normal(size=(2, 4))),
+                            Tensor(np.eye(2)), h0=Tensor(np.zeros(shape), requires_grad=True))
+
     def test_first_gradient_is_an_owned_copy(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
