@@ -309,6 +309,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
+def _row_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, n) sums of ``values`` (..., n): element [..., j] is added into
+    row ``rows[..., j]``; ``rows`` is of values' shape, or (..., 1) for one
+    row per value row. One ``bincount`` over row * n + column slots adds each
+    slot's values in order starting from zero, so the sums are bitwise what
+    ``np.add.at`` gives into a zero array.
+    """
+    n = values.shape[-1]
+    slots = rows * n + np.arange(n)
+    return np.bincount(slots.ravel(), weights=values.ravel(),
+                       minlength=n_rows * n).reshape(n_rows, n)
+
+
+def _add_rows(table: Tensor, uniq: np.ndarray, d_rows: np.ndarray) -> None:
+    """Add ``d_rows`` to the grad rows of ``table`` at the distinct ``uniq``."""
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    # the rows are distinct, so a fancy-indexed += adds each once
+    table.grad[uniq] += d_rows
+
+
+def _distinct_ids(ids: np.ndarray, n_rows: int):
+    """Sorted distinct ids and each id's index among them; ``IndexError`` for
+    an id outside [0, n_rows)."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    if uniq[0] < 0 or uniq[-1] >= n_rows:
+        raise IndexError(f"embedding index out of range [0, {n_rows})")
+    return uniq, inv.reshape(-1)
+
+
 # Bytes of window scores that conv_max sums and pools at once: about what
 # stays in a core's L2 cache beside the gathered rows being added in.
 _CONV_BLOCK_BYTES = 1 << 18
@@ -342,9 +372,7 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
                          f"({ids.shape[0]}, {n_windows}) windows of width {width}")
     if not valid.any(axis=1).all():
         raise ValueError("conv_max needs at least one valid window per row")
-    uniq, inv = np.unique(ids, return_inverse=True)
-    if uniq[0] < 0 or uniq[-1] >= table.shape[0]:
-        raise IndexError(f"embedding index out of range [0, {table.shape[0]})")
+    uniq, inv = _distinct_ids(ids, table.shape[0])
     inv = inv.reshape(ids.shape)
     rows = table.data[uniq]
     n_filters = w.shape[1]
@@ -375,17 +403,13 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
         # and that token's projected row at offset j takes the gradient
         offsets = np.arange(width)[:, None, None]
         tokens = inv[np.arange(batch)[:, None], first + offsets]
-        slots = (tokens * width + offsets) * n_filters + np.arange(n_filters)
-        d_proj = np.bincount(slots.ravel(), weights=np.broadcast_to(g, slots.shape).ravel(),
-                             minlength=proj.size).reshape(len(uniq), -1)
+        d_proj = _row_sums(tokens * width + offsets, np.broadcast_to(g, tokens.shape),
+                           len(uniq) * width).reshape(len(uniq), -1)
         if w.requires_grad:
             d_w = (rows.T @ d_proj).reshape(n_embed, width, n_filters)
             _accumulate(w, d_w.transpose(1, 0, 2).reshape(w.shape))
         if table.requires_grad:
-            # the rows are distinct, so a fancy-indexed += adds each once
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[uniq] += d_proj @ kernel.T
+            _add_rows(table, uniq, d_proj @ kernel.T)
 
     return _make(data, (table, w), backward, "conv_max")
 
@@ -578,25 +602,28 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        # scatter straight into the table's grad to avoid a dense temporary
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        _accumulate(table, _row_sums(ids.reshape(-1, 1), g.reshape(-1, table.shape[1]),
+                                     table.shape[0]))
 
     return _node(data, (table,), backward)
 
 
 # -- recurrent sequences -----------------------------------------------------
 #
-# Each recurrence over a padded (B, T, E) batch is one op: the input
-# projection is one (T*B, E) @ W_x matmul outside the time loop, the
-# recurrence runs in numpy over time-major arrays, and backward is
-# hand-written backprop through time that gathers the weight gradients in
-# one matmul over all steps. Both cells carry a masked step's state by one
-# rule, _carry: h <- h + m * (h_new - h), and split its gradient in place
-# with _split_carry; with no mask every step replaces the state. The
-# (B, T, H) output holds the state after each position, so the final state
-# of a forward pass is position T-1 and of a reverse pass position 0.
+# Each recurrence over a padded batch is one op. Its input is a (B, T, E)
+# tensor, or an embedding table with a (B, T) id array. The input
+# projection is one matmul outside the time loop: of the (T*B, E) rows, or
+# of only the table rows of the distinct ids, gathered time-major into
+# (T, B, n) per id. The recurrence runs in numpy over time-major arrays,
+# and backward is hand-written backprop through time that gathers the
+# weight gradients in one matmul over all steps; from a table, it first sums
+# the pre-activation gradient per distinct id, so the W_x and table-row
+# gradients are products over those rows alone. Both cells carry a masked
+# step's state by one rule, _carry: h <- h + m * (h_new - h), and split its
+# gradient in place with _split_carry; with no mask every step replaces the
+# state. The (B, T, H) output holds the state after each position, so the
+# final state of a forward pass is position T-1 and of a reverse pass
+# position 0.
 #
 # The LSTM keeps its per-step work gate-major, so that each elementwise
 # call runs over contiguous memory: the gate activations are (T, 4, B, H)
@@ -610,35 +637,64 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # the states each step started from. Every step writes into buffers
 # allocated once per call. Each value is computed by the same float
 # operations, in the same order, as in a plain loop, so outputs and
-# gradients are bitwise those of that loop (tests/test_recurrence_bitwise.py
-# keeps one per cell).
+# gradients of a (B, T, E) input are bitwise those of that loop
+# (tests/test_recurrence_bitwise.py keeps one per cell).
 
 
-def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str):
-    """Time-major flat input (T*B, E), projection (T, B, n), mask (T, B, 1)."""
-    if x.ndim != 3 or w_x.ndim != 2 or x.shape[2] != w_x.shape[0]:
-        raise ShapeError(f"{opname} expects (B, T, E) input and (E, n) weights, "
-                         f"got {x.shape} and {w_x.shape}")
-    batch, steps, dim = x.shape
+def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str, ids=None):
+    """Input rows, projection (T, B, n) and mask (T, B, 1) of a sequence op.
+
+    The rows come as ``(rows, uniq, inv)``: x's (T*B, E) time-major rows
+    with ``uniq`` and ``inv`` None, or, when ``ids`` is given and ``x`` is
+    the (V, E) table, the rows of the distinct ids ``uniq`` and each
+    time-major position's index ``inv`` among them.
+    """
+    if ids is None:
+        if x.ndim != 3 or w_x.ndim != 2 or x.shape[2] != w_x.shape[0]:
+            raise ShapeError(f"{opname} expects (B, T, E) input and (E, n) weights, "
+                             f"got {x.shape} and {w_x.shape}")
+        batch, steps, dim = x.shape
+        rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
+        uniq = inv = None
+    else:
+        ids = np.asarray(ids)
+        if x.ndim != 2 or ids.ndim != 2 or w_x.ndim != 2 or x.shape[1] != w_x.shape[0]:
+            raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
+                             f"weights, got {x.shape}, {ids.shape} and {w_x.shape}")
+        batch, steps = ids.shape
+        uniq, inv = _distinct_ids(ids.T, x.shape[0])
+        rows = x.data[uniq]
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (batch, steps):
             raise ShapeError(f"{opname} mask shape {mask.shape} != {(batch, steps)}")
         mask = np.ascontiguousarray(mask.T)[:, :, None]
-    flat_x = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
-    proj = (flat_x @ w_x.data).reshape(steps, batch, -1)
+    proj = rows @ w_x.data
+    # checked before the gather, which only copies checked rows
     _check_finite(proj, opname)
-    return flat_x, proj, mask
+    if inv is not None:
+        proj = proj[inv]
+    return (rows, uniq, inv), proj.reshape(steps, batch, -1), mask
 
 
-def _input_grads(x: Tensor, w_x: Tensor, flat_x: np.ndarray, d_proj: np.ndarray) -> None:
-    """Gradients of x and W_x from the time-major pre-activation gradient."""
+def _input_grads(x: Tensor, w_x: Tensor, source, d_proj: np.ndarray) -> None:
+    """Gradients of the input and W_x from the time-major pre-activation
+    gradient; ``source`` is the rows triple of :func:`_sequence_input`."""
+    rows, uniq, inv = source
     steps, batch, _ = d_proj.shape
     flat = d_proj.reshape(steps * batch, -1)
+    if inv is not None:
+        # one summed gradient per distinct id, matching the rows
+        flat = _row_sums(inv[:, None], flat, len(uniq))
     if w_x.requires_grad:
-        _accumulate(w_x, flat_x.T @ flat)
-    if x.requires_grad:
-        _accumulate(x, (flat @ w_x.data.T).reshape(steps, batch, -1).transpose(1, 0, 2))
+        _accumulate(w_x, rows.T @ flat)
+    if not x.requires_grad:
+        return
+    d_rows = flat @ w_x.data.T
+    if inv is None:
+        _accumulate(x, d_rows.reshape(steps, batch, -1).transpose(1, 0, 2))
+    else:
+        _add_rows(x, uniq, d_rows)
 
 
 def _batch_major(states: np.ndarray) -> np.ndarray:
@@ -666,13 +722,16 @@ def _split_carry(d: np.ndarray, d_new: np.ndarray, mask, t: int):
     return d, d_new
 
 
-def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tensor:
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
+                  ids=None) -> Tensor:
     """LSTM over a padded batch from a zero state; returns (B, T, H) states.
 
-    Gates are packed [input, forget, output, candidate] along the last
-    axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and ``b`` (4H,).
+    The input ``x`` is (B, T, E), or with ``ids`` a (V, E) embedding table
+    whose rows the (B, T) ids pick. Gates are packed [input, forget, output,
+    candidate] along the last axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and
+    ``b`` (4H,).
     """
-    flat_x, proj, mask = _sequence_input(x, w_x, mask, "lstm_sequence")
+    source, proj, mask = _sequence_input(x, w_x, mask, "lstm_sequence", ids)
     parents = (x, w_x, w_h, b)
     record = _recording(parents)
     steps, batch, _ = proj.shape
@@ -759,22 +818,25 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tenso
             _accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
         if b.requires_grad:
             _accumulate(b, flat.sum(axis=0))
-        _input_grads(x, w_x, flat_x, d_gates)
+        _input_grads(x, w_x, source, d_gates)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "lstm_sequence")
 
 
 def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
-                 mask=None, h0: Tensor | None = None, reverse: bool = False) -> Tensor:
+                 mask=None, h0: Tensor | None = None, reverse: bool = False,
+                 ids=None) -> Tensor:
     """GRU over a padded batch; returns (B, T, H) states.
 
+    The input ``x`` is (B, T, E), or with ``ids`` a (V, E) embedding table
+    whose rows the (B, T) ids pick.
     ``w_x`` (E, 3H) and ``b_x`` (3H,) pack [update, reset, candidate];
     ``w_h`` (H, 2H) packs [update, reset] and ``w_hn`` (H, H) acts on the
     reset-gated state. The state starts at ``h0`` (zeros when None), and
     ``reverse`` runs from position T-1 down to 0.
     """
-    flat_x, proj, mask = _sequence_input(x, w_x, mask, "gru_sequence")
+    source, proj, mask = _sequence_input(x, w_x, mask, "gru_sequence", ids)
     parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = _recording(parents)
     steps, batch, _ = proj.shape
@@ -838,7 +900,7 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
             _accumulate(b_x, flat.sum(axis=0))
         if h0 is not None and h0.requires_grad:
             _accumulate(h0, dh)
-        _input_grads(x, w_x, flat_x, d_proj)
+        _input_grads(x, w_x, source, d_proj)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "gru_sequence")

@@ -88,10 +88,11 @@ class GRU(Module):
         self.w_hn = Tensor(_xavier(rng, n_hidden, n_hidden), requires_grad=True)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 h0: Tensor | None = None, reverse: bool = False) -> Tensor:
-        """(B, T, H) states over a padded (B, T, E) batch; masked steps carry state."""
+                 h0: Tensor | None = None, reverse: bool = False, ids=None) -> Tensor:
+        """(B, T, H) states over a padded (B, T, E) batch, or over the rows of
+        the table ``x`` that (B, T) ``ids`` pick; masked steps carry state."""
         return ad.gru_sequence(x, self.w_x, self.b_x, self.w_h, self.w_hn, mask,
-                               h0=h0, reverse=reverse)
+                               h0=h0, reverse=reverse, ids=ids)
 
 
 class LSTM(Module):
@@ -100,9 +101,10 @@ class LSTM(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 4 * n_hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * n_hidden), requires_grad=True)
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """(B, T, H) states over a padded (B, T, E) batch; masked steps carry state."""
-        return ad.lstm_sequence(x, self.w_x, self.w_h, self.b, mask)
+    def __call__(self, x: Tensor, mask: np.ndarray, ids=None) -> Tensor:
+        """(B, T, H) states over a padded (B, T, E) batch, or over the rows of
+        the table ``x`` that (B, T) ``ids`` pick; masked steps carry state."""
+        return ad.lstm_sequence(x, self.w_x, self.w_h, self.b, mask, ids=ids)
 
 
 def _final_state(states: Tensor, reverse: bool = False) -> Tensor:
@@ -117,10 +119,11 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """Both final states, concatenated: (B, 2H)."""
-        return ad.concat([_final_state(self.fwd(x, mask)),
-                          _final_state(self.bwd(x, mask, reverse=True), reverse=True)],
+    def __call__(self, x: Tensor, mask: np.ndarray, ids=None) -> Tensor:
+        """Both final states, concatenated: (B, 2H); ``x`` and ``ids`` as for GRU."""
+        return ad.concat([_final_state(self.fwd(x, mask, ids=ids)),
+                          _final_state(self.bwd(x, mask, reverse=True, ids=ids),
+                                       reverse=True)],
                          axis=1)
 
 
@@ -193,7 +196,7 @@ class RecurrentEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        return _final_state(self.rnn(self.embed(ids), mask))
+        return _final_state(self.rnn(self.embed.w, mask, ids=ids))
 
 
 class CnnEncoder(Module):
@@ -335,7 +338,7 @@ class TextCvae(Module):
 
     def posterior(self, cond: Tensor, comment_ids: np.ndarray,
                   comment_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        enc = self.comment_enc(self.embed(comment_ids), comment_mask)
+        enc = self.comment_enc(self.embed.w, comment_mask, ids=comment_ids)
         packed = self.recog_out(ad.tanh(self.recog_hidden(ad.concat([enc, cond], axis=1))))
         return self._split_gaussian(packed)
 
@@ -459,13 +462,14 @@ class ClassifierText(Module):
         self.out = Linear(rng, 3 * (2 * hidden + emb_dim), n_classes)
         self.frozen = False
 
-    def _comment_vec(self, emb3: Tensor, mask: np.ndarray) -> Tensor:
-        return ad.concat([self.rnn(emb3, mask), _masked_mean(emb3, mask)], axis=1)
+    def _comment_vec(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        return ad.concat([self.rnn(self.embed.w, mask, ids=ids),
+                          _masked_mean(self.embed(ids), mask)], axis=1)
 
     def logits_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
         if len(comments) != 3:
             raise ValueError("expected exactly three comments")
-        vecs = [self._comment_vec(self.embed(ids), mask) for ids, mask in comments]
+        vecs = [self._comment_vec(ids, mask) for ids, mask in comments]
         return self.out(ad.concat(vecs, axis=1))
 
 

@@ -358,6 +358,178 @@ class TestConvMax:
                         Tensor(np.ones((4, 2))), valid)
 
 
+class TestRowSums:
+    def test_matches_add_at_bitwise_with_duplicate_ids(self, rng):
+        ids = np.array([3, 0, 3, 3, 1, 0, 3, 2, 2, 3])
+        values = rng.normal(size=(len(ids), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
+        want = np.zeros((6, 5))
+        np.add.at(want, ids, values)
+        got = ad._row_sums(ids[:, None], values, 6)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_embedding_lookup_grad_is_add_at_on_a_fresh_gradient(self, rng):
+        ids = rng.integers(0, 7, size=(33, 32))  # 1,056 rows, every id many times
+        g = rng.normal(size=(33, 32, 4))
+        table = Tensor(rng.normal(size=(55, 4)), requires_grad=True)
+        ad.mul(ad.embedding_lookup(table, ids), Tensor(g)).sum().backward()
+        want = np.zeros((55, 4))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+        assert np.array_equal(table.grad.view(np.uint64), want.view(np.uint64))
+
+
+class TestLookupInput:
+    """The sequence ops fed by an embedding table and (B, T) ids."""
+
+    V, E, H = 13, 3, 4
+    # PAD (id 0) fills the padded positions; ids 2 and 3 repeat across rows
+    REPEATED = np.array([[2, 3, 2, 5], [3, 3, 0, 0], [1, 2, 3, 0]])
+    ALL_DISTINCT = np.arange(1, 13).reshape(3, 4)
+    RAGGED = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+
+    @classmethod
+    def weights(cls, rng, cell):
+        nh = cls.H
+        if cell == "lstm":
+            return [rng.normal(size=(cls.E, 4 * nh)) * 0.5, rng.normal(size=(nh, 4 * nh)) * 0.5,
+                    rng.normal(size=4 * nh) * 0.5]
+        return [rng.normal(size=(cls.E, 3 * nh)) * 0.5, rng.normal(size=3 * nh) * 0.5,
+                rng.normal(size=(nh, 2 * nh)) * 0.5, rng.normal(size=(nh, nh)) * 0.5]
+
+    @staticmethod
+    def op(cell, table, weights, mask, ids, reverse=False, h0=None):
+        """The sequence op over the rows of ``table`` that ``ids`` pick."""
+        if cell == "lstm":
+            return ad.lstm_sequence(table, *weights, mask, ids=ids)
+        return ad.gru_sequence(table, *weights, mask, h0=h0, reverse=reverse, ids=ids)
+
+    @pytest.mark.parametrize("cell,reverse,with_h0", [
+        ("lstm", False, False), ("gru", False, False), ("gru", True, False),
+        ("gru", False, True), ("gru", True, True)])
+    @pytest.mark.parametrize("ids_kind", ["repeated", "all_distinct"])
+    @pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "no_mask"])
+    @pytest.mark.parametrize("wrt", ["table", "w_x"])
+    def test_finite_differences(self, rng, cell, reverse, with_h0, ids_kind, ragged, wrt):
+        ids = self.REPEATED if ids_kind == "repeated" else self.ALL_DISTINCT
+        mask = self.RAGGED if ragged else None
+        table = rng.normal(size=(self.V, self.E))
+        weights = self.weights(rng, cell)
+        h0 = Tensor(rng.normal(size=(3, self.H)) * 0.5) if with_h0 else None
+        g = Tensor(rng.normal(size=(3, 4, self.H)))
+
+        def build(t):
+            tt = t if wrt == "table" else Tensor(table)
+            ws = [Tensor(w) for w in weights]
+            if wrt == "w_x":
+                ws[0] = t
+            out = self.op(cell, tt, ws, mask, ids, reverse=reverse, h0=h0)
+            return ad.mul(out, g).sum()
+
+        check_op(build, table.copy() if wrt == "table" else weights[0].copy())
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("lookup_first", [True, False], ids=["lookup_first", "op_first"])
+    def test_table_gradient_adds_to_a_lookup_of_the_same_table(self, rng, cell, lookup_first):
+        # the loss also reads the table through embedding_lookup, so both
+        # ops add into the one table gradient, whichever backward runs first
+        weights = [Tensor(w) for w in self.weights(rng, cell)]
+        g = Tensor(rng.normal(size=(3, 4, self.H)))
+        other_ids = np.array([[0, 2], [5, 5], [12, 2]])
+        g2 = Tensor(rng.normal(size=(3, 2, self.E)))
+
+        def build(t):
+            out = self.op(cell, t, weights, self.RAGGED, self.REPEATED, reverse=True)
+            terms = [ad.mul(out, g).sum(), ad.mul(ad.embedding_lookup(t, other_ids), g2).sum()]
+            return terms[1] + terms[0] if lookup_first else terms[0] + terms[1]
+
+        check_op(build, rng.normal(size=(self.V, self.E)))
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("bad_id", [-1, 13])
+    def test_index_error(self, rng, cell, bad_id):
+        ids = self.REPEATED.copy()
+        ids[1, 2] = bad_id
+        table = Tensor(rng.normal(size=(self.V, self.E)), requires_grad=True)
+        weights = [Tensor(w) for w in self.weights(rng, cell)]
+        with pytest.raises(IndexError):
+            ad.embedding_lookup(table, ids)
+        with pytest.raises(IndexError):
+            self.op(cell, table, weights, self.RAGGED, ids)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("table,ids,mask", [
+        ((13, 3, 1), (3, 4), (3, 4)),
+        ((13, 2), (3, 4), (3, 4)),
+        ((13, 3), (12,), (3, 4)),
+        ((13, 3), (3, 4), (4, 3)),
+    ])
+    def test_shape_errors(self, rng, cell, table, ids, mask):
+        weights = [Tensor(w) for w in self.weights(rng, cell)]
+        with pytest.raises(ShapeError):
+            self.op(cell, Tensor(np.ones(table)), weights, np.ones(mask),
+                    np.zeros(ids, dtype=int))
+
+
+def _lookup_and_dense(rng, build, weight_shapes, ids, g):
+    """The output and every gradient of sum(g * build(...)), once from the
+    table and ids and once from ``embedding_lookup(table, ids)``."""
+    results = []
+    table = rng.normal(size=(20, 5))
+    weights = [rng.normal(size=shape) * 0.5 for shape in weight_shapes]
+    for use_ids in (True, False):
+        tt = Tensor(table, requires_grad=True)
+        ws = [Tensor(w, requires_grad=True) for w in weights]
+        if use_ids:
+            out = build(tt, ws, ids)
+        else:
+            out = build(ad.embedding_lookup(tt, ids), ws, None)
+        ad.mul(out, Tensor(g)).sum().backward()
+        results.append([out.data, tt.grad] + [w.grad for w in ws])
+    return results
+
+
+@pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "no_mask"])
+@pytest.mark.parametrize("cell,reverse,with_h0", [
+    ("lstm", False, False), ("gru", False, False), ("gru", True, False),
+    ("gru", False, True), ("gru", True, True), ("bigru", False, False)])
+def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragged):
+    from gloss.models import BiGRU
+
+    batch, steps, nh = 6, 7, 4
+    ids = rng.integers(0, 9, size=(batch, steps))  # a 20-row table, 9 ids used
+    mask = np.ones((batch, steps))
+    if ragged:
+        for row, n in enumerate(rng.integers(1, steps + 1, size=batch)):
+            mask[row, n:] = 0.0
+            ids[row, n:] = 0
+    if cell == "lstm":
+        shapes = [(5, 4 * nh), (nh, 4 * nh), (4 * nh,)]
+
+        def build(x, ws, ids):
+            return ad.lstm_sequence(x, *ws, mask if ragged else None, ids=ids)
+    elif cell == "gru":
+        shapes = [(5, 3 * nh), (3 * nh,), (nh, 2 * nh), (nh, nh)] + [(batch, nh)] * with_h0
+
+        def build(x, ws, ids):
+            h0 = ws[4] if with_h0 else None
+            return ad.gru_sequence(x, *ws[:4], mask if ragged else None, h0=h0,
+                                   reverse=reverse, ids=ids)
+    else:
+        net = BiGRU(rng, 5, nh)
+        names = list(net.parameters())
+        shapes = [p.shape for p in net.parameters().values()]
+
+        def build(x, ws, ids):
+            for name, w in zip(names, ws):
+                part, attr = name.split(".")
+                setattr(getattr(net, part), attr, w)
+            return net(x, mask if ragged else None, ids=ids)
+    g_shape = (batch, 2 * nh) if cell == "bigru" else (batch, steps, nh)
+    got, want = _lookup_and_dense(rng, build, shapes, ids, rng.normal(size=g_shape))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
 class TestTapeSemantics:
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
