@@ -426,24 +426,17 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "tanh")
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: exp(min(x, 0)) / (exp(-|x|) + 1).
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)), in four calls that write ``out``.
 
-    Bit for bit the masked form (1 where x >= 0, else exp(-|x|)) over
-    1 + exp(-|x|), NaN signs included, which is why the minimum is ``fmin``.
-    ``scratch`` is a buffer of x's shape that must not overlap ``out``;
-    ``out`` may be ``x``.
+    ``out`` may be ``x``. Below x = -709, exp(-x) overflows to inf and the
+    result is 0, so callers run it under ``np.errstate(over="ignore")``; NaN
+    stays NaN.
     """
-    out = np.empty_like(x) if out is None else out
-    e = np.empty_like(x) if scratch is None else scratch
-    np.abs(x, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e += 1.0
-    np.fmin(x, 0.0, out=out)
+    np.negative(x, out=out)
     np.exp(out, out=out)
-    out /= e
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return out
 
 
@@ -612,23 +605,26 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 #
 # Each recurrence over a padded batch is one op. Its input is a (B, T, E)
 # tensor, or an embedding table with a (B, T) id array. The input
-# projection is one matmul outside the time loop: of the (T*B, E) rows, or
-# of only the table rows of the distinct ids, gathered time-major into
-# (T, B, n) per id. The recurrence runs in numpy over time-major arrays,
-# and backward is hand-written backprop through time that gathers the
-# weight gradients in one matmul over all steps; from a table, it first sums
-# the pre-activation gradient per distinct id, so the W_x and table-row
-# gradients are products over those rows alone. Both cells carry a masked
-# step's state by one rule, _carry: h <- h + m * (h_new - h), and split its
-# gradient in place with _split_carry; with no mask every step replaces the
-# state. The (B, T, H) output holds the state after each position, so the
-# final state of a forward pass is position T-1 and of a reverse pass
-# position 0.
+# projection, with the bias folded in, is one matmul outside the time loop:
+# of the (T*B, E) time-major rows, or of only the table rows of the
+# distinct ids. Each step takes its B rows of that projection inside the
+# loop: a slice of the time-major rows, or the ids' rows taken into a
+# buffer. The recurrence runs in numpy, and backward is hand-written
+# backprop through time that gathers the weight gradients in one matmul
+# over all steps; from a table, it first sums the pre-activation gradient
+# per distinct id, so the W_x and table-row gradients are products over
+# those rows alone. A step whose mask is not all ones carries the state by
+# one rule, _carry: h <- h + m * (h_new - h). A step whose mask is all ones,
+# and every step with no mask, writes the new state straight into its slot.
+# _split_carry splits the carried gradient the same two ways, in place. The
+# (B, T, H) output holds the state after each position, so the final state
+# of a forward pass is position T-1 and of a reverse pass position 0.
 #
 # The LSTM keeps its per-step work gate-major, so that each elementwise
-# call runs over contiguous memory: the gate activations are (T, 4, B, H)
-# and the bias add copies the (B, 4H) recurrent product into a (4, B, H)
-# buffer. h and c share one (2, slots, B, H) block, so one masked carry
+# call runs over contiguous memory: its projection is (4, rows, H), so a
+# step's rows land in the (4, B, H) pre-activation buffer, to which the
+# (B, 4H) recurrent product is added transposed; the gate activations are
+# (T, 4, B, H). h and c share one (2, slots, B, H) block, so one carry
 # moves both; under a tape it keeps every step after a zero slot 0, and
 # without one a single slot is updated in place and each h copied out.
 # Backward builds each step's (4, B, H) gate gradient and copies it once
@@ -637,17 +633,19 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # the states each step started from. Every step writes into buffers
 # allocated once per call. Each value is computed by the same float
 # operations, in the same order, as in a plain loop, so outputs and
-# gradients of a (B, T, E) input are bitwise those of that loop
-# (tests/test_recurrence_bitwise.py keeps one per cell).
+# gradients are bitwise those of that loop (tests/test_recurrence_bitwise.py
+# keeps one per cell).
 
 
-def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str, ids=None):
-    """Input rows, projection (T, B, n) and mask (T, B, 1) of a sequence op.
+def _sequence_input(x: Tensor, w_x: Tensor, b: Tensor, mask, opname: str, ids=None):
+    """Input rows, projection, per-step masks and batch size of a sequence op.
 
     The rows come as ``(rows, uniq, inv)``: x's (T*B, E) time-major rows
     with ``uniq`` and ``inv`` None, or, when ``ids`` is given and ``x`` is
     the (V, E) table, the rows of the distinct ids ``uniq`` and each
-    time-major position's index ``inv`` among them.
+    time-major position's index ``inv`` among them. The projection is
+    ``rows @ w_x + b``, one row per input row. The masks hold each step's
+    (B, 1) mask column, or None for a step whose mask is all ones.
     """
     if ids is None:
         if x.ndim != 3 or w_x.ndim != 2 or x.shape[2] != w_x.shape[0]:
@@ -664,17 +662,30 @@ def _sequence_input(x: Tensor, w_x: Tensor, mask, opname: str, ids=None):
         batch, steps = ids.shape
         uniq, inv = _distinct_ids(ids.T, x.shape[0])
         rows = x.data[uniq]
+    masks = [None] * steps
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (batch, steps):
             raise ShapeError(f"{opname} mask shape {mask.shape} != {(batch, steps)}")
         mask = np.ascontiguousarray(mask.T)[:, :, None]
+        for t in np.flatnonzero((mask != 1.0).any(axis=(1, 2))):
+            masks[t] = mask[t]
     proj = rows @ w_x.data
-    # checked before the gather, which only copies checked rows
+    proj += b.data
+    # checked after the bias, so that an overflowing sum raises
     _check_finite(proj, opname)
-    if inv is not None:
-        proj = proj[inv]
-    return (rows, uniq, inv), proj.reshape(steps, batch, -1), mask
+    return (rows, uniq, inv), proj, masks, batch
+
+
+def _step_rows(proj: np.ndarray, inv, t: int, out: np.ndarray) -> np.ndarray:
+    """Step t's rows of a projection whose second-last axis holds one row per
+    input row: a slice of the dense path's time-major rows, or the ids'
+    rows taken into ``out``, whose second-last axis is the batch."""
+    batch = out.shape[-2]
+    if inv is None:
+        return proj[..., t * batch:(t + 1) * batch, :]
+    # the ids were range-checked, so "clip" only skips numpy's buffered check
+    return np.take(proj, inv[t * batch:(t + 1) * batch], axis=-2, out=out, mode="clip")
 
 
 def _input_grads(x: Tensor, w_x: Tensor, source, d_proj: np.ndarray) -> None:
@@ -701,23 +712,20 @@ def _batch_major(states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(states.transpose(1, 0, 2))
 
 
-def _carry(h: np.ndarray, h_new: np.ndarray, mask, t: int, out: np.ndarray) -> None:
-    """out = h + m * (h_new - h) for step t; consumes ``h_new``."""
-    if mask is None:
-        out[...] = h_new
-    else:
-        h_new -= h
-        h_new *= mask[t]
-        np.add(h, h_new, out=out)
+def _carry(h: np.ndarray, h_new: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """out = h + m * (h_new - h) for a step with mask column m; consumes ``h_new``."""
+    h_new -= h
+    h_new *= m
+    np.add(h, h_new, out=out)
 
 
-def _split_carry(d: np.ndarray, d_new: np.ndarray, mask, t: int):
-    """Split step t's carried-state gradient ``d`` in place, into the buffers
-    (old state's share, new state's share); with no mask they swap."""
-    if mask is None:
+def _split_carry(d: np.ndarray, d_new: np.ndarray, m):
+    """Split a step's carried-state gradient ``d`` in place, into the buffers
+    (old state's share, new state's share); with no mask column m they swap."""
+    if m is None:
         d_new.fill(0.0)
         return d_new, d
-    np.multiply(mask[t], d, out=d_new)
+    np.multiply(m, d, out=d_new)
     d -= d_new
     return d, d_new
 
@@ -731,11 +739,12 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
     candidate] along the last axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and
     ``b`` (4H,).
     """
-    source, proj, mask = _sequence_input(x, w_x, mask, "lstm_sequence", ids)
+    source, proj, masks, batch = _sequence_input(x, w_x, b, mask, "lstm_sequence", ids)
     parents = (x, w_x, w_h, b)
     record = _recording(parents)
-    steps, batch, _ = proj.shape
+    steps = len(masks)
     nh = w_h.shape[0]
+    proj = np.ascontiguousarray(proj.reshape(-1, 4, nh).transpose(1, 0, 2))
     if record:
         # [h, c] before the first step and after each step
         hc = np.zeros((2, steps + 1, batch, nh))
@@ -748,29 +757,31 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
     acts = np.empty((slots, 4, batch, nh))  # sigmoid(i, f, o), tanh(g)
     tanh_c = np.empty((slots, batch, nh))
     gates = np.empty((batch, 4 * nh))  # the recurrent product
+    gates_gm = gates.reshape(batch, 4, nh).transpose(1, 0, 2)
     pre = np.empty((4, batch, nh))  # gate pre-activations
-    # each step is done with gates and pre before it writes these views
-    sig_scratch = gates.reshape(4, batch, nh)[:3]
-    new = pre[:2]  # [h, c] of the step before masking
-    b4 = b.data.reshape(4, 1, nh)
-    for t in range(steps):
-        k = t if record else 0
-        prev = hc[:, k]
-        cur = hc[:, k + 1] if record else prev
-        np.matmul(prev[0], w_h.data, out=gates)
-        gates += proj[t]
-        np.add(gates.reshape(batch, 4, nh).transpose(1, 0, 2), b4, out=pre)
-        act = acts[k]
-        _sigmoid(pre[:3], out=act[:3], scratch=sig_scratch)
-        np.tanh(pre[3], out=act[3])
-        # c = f * c + i * g and h = o * tanh(c), new[0] holding i * g first
-        np.multiply(act[1], prev[1], out=new[1])
-        np.multiply(act[0], act[3], out=new[0])
-        new[1] += new[0]
-        np.multiply(act[2], np.tanh(new[1], out=tanh_c[k]), out=new[0])
-        _carry(prev, new, mask, t, cur)
-        if not record:
-            states[t] = cur[0]
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            k = t if record else 0
+            prev = hc[:, k]
+            cur = hc[:, k + 1] if record else prev
+            np.matmul(prev[0], w_h.data, out=gates)
+            np.add(_step_rows(proj, source[2], t, pre), gates_gm, out=pre)
+            act = acts[k]
+            _sigmoid(pre[:3], act[:3])
+            np.tanh(pre[3], out=act[3])
+            # [h, c] of the step, in its slot when every row is live and
+            # otherwise in pre, which is done with, before the carry
+            m = masks[t]
+            new = cur if m is None else pre[:2]
+            # c = f * c + i * g and h = o * tanh(c), new[0] holding i * g first
+            np.multiply(act[1], prev[1], out=new[1])
+            np.multiply(act[0], act[3], out=new[0])
+            new[1] += new[0]
+            np.multiply(act[2], np.tanh(new[1], out=tanh_c[k]), out=new[0])
+            if m is not None:
+                _carry(prev, new, m, cur)
+            if not record:
+                states[t] = cur[0]
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)
@@ -783,7 +794,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
         d, d_new, dgm, deriv, tmp = work[:2], work[2:4], work[4:8], work[8:11], work[11]
         for t in range(steps - 1, -1, -1):
             d[0] += grad[t]
-            d, d_new = _split_carry(d, d_new, mask, t)
+            d, d_new = _split_carry(d, d_new, masks[t])
             dh_new, dc_new = d_new
             act = acts[t]
             tc = tanh_c[t]
@@ -836,14 +847,13 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     reset-gated state. The state starts at ``h0`` (zeros when None), and
     ``reverse`` runs from position T-1 down to 0.
     """
-    source, proj, mask = _sequence_input(x, w_x, mask, "gru_sequence", ids)
+    source, proj, masks, batch = _sequence_input(x, w_x, b_x, mask, "gru_sequence", ids)
     parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = _recording(parents)
-    steps, batch, _ = proj.shape
+    steps = len(masks)
     nh = w_hn.shape[0]
     if h0 is not None and h0.shape != (batch, nh):
         raise ShapeError(f"gru_sequence h0 shape {h0.shape} != {(batch, nh)}")
-    proj += b_x.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     after = 0 if reverse else 1  # step t's state sits in slot t + after
     block = np.empty((steps + 1, batch, nh))
@@ -854,21 +864,27 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     zr_all = np.empty((slots, batch, 2 * nh))
     cand_all = np.empty((slots, batch, nh))
     rh_all = np.empty((slots, batch, nh))
-    sig_scratch = np.empty((batch, 2 * nh))
-    for t in order:
-        k = t if record else 0
-        h = h_prev[t]
-        pre = h @ w_h.data
-        pre += proj[t, :, :2 * nh]
-        zr = _sigmoid(pre, out=zr_all[k], scratch=sig_scratch)
-        rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
-        pre = rh @ w_hn.data
-        pre += proj[t, :, 2 * nh:]
-        cand = np.tanh(pre, out=cand_all[k])
-        h_new = h - cand
-        h_new *= zr[:, :nh]
-        h_new += cand
-        _carry(h, h_new, mask, t, states[t])
+    rows_buf = np.empty((batch, 3 * nh))  # a step's rows taken by id
+    h_new = np.empty((batch, nh))  # a masked step's state before the carry
+    with np.errstate(over="ignore"):
+        for t in order:
+            k = t if record else 0
+            h = h_prev[t]
+            rows = _step_rows(proj, source[2], t, rows_buf)
+            zr = np.matmul(h, w_h.data, out=zr_all[k])
+            zr += rows[:, :2 * nh]
+            _sigmoid(zr, zr)
+            rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
+            cand = np.matmul(rh, w_hn.data, out=cand_all[k])
+            cand += rows[:, 2 * nh:]
+            np.tanh(cand, out=cand)
+            m = masks[t]
+            new = states[t] if m is None else h_new
+            np.subtract(h, cand, out=new)
+            new *= zr[:, :nh]
+            new += cand
+            if m is not None:
+                _carry(h, new, m, states[t])
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)
@@ -878,7 +894,7 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
         dh, dh_new = np.zeros((2, batch, nh))  # to the step before, to h_new
         for t in reversed(order):
             dh += grad[t]
-            dh, dh_new = _split_carry(dh, dh_new, mask, t)
+            dh, dh_new = _split_carry(dh, dh_new, masks[t])
             zr = zr_all[t]
             z, r = zr[:, :nh], zr[:, nh:]
             hp, cand = h_prev[t], cand_all[t]

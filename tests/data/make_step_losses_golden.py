@@ -9,8 +9,11 @@ Rewrite ``step_losses_golden.json`` with
 
     PYTHONPATH=src python tests/data/make_step_losses_golden.py
 
-only when a change is meant to move training arithmetic, and say in the
-change log which numbers moved and by how much.
+only when a change is meant to move training arithmetic. Before it writes,
+it prints for each case how the rerun differs from the pinned numbers: the
+largest relative step-loss difference, the largest ``EF_mean`` difference
+and whether the final parameters are bitwise the same. Say in the change
+log which numbers moved and by how much.
 """
 from __future__ import annotations
 
@@ -20,6 +23,8 @@ from pathlib import Path
 
 # gloss sets its one-thread BLAS default at import, before numpy loads
 import gloss  # noqa: F401
+
+import numpy as np
 
 from gloss.data import build_vocab, filter_and_split
 from gloss.framework import TrainConfig, pretrain_classifier, train
@@ -73,8 +78,29 @@ def run_case(name: str) -> dict:
             "params_sha256": params_sha256(bundle)}
 
 
+def compare(name: str, got: dict, pinned: dict | None) -> str:
+    """One line on how a rerun case differs from its pinned numbers."""
+    if pinned is None:
+        return f"{name}: not pinned before"
+    lines = []
+    for key in ("step_losses", "EF_mean"):
+        a, b = np.asarray(got[key]), np.asarray(pinned[key])
+        if a.shape != b.shape:
+            lines.append(f"{key} length {len(b)} -> {len(a)}")
+        elif key == "step_losses":
+            lines.append(f"step losses max rel diff {np.max(np.abs(a - b) / np.abs(b)):.1e}")
+        else:
+            lines.append(f"EF_mean max abs diff {np.max(np.abs(a - b)):.1e}")
+    same = got["params_sha256"] == pinned["params_sha256"]
+    lines.append("parameters " + ("bitwise" if same else "not bitwise"))
+    return f"{name}: " + ", ".join(lines)
+
+
 def main() -> None:
     golden = {name: run_case(name) for name in CASES}
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name, case in golden.items():
+        print(compare(name, case, pinned.get(name)))
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(golden)} cases)")
 

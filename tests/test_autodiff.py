@@ -1,4 +1,6 @@
 import inspect
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,38 +215,78 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
-    def test_sigmoid_matches_masked_formula_bitwise(self, rng):
+    def test_sigmoid_matches_one_exp_formula_bitwise(self, rng):
         x = np.concatenate([rng.normal(size=200) * 20,
-                            [-800.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 800.0,
-                             np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
-                             2.2e-308, -2.2e-308, 709.0, -745.0]])
-        want = np.empty_like(x)
-        pos = x >= 0
-        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        want[~pos] = ex / (1.0 + ex)
-        bits = want.view(np.uint64)
-        assert np.array_equal(ad._sigmoid(x).view(np.uint64), bits)
-        # 2-D input, and a strided out= with a scratch buffer
-        x2 = x.reshape(7, 31)
-        assert np.array_equal(ad._sigmoid(x2).view(np.uint64), bits.reshape(7, 31))
-        buf = np.full((x.size, 3), 7.0)
-        got = ad._sigmoid(x, out=buf[:, 1], scratch=np.empty_like(x))
-        assert got.base is buf
-        assert np.array_equal(buf[:, 1].view(np.uint64), bits)
-        assert (buf[:, [0, 2]] == 7.0).all()
-        # in place: out may be the input itself
-        inplace = x2.copy()
-        ad._sigmoid(inplace, out=inplace)
-        assert np.array_equal(inplace.view(np.uint64), bits.reshape(7, 31))
+                            [-1000.0, -800.0, -745.0, -709.0, -40.0, -0.0, 0.0, 1e-300,
+                             40.0, 709.0, 745.0, 800.0, 1000.0, np.inf, -np.inf, 5e-324,
+                             -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308]])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            bits = want.view(np.uint64)
+            assert np.array_equal(ad._sigmoid(x, np.empty_like(x)).view(np.uint64), bits)
+            # 2-D input, and a strided out=
+            x2 = x.reshape(13, 17)
+            got = ad._sigmoid(x2, np.empty_like(x2))
+            assert np.array_equal(got.view(np.uint64), bits.reshape(13, 17))
+            buf = np.full((x.size, 3), 7.0)
+            got = ad._sigmoid(x, buf[:, 1])
+            assert got.base is buf
+            assert np.array_equal(buf[:, 1].view(np.uint64), bits)
+            assert (buf[:, [0, 2]] == 7.0).all()
+            # in place: out may be the input itself
+            inplace = x2.copy()
+            ad._sigmoid(inplace, inplace)
+            assert np.array_equal(inplace.view(np.uint64), bits.reshape(13, 17))
+        # exp(-x) overflows below -709 and the quotient is an exact 0
+        ends = dict(zip(x[200:], want[200:]))
+        assert ends[-1000.0] == ends[-745.0] == ends[-np.inf] == 0.0
+        assert ends[1000.0] == ends[745.0] == ends[np.inf] == 1.0
+        assert 0.0 < ends[-709.0] < 1e-300
 
     def test_sigmoid_keeps_nan(self):
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(ad._sigmoid(np.array([np.nan, -np.nan]))).all()
+        x = np.array([np.nan, -np.nan])
+        assert np.isnan(ad._sigmoid(x, np.empty_like(x))).all()
 
     def test_sigmoid_tanh_zero(self):
-        assert ad._sigmoid(np.array(0.0)) == 0.5
+        for zero in (0.0, -0.0):
+            assert ad._sigmoid(np.array(zero), np.empty(())) == 0.5
         assert ad.tanh(Tensor(0.0)).item() == 0.0
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("use_ids", [True, False], ids=["ids", "dense"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
+    def test_saturated_gates_warn_nothing(self, rng, cell, use_ids, taped):
+        # pre-activations of +-1000 overflow exp(-x) inside the sigmoid;
+        # the ops give exact 0 and 1 gates and let no RuntimeWarning out
+        nh = 3
+        n = (4 if cell == "lstm" else 3) * nh
+        b = np.where(np.arange(n) % 2 == 0, -1000.0, 1000.0)
+        table = rng.normal(size=(6, 2))
+        ids = np.array([[1, 2, 1], [3, 0, 0]])
+        x = table if use_ids else table[ids]
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        params = [Tensor(x, requires_grad=True), Tensor(rng.normal(size=(2, n)), requires_grad=True)]
+        if cell == "lstm":
+            params += [Tensor(rng.normal(size=(nh, n)), requires_grad=True),
+                       Tensor(b, requires_grad=True)]
+
+            def run():
+                return ad.lstm_sequence(*params, mask, ids=ids if use_ids else None)
+        else:
+            params += [Tensor(b, requires_grad=True), Tensor(rng.normal(size=(nh, 2 * nh))),
+                       Tensor(rng.normal(size=(nh, nh)))]
+
+            def run():
+                return ad.gru_sequence(*params, mask, ids=ids if use_ids else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if taped:
+                out = run()
+                out.sum().backward()
+            else:
+                with ad.no_grad():
+                    out = run()
+        assert np.isfinite(out.data).all()
 
     def test_embedding_index_error(self):
         with pytest.raises(IndexError):
@@ -469,6 +511,50 @@ class TestLookupInput:
                     np.zeros(ids, dtype=int))
 
 
+class TestMaskSwitch:
+    """Finite differences where the steps switch between all live, which
+    replace the state, and masked, which carry it, at the first, a middle
+    and the last step of the run, in either direction."""
+
+    B, T, E, H = 3, 5, 2, 3
+
+    @classmethod
+    def mask(cls, switch):
+        # row 1 ends at ``switch``, so steps from there on have a dead row
+        mask = np.ones((cls.B, cls.T))
+        mask[1, switch:] = 0.0
+        return mask
+
+    @pytest.mark.parametrize("cell,reverse", [("lstm", False), ("gru", False), ("gru", True)])
+    @pytest.mark.parametrize("switch", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("wrt", ["x", "w_h"])
+    def test_finite_differences(self, rng, cell, reverse, switch, wrt):
+        nh, mask = self.H, self.mask(switch)
+        x = rng.normal(size=(self.B, self.T, self.E))
+        if cell == "lstm":
+            weights = [rng.normal(size=(self.E, 4 * nh)) * 0.5,
+                       rng.normal(size=(nh, 4 * nh)) * 0.5, rng.normal(size=4 * nh) * 0.5]
+            w_h = 1
+        else:
+            weights = [rng.normal(size=(self.E, 3 * nh)) * 0.5, rng.normal(size=3 * nh) * 0.5,
+                       rng.normal(size=(nh, 2 * nh)) * 0.5, rng.normal(size=(nh, nh)) * 0.5]
+            w_h = 2
+        g = Tensor(rng.normal(size=(self.B, self.T, nh)))
+
+        def build(t):
+            xx = t if wrt == "x" else Tensor(x)
+            ws = [Tensor(w) for w in weights]
+            if wrt == "w_h":
+                ws[w_h] = t
+            if cell == "lstm":
+                out = ad.lstm_sequence(xx, *ws, mask)
+            else:
+                out = ad.gru_sequence(xx, *ws, mask, reverse=reverse)
+            return ad.mul(out, g).sum()
+
+        check_op(build, x.copy() if wrt == "x" else weights[w_h].copy())
+
+
 def _lookup_and_dense(rng, build, weight_shapes, ids, g):
     """The output and every gradient of sum(g * build(...)), once from the
     table and ids and once from ``embedding_lookup(table, ids)``."""
@@ -528,6 +614,35 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragg
     assert len(got) == len(want)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_no_grad_sequence_peak_memory(rng, cell):
+    """At the numeric workload's dev batch, an untaped sequence op over ids
+    holds no (T, B, n) projection: its numpy buffers (which numpy reports to
+    tracemalloc) peak below three times its (B, T, H) output."""
+    batch, steps, vocab, dim, nh = 100, 42, 51, 48, 64
+    ids = rng.integers(0, vocab, size=(batch, steps))
+    mask = np.ones((batch, steps))
+    for row, n in enumerate(rng.integers(31, steps + 1, size=batch)):
+        mask[row, n:] = 0.0
+    table = Tensor(rng.normal(size=(vocab, dim)))
+    n = (4 if cell == "lstm" else 3) * nh
+    w_x, b = Tensor(rng.normal(size=(dim, n)) * 0.1), Tensor(rng.normal(size=n) * 0.1)
+    w_h = Tensor(rng.normal(size=(nh, 4 * nh if cell == "lstm" else 2 * nh)) * 0.1)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            if cell == "lstm":
+                out = ad.lstm_sequence(table, w_x, w_h, b, mask, ids=ids)
+            else:
+                out = ad.gru_sequence(table, w_x, b, w_h, Tensor(np.eye(nh) * 0.1), mask,
+                                      ids=ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (batch, steps, nh)
+    assert peak < 3 * out.data.nbytes
 
 
 class TestTapeSemantics:
@@ -610,6 +725,26 @@ class TestTapeSemantics:
         with pytest.raises(NonFiniteError):
             ad.gru_sequence(x, Tensor(rng.normal(size=(2, 6))), Tensor(np.zeros(6)),
                             gru_w_h, Tensor(np.eye(2)), mask)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("use_ids", [True, False], ids=["ids", "dense"])
+    def test_overflowing_bias_add_raises(self, cell, use_ids):
+        # x @ w_x is a finite 1.5e308; adding a bias of 1.5e308 overflows,
+        # and the squashing gates would otherwise hide the inf
+        nh = 2
+        n = (4 if cell == "lstm" else 3) * nh
+        ids = np.zeros((2, 3), dtype=int)
+        table = np.ones((1, 1))
+        x = Tensor(table if use_ids else table[ids])
+        w_x, b = Tensor(np.full((1, n), 1.5e308)), Tensor(np.full(n, 1.5e308))
+        w_h = Tensor(np.zeros((nh, 4 * nh if cell == "lstm" else 2 * nh)))
+        with pytest.raises(NonFiniteError):
+            if cell == "lstm":
+                ad.lstm_sequence(x, w_x, w_h, b, None, ids=ids if use_ids else None)
+            else:
+                ad.gru_sequence(x, w_x, b, w_h, Tensor(np.zeros((nh, nh))),
+                                ids=ids if use_ids else None)
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2,)])
     def test_gru_h0_shape_error(self, rng, shape):

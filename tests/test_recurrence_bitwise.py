@@ -1,29 +1,47 @@
 """The recurrence ops against plain loops, bit for bit.
 
-``reference_lstm_sequence`` keeps the gates as (B, 4H) rows, makes a
-temporary for each elementwise call and uses the masked sigmoid formula.
-``reference_gru_sequence`` allocates each step's split of the carried
-gradient and concatenates the states each step started from. Each
-computes every value by the same float operations in the same order as
-its ``autodiff`` op, so outputs and gradients must match exactly, not to
-a tolerance.
+``reference_lstm_sequence`` keeps the gates as (B, 4H) rows and makes a
+temporary for each elementwise call. ``reference_gru_sequence`` allocates
+each step's split of the carried gradient and concatenates the states each
+step started from. Both gather the biased input projection time-major
+before the loop, compute the sigmoid as 1 / (1 + exp(-x)), and let a step
+whose mask is all ones take the new state as it is. Each computes every
+value by the same float operations in the same order as its ``autodiff``
+op, so outputs and gradients must match exactly, not to a tolerance.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gloss import autodiff as ad
 from gloss.autodiff import Tensor
 
 
-def _masked_sigmoid(x, out=None):
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+def _one_exp_sigmoid(x, out=None):
+    with np.errstate(over="ignore"):
+        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
+
+
+def _projection(x, w_x, b, mask):
+    """Time-major rows, (T, B, n) biased projection and (T, B, 1) mask."""
+    batch, steps, dim = x.shape
+    rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
+    proj = rows @ w_x.data
+    proj += b.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64).T[:, :, None]
+    return (rows, None, None), proj.reshape(steps, batch, -1), mask
+
+
+def _all_live(mask, t):
+    return mask is None or (mask[t] == 1.0).all()
 
 
 def _carry(h, h_new, mask, t, out):
-    if mask is None:
+    if _all_live(mask, t):
         out[...] = h_new
     else:
         h_new -= h
@@ -32,14 +50,14 @@ def _carry(h, h_new, mask, t, out):
 
 
 def _split_carry(d, mask, t):
-    if mask is None:
+    if _all_live(mask, t):
         return d, 0.0
     d_new = mask[t] * d
     return d_new, d - d_new
 
 
 def reference_lstm_sequence(x, w_x, w_h, b, mask):
-    flat_x, proj, mask = ad._sequence_input(x, w_x, mask, "lstm_sequence")
+    flat_x, proj, mask = _projection(x, w_x, b, mask)
     parents = (x, w_x, w_h, b)
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
@@ -54,9 +72,8 @@ def reference_lstm_sequence(x, w_x, w_h, b, mask):
         k = t if record else 0
         gates = h @ w_h.data
         gates += proj[t]
-        gates += b.data
         act = acts[k]
-        _masked_sigmoid(gates[:, :3 * nh], out=act[:, :3 * nh])
+        _one_exp_sigmoid(gates[:, :3 * nh], out=act[:, :3 * nh])
         np.tanh(gates[:, 3 * nh:], out=act[:, 3 * nh:])
         c_new = act[:, nh:2 * nh] * c
         c_new += act[:, :nh] * act[:, 3 * nh:]
@@ -97,12 +114,11 @@ def reference_lstm_sequence(x, w_x, w_h, b, mask):
 
 
 def reference_gru_sequence(x, w_x, b_x, w_h, w_hn, mask=None, h0=None, reverse=False):
-    flat_x, proj, mask = ad._sequence_input(x, w_x, mask, "gru_sequence")
+    flat_x, proj, mask = _projection(x, w_x, b_x, mask)
     parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
     nh = w_hn.shape[0]
-    proj += b_x.data
     h_init = np.zeros((batch, nh)) if h0 is None else h0.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     slots = steps if record else 1
@@ -115,7 +131,7 @@ def reference_gru_sequence(x, w_x, b_x, w_h, w_hn, mask=None, h0=None, reverse=F
         k = t if record else 0
         pre = h @ w_h.data
         pre += proj[t, :, :2 * nh]
-        zr = _masked_sigmoid(pre, out=zr_all[k])
+        zr = _one_exp_sigmoid(pre, out=zr_all[k])
         rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
         pre = rh @ w_hn.data
         pre += proj[t, :, 2 * nh:]
@@ -255,3 +271,38 @@ def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, mask_kind
     got, want = (_run(call(op), arrays, g, taped)
                  for op in (ad.gru_sequence, reference_gru_sequence))
     _assert_bitwise(["output", "x", "w_x", "b_x", "w_h", "w_hn", "h0"], got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=st.sampled_from(["lstm", "gru"]), batch=st.integers(1, 6),
+       steps=st.integers(1, 6), nh=st.integers(1, 5), use_ids=st.booleans(),
+       reverse=st.booleans(), with_h0=st.booleans(), taped=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_all_ones_mask_is_no_mask_bitwise(cell, batch, steps, nh, use_ids, reverse,
+                                          with_h0, taped, seed):
+    """A mask of all ones gives the outputs and gradients of no mask, bit for
+    bit: every step is all live, so none goes through the masked carry."""
+    rng = np.random.default_rng(seed)
+    dim, vocab = 3, 7
+    n = (4 if cell == "lstm" else 3) * nh
+    ids = rng.integers(0, vocab, size=(batch, steps)) if use_ids else None
+    x = rng.normal(size=(vocab, dim) if use_ids else (batch, steps, dim))
+    arrays = [x, rng.normal(size=(dim, n))]
+    if cell == "lstm":
+        arrays += [rng.normal(size=(nh, n)) * 0.5, rng.normal(size=n)]
+    else:
+        arrays += [rng.normal(size=n), rng.normal(size=(nh, 2 * nh)) * 0.5,
+                   rng.normal(size=(nh, nh)) * 0.5]
+        if with_h0:
+            arrays.append(rng.normal(size=(batch, nh)))
+    g = rng.normal(size=(batch, steps, nh))
+
+    def op(mask):
+        if cell == "lstm":
+            return lambda *p: ad.lstm_sequence(*p, mask, ids=ids)
+        return lambda x, w_x, b_x, w_h, w_hn, *h0: ad.gru_sequence(
+            x, w_x, b_x, w_h, w_hn, mask, h0=h0[0] if h0 else None, reverse=reverse, ids=ids)
+
+    got = _run(op(np.ones((batch, steps))), arrays, g, taped)
+    want = _run(op(None), arrays, g, taped)
+    _assert_bitwise(["output", "x", "w_x", "3", "4", "5", "h0"], got, want)
