@@ -19,6 +19,7 @@ checked tensors are not checked again.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -331,12 +332,12 @@ def _add_rows(table: Tensor, uniq: np.ndarray, d_rows: np.ndarray) -> None:
 
 
 def _distinct_ids(ids: np.ndarray, n_rows: int):
-    """Sorted distinct ids and each id's index among them; ``IndexError`` for
-    an id outside [0, n_rows)."""
+    """Sorted distinct ids and, in ids' shape, each id's index among them;
+    ``IndexError`` for an id outside [0, n_rows)."""
     uniq, inv = np.unique(ids, return_inverse=True)
     if uniq[0] < 0 or uniq[-1] >= n_rows:
         raise IndexError(f"embedding index out of range [0, {n_rows})")
-    return uniq, inv.reshape(-1)
+    return uniq, inv.reshape(ids.shape)
 
 
 # Bytes of window scores that conv_max sums and pools at once: about what
@@ -373,7 +374,6 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
     if not valid.any(axis=1).all():
         raise ValueError("conv_max needs at least one valid window per row")
     uniq, inv = _distinct_ids(ids, table.shape[0])
-    inv = inv.reshape(ids.shape)
     rows = table.data[uniq]
     n_filters = w.shape[1]
     # (E, width * F): column block j is the kernel slice for window offset j
@@ -603,22 +603,26 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 # -- recurrent sequences -----------------------------------------------------
 #
-# Each recurrence over a padded batch is one op. Its input is a (B, T, E)
-# tensor, or an embedding table with a (B, T) id array. The input
-# projection, with the bias folded in, is one matmul outside the time loop:
-# of the (T*B, E) time-major rows, or of only the table rows of the
-# distinct ids. Each step takes its B rows of that projection inside the
-# loop: a slice of the time-major rows, or the ids' rows taken into a
-# buffer. The recurrence runs in numpy, and backward is hand-written
-# backprop through time that gathers the weight gradients in one matmul
-# over all steps; from a table, it first sums the pre-activation gradient
-# per distinct id, so the W_x and table-row gradients are products over
-# those rows alone. A step whose mask is not all ones carries the state by
+# Each recurrence over a padded batch is one op over the rows of a (V, E)
+# table that a (B, T) id array picks: an embedding table, or rows that the
+# caller builds, such as the CVAE decoder's [token; control] pairs. The
+# input projection, with the bias folded in, is one matmul outside the time
+# loop over the distinct ids' rows alone, and each step takes its ids' B
+# rows of it into a buffer (mode="clip" only skips numpy's buffered range
+# check: the ids were checked). The recurrence runs in numpy, and backward
+# is hand-written backprop through time that sums the pre-activation
+# gradient per distinct id and gathers each weight gradient in one matmul
+# over all steps. A step whose mask is not all ones carries the state by
 # one rule, _carry: h <- h + m * (h_new - h). A step whose mask is all ones,
 # and every step with no mask, writes the new state straight into its slot.
 # _split_carry splits the carried gradient the same two ways, in place. The
 # (B, T, H) output holds the state after each position, so the final state
 # of a forward pass is position T-1 and of a reverse pass position 0.
+#
+# A state is a gated tanh, h0 or a convex mix of states, so |h| <= 1 (LSTM)
+# or max(1, max|h0|) (GRU) bounds each recurrent product; only a call whose
+# bound (_may_overflow) is not finite checks each step's pre-activations
+# before the squash.
 #
 # The LSTM keeps its per-step work gate-major, so that each elementwise
 # call runs over contiguous memory: its projection is (4, rows, H), so a
@@ -637,31 +641,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # keeps one per cell).
 
 
-def _sequence_input(x: Tensor, w_x: Tensor, b: Tensor, mask, opname: str, ids=None):
-    """Input rows, projection, per-step masks and batch size of a sequence op.
-
-    The rows come as ``(rows, uniq, inv)``: x's (T*B, E) time-major rows
-    with ``uniq`` and ``inv`` None, or, when ``ids`` is given and ``x`` is
-    the (V, E) table, the rows of the distinct ids ``uniq`` and each
-    time-major position's index ``inv`` among them. The projection is
-    ``rows @ w_x + b``, one row per input row. The masks hold each step's
-    (B, 1) mask column, or None for a step whose mask is all ones.
-    """
-    if ids is None:
-        if x.ndim != 3 or w_x.ndim != 2 or x.shape[2] != w_x.shape[0]:
-            raise ShapeError(f"{opname} expects (B, T, E) input and (E, n) weights, "
-                             f"got {x.shape} and {w_x.shape}")
-        batch, steps, dim = x.shape
-        rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
-        uniq = inv = None
-    else:
-        ids = np.asarray(ids)
-        if x.ndim != 2 or ids.ndim != 2 or w_x.ndim != 2 or x.shape[1] != w_x.shape[0]:
-            raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
-                             f"weights, got {x.shape}, {ids.shape} and {w_x.shape}")
-        batch, steps = ids.shape
-        uniq, inv = _distinct_ids(ids.T, x.shape[0])
-        rows = x.data[uniq]
+def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, mask, opname: str):
+    """The table rows of the distinct ids, those ids, each time-major
+    position's (T, B) index among them, the projection ``rows @ w_x + b``
+    and each step's (B, 1) mask column (None for a step of all ones)."""
+    ids = np.asarray(ids)
+    if table.ndim != 2 or ids.ndim != 2 or w_x.ndim != 2 or table.shape[1] != w_x.shape[0]:
+        raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
+                         f"weights, got {table.shape}, {ids.shape} and {w_x.shape}")
+    batch, steps = ids.shape
+    uniq, inv = _distinct_ids(ids.T, table.shape[0])
+    rows = table.data[uniq]
     masks = [None] * steps
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
@@ -674,38 +664,30 @@ def _sequence_input(x: Tensor, w_x: Tensor, b: Tensor, mask, opname: str, ids=No
     proj += b.data
     # checked after the bias, so that an overflowing sum raises
     _check_finite(proj, opname)
-    return (rows, uniq, inv), proj, masks, batch
+    return rows, uniq, inv, proj, masks
 
 
-def _step_rows(proj: np.ndarray, inv, t: int, out: np.ndarray) -> np.ndarray:
-    """Step t's rows of a projection whose second-last axis holds one row per
-    input row: a slice of the dense path's time-major rows, or the ids'
-    rows taken into ``out``, whose second-last axis is the batch."""
-    batch = out.shape[-2]
-    if inv is None:
-        return proj[..., t * batch:(t + 1) * batch, :]
-    # the ids were range-checked, so "clip" only skips numpy's buffered check
-    return np.take(proj, inv[t * batch:(t + 1) * batch], axis=-2, out=out, mode="clip")
+def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
+    """Whether a step's ``proj`` row plus ``h @ w_h`` may overflow, for states
+    of elements at most max(1, max|h0|) (1 without ``h0``). Each max|x| is
+    bounded by the Frobenius norm, one BLAS dot (a square that overflows only
+    turns the checks on), and an element of ``h @ w_h`` by ||h|| ||w_h|| (the
+    Cauchy-Schwarz inequality). The bound must stay finite doubled, a margin
+    for rounding."""
+    h_sq = 1.0 if h0 is None else 1.0 + float(np.vdot(h0, h0))  # >= max(1, max|h0|)^2
+    norm = sum(math.sqrt(np.vdot(w_h, w_h)) for w_h in w_hs)
+    bound = math.sqrt(np.vdot(proj, proj)) + math.sqrt(h_sq * w_hs[0].shape[0]) * norm
+    return not math.isfinite(2.0 * bound)
 
 
-def _input_grads(x: Tensor, w_x: Tensor, source, d_proj: np.ndarray) -> None:
-    """Gradients of the input and W_x from the time-major pre-activation
-    gradient; ``source`` is the rows triple of :func:`_sequence_input`."""
-    rows, uniq, inv = source
-    steps, batch, _ = d_proj.shape
-    flat = d_proj.reshape(steps * batch, -1)
-    if inv is not None:
-        # one summed gradient per distinct id, matching the rows
-        flat = _row_sums(inv[:, None], flat, len(uniq))
+def _input_grads(table: Tensor, w_x: Tensor, rows, uniq, inv, d_proj: np.ndarray) -> None:
+    """Gradients of the table and W_x from the (T, B, n) pre-activation
+    gradient, summed per distinct id; the rest as :func:`_sequence_input`."""
+    flat = _row_sums(inv[..., None], d_proj, len(uniq))
     if w_x.requires_grad:
         _accumulate(w_x, rows.T @ flat)
-    if not x.requires_grad:
-        return
-    d_rows = flat @ w_x.data.T
-    if inv is None:
-        _accumulate(x, d_rows.reshape(steps, batch, -1).transpose(1, 0, 2))
-    else:
-        _add_rows(x, uniq, d_rows)
+    if table.requires_grad:
+        _add_rows(table, uniq, flat @ w_x.data.T)
 
 
 def _batch_major(states: np.ndarray) -> np.ndarray:
@@ -730,19 +712,17 @@ def _split_carry(d: np.ndarray, d_new: np.ndarray, m):
     return d, d_new
 
 
-def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
-                  ids=None) -> Tensor:
+def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tensor:
     """LSTM over a padded batch from a zero state; returns (B, T, H) states.
 
-    The input ``x`` is (B, T, E), or with ``ids`` a (V, E) embedding table
-    whose rows the (B, T) ids pick. Gates are packed [input, forget, output,
-    candidate] along the last axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and
-    ``b`` (4H,).
+    The input is the rows of the (V, E) ``table`` that the (B, T) ``ids``
+    pick. Gates are packed [input, forget, output, candidate] along the last
+    axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and ``b`` (4H,).
     """
-    source, proj, masks, batch = _sequence_input(x, w_x, b, mask, "lstm_sequence", ids)
-    parents = (x, w_x, w_h, b)
+    rows, uniq, inv, proj, masks = _sequence_input(table, ids, w_x, b, mask, "lstm_sequence")
+    parents = (table, w_x, w_h, b)
     record = _recording(parents)
-    steps = len(masks)
+    steps, batch = inv.shape
     nh = w_h.shape[0]
     proj = np.ascontiguousarray(proj.reshape(-1, 4, nh).transpose(1, 0, 2))
     if record:
@@ -759,13 +739,17 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
     gates = np.empty((batch, 4 * nh))  # the recurrent product
     gates_gm = gates.reshape(batch, 4, nh).transpose(1, 0, 2)
     pre = np.empty((4, batch, nh))  # gate pre-activations
-    with np.errstate(over="ignore"):
+    # an inf or nan can only come from an overflow, on which ``check`` raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = _may_overflow(proj, None, w_h.data)
         for t in range(steps):
             k = t if record else 0
             prev = hc[:, k]
             cur = hc[:, k + 1] if record else prev
             np.matmul(prev[0], w_h.data, out=gates)
-            np.add(_step_rows(proj, source[2], t, pre), gates_gm, out=pre)
+            np.add(np.take(proj, inv[t], axis=1, out=pre, mode="clip"), gates_gm, out=pre)
+            if check:
+                _check_finite(pre, "lstm_sequence")
             act = acts[k]
             _sigmoid(pre[:3], act[:3])
             np.tanh(pre[3], out=act[3])
@@ -829,28 +813,26 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask,
             _accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
         if b.requires_grad:
             _accumulate(b, flat.sum(axis=0))
-        _input_grads(x, w_x, source, d_gates)
+        _input_grads(table, w_x, rows, uniq, inv, d_gates)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "lstm_sequence")
 
 
-def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
-                 mask=None, h0: Tensor | None = None, reverse: bool = False,
-                 ids=None) -> Tensor:
+def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
+                 mask=None, h0: Tensor | None = None, reverse: bool = False) -> Tensor:
     """GRU over a padded batch; returns (B, T, H) states.
 
-    The input ``x`` is (B, T, E), or with ``ids`` a (V, E) embedding table
-    whose rows the (B, T) ids pick.
-    ``w_x`` (E, 3H) and ``b_x`` (3H,) pack [update, reset, candidate];
+    The input is the rows of the (V, E) ``table`` that the (B, T) ``ids``
+    pick. ``w_x`` (E, 3H) and ``b_x`` (3H,) pack [update, reset, candidate];
     ``w_h`` (H, 2H) packs [update, reset] and ``w_hn`` (H, H) acts on the
     reset-gated state. The state starts at ``h0`` (zeros when None), and
     ``reverse`` runs from position T-1 down to 0.
     """
-    source, proj, masks, batch = _sequence_input(x, w_x, b_x, mask, "gru_sequence", ids)
-    parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
+    rows, uniq, inv, proj, masks = _sequence_input(table, ids, w_x, b_x, mask, "gru_sequence")
+    parents = (table, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = _recording(parents)
-    steps = len(masks)
+    steps, batch = inv.shape
     nh = w_hn.shape[0]
     if h0 is not None and h0.shape != (batch, nh):
         raise ShapeError(f"gru_sequence h0 shape {h0.shape} != {(batch, nh)}")
@@ -864,19 +846,25 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
     zr_all = np.empty((slots, batch, 2 * nh))
     cand_all = np.empty((slots, batch, nh))
     rh_all = np.empty((slots, batch, nh))
-    rows_buf = np.empty((batch, 3 * nh))  # a step's rows taken by id
+    proj_t = np.empty((batch, 3 * nh))  # a step's rows of proj, taken by id
     h_new = np.empty((batch, nh))  # a masked step's state before the carry
-    with np.errstate(over="ignore"):
+    # an inf or nan can only come from an overflow, on which ``check`` raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = _may_overflow(proj, None if h0 is None else h0.data, w_h.data, w_hn.data)
         for t in order:
             k = t if record else 0
             h = h_prev[t]
-            rows = _step_rows(proj, source[2], t, rows_buf)
+            np.take(proj, inv[t], axis=0, out=proj_t, mode="clip")
             zr = np.matmul(h, w_h.data, out=zr_all[k])
-            zr += rows[:, :2 * nh]
+            zr += proj_t[:, :2 * nh]
+            if check:
+                _check_finite(zr, "gru_sequence")
             _sigmoid(zr, zr)
             rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
             cand = np.matmul(rh, w_hn.data, out=cand_all[k])
-            cand += rows[:, 2 * nh:]
+            cand += proj_t[:, 2 * nh:]
+            if check:
+                _check_finite(cand, "gru_sequence")
             np.tanh(cand, out=cand)
             m = masks[t]
             new = states[t] if m is None else h_new
@@ -916,7 +904,7 @@ def gru_sequence(x: Tensor, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
             _accumulate(b_x, flat.sum(axis=0))
         if h0 is not None and h0.requires_grad:
             _accumulate(h0, dh)
-        _input_grads(x, w_x, source, d_proj)
+        _input_grads(table, w_x, rows, uniq, inv, d_proj)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "gru_sequence")

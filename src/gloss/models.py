@@ -87,12 +87,12 @@ class GRU(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 2 * n_hidden), requires_grad=True)
         self.w_hn = Tensor(_xavier(rng, n_hidden, n_hidden), requires_grad=True)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 h0: Tensor | None = None, reverse: bool = False, ids=None) -> Tensor:
-        """(B, T, H) states over a padded (B, T, E) batch, or over the rows of
-        the table ``x`` that (B, T) ``ids`` pick; masked steps carry state."""
-        return ad.gru_sequence(x, self.w_x, self.b_x, self.w_h, self.w_hn, mask,
-                               h0=h0, reverse=reverse, ids=ids)
+    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray | None = None,
+                 h0: Tensor | None = None, reverse: bool = False) -> Tensor:
+        """(B, T, H) states over the rows of ``table`` that the padded (B, T)
+        ``ids`` pick; masked steps carry state."""
+        return ad.gru_sequence(table, ids, self.w_x, self.b_x, self.w_h, self.w_hn, mask,
+                               h0=h0, reverse=reverse)
 
 
 class LSTM(Module):
@@ -101,10 +101,10 @@ class LSTM(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 4 * n_hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * n_hidden), requires_grad=True)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, ids=None) -> Tensor:
-        """(B, T, H) states over a padded (B, T, E) batch, or over the rows of
-        the table ``x`` that (B, T) ``ids`` pick; masked steps carry state."""
-        return ad.lstm_sequence(x, self.w_x, self.w_h, self.b, mask, ids=ids)
+    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """(B, T, H) states over the rows of ``table`` that the padded (B, T)
+        ``ids`` pick; masked steps carry state."""
+        return ad.lstm_sequence(table, ids, self.w_x, self.w_h, self.b, mask)
 
 
 def _final_state(states: Tensor, reverse: bool = False) -> Tensor:
@@ -119,10 +119,10 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, ids=None) -> Tensor:
-        """Both final states, concatenated: (B, 2H); ``x`` and ``ids`` as for GRU."""
-        return ad.concat([_final_state(self.fwd(x, mask, ids=ids)),
-                          _final_state(self.bwd(x, mask, reverse=True, ids=ids),
+    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """Both final states, concatenated: (B, 2H); the input as for GRU."""
+        return ad.concat([_final_state(self.fwd(table, ids, mask)),
+                          _final_state(self.bwd(table, ids, mask, reverse=True),
                                        reverse=True)],
                          axis=1)
 
@@ -196,7 +196,7 @@ class RecurrentEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        return _final_state(self.rnn(self.embed.w, mask, ids=ids))
+        return _final_state(self.rnn(self.embed.w, ids, mask))
 
 
 class CnnEncoder(Module):
@@ -338,7 +338,7 @@ class TextCvae(Module):
 
     def posterior(self, cond: Tensor, comment_ids: np.ndarray,
                   comment_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        enc = self.comment_enc(self.embed.w, comment_mask, ids=comment_ids)
+        enc = self.comment_enc(self.embed.w, comment_ids, comment_mask)
         packed = self.recog_out(ad.tanh(self.recog_hidden(ad.concat([enc, cond], axis=1))))
         return self._split_gaussian(packed)
 
@@ -368,6 +368,13 @@ class TextCvae(Module):
         t_mask = (np.arange(steps + 1) <= lengths[:, None]).astype(np.float64)
         return dec_in, targets, t_mask
 
+    def _dec_input(self, tokens: np.ndarray, controls: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """Decoder table and (B, T) ids: a [token; control] embedding row per
+        distinct (token, control) pair, row i of ``tokens`` under ``controls[i]``."""
+        pairs, ids = np.unique(tokens * N_CONTROLS + controls[:, None], return_inverse=True)
+        rows = [self.embed(pairs // N_CONTROLS), self.ctrl(pairs % N_CONTROLS)]
+        return ad.concat(rows, axis=1), ids.reshape(tokens.shape)
+
     def elbo_per_example(self, v_e: Tensor, controls: np.ndarray, comment_ids: np.ndarray,
                          comment_mask: np.ndarray, rng: np.random.Generator,
                          ) -> tuple[Tensor, Tensor]:
@@ -382,9 +389,7 @@ class TextCvae(Module):
 
         dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_mask)
         batch, steps = dec_in.shape
-        ctrl = self.ctrl(np.repeat(controls[:, None], steps, axis=1))
-        states = self.dec(ad.concat([self.embed(dec_in), ctrl], axis=2),
-                          h0=self._decode_hidden(z, cond))
+        states = self.dec(*self._dec_input(dec_in, controls), h0=self._decode_hidden(z, cond))
         logits = self.dec_out(states.reshape(batch * steps, self.config.decoder_hidden))
         ce = ad.cross_entropy(logits, targets.reshape(-1))
         recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
@@ -402,13 +407,11 @@ class TextCvae(Module):
             mu_p, _ = self.prior(cond)
             h = self._decode_hidden(mu_p, cond)
             batch = v_e.shape[0]
-            ctrl = self.ctrl(controls[:, None])
             tokens = np.full(batch, BOS, dtype=np.int64)
             finished = np.zeros(batch, dtype=bool)
             steps = []
             for _ in range(self.config.max_len):
-                x = ad.concat([self.embed(tokens[:, None]), ctrl], axis=2)
-                h = self.dec(x, h0=h).reshape(batch, self.config.decoder_hidden)
+                h = self.dec(*self._dec_input(tokens[:, None], controls), h0=h).reshape(batch, -1)
                 tokens = self.dec_out(h).argmax(axis=1)
                 steps.append(tokens)
                 finished |= tokens == EOS
@@ -463,7 +466,7 @@ class ClassifierText(Module):
         self.frozen = False
 
     def _comment_vec(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        return ad.concat([self.rnn(self.embed.w, mask, ids=ids),
+        return ad.concat([self.rnn(self.embed.w, ids, mask),
                           _masked_mean(self.embed(ids), mask)], axis=1)
 
     def logits_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:

@@ -253,9 +253,8 @@ class TestForwardValues:
         assert ad.tanh(Tensor(0.0)).item() == 0.0
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    @pytest.mark.parametrize("use_ids", [True, False], ids=["ids", "dense"])
     @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
-    def test_saturated_gates_warn_nothing(self, rng, cell, use_ids, taped):
+    def test_saturated_gates_warn_nothing(self, rng, cell, taped):
         # pre-activations of +-1000 overflow exp(-x) inside the sigmoid;
         # the ops give exact 0 and 1 gates and let no RuntimeWarning out
         nh = 3
@@ -263,21 +262,21 @@ class TestForwardValues:
         b = np.where(np.arange(n) % 2 == 0, -1000.0, 1000.0)
         table = rng.normal(size=(6, 2))
         ids = np.array([[1, 2, 1], [3, 0, 0]])
-        x = table if use_ids else table[ids]
         mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        params = [Tensor(x, requires_grad=True), Tensor(rng.normal(size=(2, n)), requires_grad=True)]
+        params = [Tensor(table, requires_grad=True),
+                  Tensor(rng.normal(size=(2, n)), requires_grad=True)]
         if cell == "lstm":
             params += [Tensor(rng.normal(size=(nh, n)), requires_grad=True),
                        Tensor(b, requires_grad=True)]
 
             def run():
-                return ad.lstm_sequence(*params, mask, ids=ids if use_ids else None)
+                return ad.lstm_sequence(params[0], ids, *params[1:], mask)
         else:
             params += [Tensor(b, requires_grad=True), Tensor(rng.normal(size=(nh, 2 * nh))),
                        Tensor(rng.normal(size=(nh, nh)))]
 
             def run():
-                return ad.gru_sequence(*params, mask, ids=ids if use_ids else None)
+                return ad.gru_sequence(params[0], ids, *params[1:], mask)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if taped:
@@ -441,8 +440,8 @@ class TestLookupInput:
     def op(cell, table, weights, mask, ids, reverse=False, h0=None):
         """The sequence op over the rows of ``table`` that ``ids`` pick."""
         if cell == "lstm":
-            return ad.lstm_sequence(table, *weights, mask, ids=ids)
-        return ad.gru_sequence(table, *weights, mask, h0=h0, reverse=reverse, ids=ids)
+            return ad.lstm_sequence(table, ids, *weights, mask)
+        return ad.gru_sequence(table, ids, *weights, mask, h0=h0, reverse=reverse)
 
     @pytest.mark.parametrize("cell,reverse,with_h0", [
         ("lstm", False, False), ("gru", False, False), ("gru", True, False),
@@ -514,7 +513,8 @@ class TestLookupInput:
 class TestMaskSwitch:
     """Finite differences where the steps switch between all live, which
     replace the state, and masked, which carry it, at the first, a middle
-    and the last step of the run, in either direction."""
+    and the last step of the run, in either direction. The input x is a
+    (B*T, E) table read through the ids of its rows."""
 
     B, T, E, H = 3, 5, 2, 3
 
@@ -530,7 +530,8 @@ class TestMaskSwitch:
     @pytest.mark.parametrize("wrt", ["x", "w_h"])
     def test_finite_differences(self, rng, cell, reverse, switch, wrt):
         nh, mask = self.H, self.mask(switch)
-        x = rng.normal(size=(self.B, self.T, self.E))
+        x = rng.normal(size=(self.B, self.T, self.E)).reshape(self.B * self.T, self.E)
+        ids = np.arange(self.B * self.T).reshape(self.B, self.T)
         if cell == "lstm":
             weights = [rng.normal(size=(self.E, 4 * nh)) * 0.5,
                        rng.normal(size=(nh, 4 * nh)) * 0.5, rng.normal(size=4 * nh) * 0.5]
@@ -547,9 +548,9 @@ class TestMaskSwitch:
             if wrt == "w_h":
                 ws[w_h] = t
             if cell == "lstm":
-                out = ad.lstm_sequence(xx, *ws, mask)
+                out = ad.lstm_sequence(xx, ids, *ws, mask)
             else:
-                out = ad.gru_sequence(xx, *ws, mask, reverse=reverse)
+                out = ad.gru_sequence(xx, ids, *ws, mask, reverse=reverse)
             return ad.mul(out, g).sum()
 
         check_op(build, x.copy() if wrt == "x" else weights[w_h].copy())
@@ -557,17 +558,19 @@ class TestMaskSwitch:
 
 def _lookup_and_dense(rng, build, weight_shapes, ids, g):
     """The output and every gradient of sum(g * build(...)), once from the
-    table and ids and once from ``embedding_lookup(table, ids)``."""
+    table and ids and once from ``embedding_lookup(table, ids)`` as a
+    (B*T, E) table with identity ids."""
     results = []
     table = rng.normal(size=(20, 5))
     weights = [rng.normal(size=shape) * 0.5 for shape in weight_shapes]
+    identity = np.arange(ids.size).reshape(ids.shape)
     for use_ids in (True, False):
         tt = Tensor(table, requires_grad=True)
         ws = [Tensor(w, requires_grad=True) for w in weights]
         if use_ids:
             out = build(tt, ws, ids)
         else:
-            out = build(ad.embedding_lookup(tt, ids), ws, None)
+            out = build(ad.embedding_lookup(tt, ids).reshape(ids.size, -1), ws, identity)
         ad.mul(out, Tensor(g)).sum().backward()
         results.append([out.data, tt.grad] + [w.grad for w in ws])
     return results
@@ -591,14 +594,14 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragg
         shapes = [(5, 4 * nh), (nh, 4 * nh), (4 * nh,)]
 
         def build(x, ws, ids):
-            return ad.lstm_sequence(x, *ws, mask if ragged else None, ids=ids)
+            return ad.lstm_sequence(x, ids, *ws, mask if ragged else None)
     elif cell == "gru":
         shapes = [(5, 3 * nh), (3 * nh,), (nh, 2 * nh), (nh, nh)] + [(batch, nh)] * with_h0
 
         def build(x, ws, ids):
             h0 = ws[4] if with_h0 else None
-            return ad.gru_sequence(x, *ws[:4], mask if ragged else None, h0=h0,
-                                   reverse=reverse, ids=ids)
+            return ad.gru_sequence(x, ids, *ws[:4], mask if ragged else None, h0=h0,
+                                   reverse=reverse)
     else:
         net = BiGRU(rng, 5, nh)
         names = list(net.parameters())
@@ -608,7 +611,7 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragg
             for name, w in zip(names, ws):
                 part, attr = name.split(".")
                 setattr(getattr(net, part), attr, w)
-            return net(x, mask if ragged else None, ids=ids)
+            return net(x, ids, mask if ragged else None)
     g_shape = (batch, 2 * nh) if cell == "bigru" else (batch, steps, nh)
     got, want = _lookup_and_dense(rng, build, shapes, ids, rng.normal(size=g_shape))
     assert len(got) == len(want)
@@ -634,10 +637,9 @@ def test_no_grad_sequence_peak_memory(rng, cell):
     try:
         with ad.no_grad():
             if cell == "lstm":
-                out = ad.lstm_sequence(table, w_x, w_h, b, mask, ids=ids)
+                out = ad.lstm_sequence(table, ids, w_x, w_h, b, mask)
             else:
-                out = ad.gru_sequence(table, w_x, b, w_h, Tensor(np.eye(nh) * 0.1), mask,
-                                      ids=ids)
+                out = ad.gru_sequence(table, ids, w_x, b, w_h, Tensor(np.eye(nh) * 0.1), mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,8 +687,9 @@ class TestTapeSemantics:
         w_x = Tensor(np.full((1, 3), 0.5), requires_grad=True)
         with ad.no_grad():
             out = ad.tanh(t)
-            seq = ad.gru_sequence(Tensor(np.ones((2, 3, 1))), w_x, Tensor(np.zeros(3)),
-                                  Tensor(np.ones((1, 2))), Tensor(np.ones((1, 1))))
+            seq = ad.gru_sequence(Tensor(np.ones((6, 1))), np.arange(6).reshape(2, 3), w_x,
+                                  Tensor(np.zeros(3)), Tensor(np.ones((1, 2))),
+                                  Tensor(np.ones((1, 1))))
         assert not out.requires_grad and out._backward is None
         assert not seq.requires_grad and seq._backward is None
 
@@ -713,44 +716,99 @@ class TestTapeSemantics:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weight_in_sequence_op(self, rng):
         # weights turn non-finite in place (an optimizer step), not through Tensor()
-        x = Tensor(rng.normal(size=(2, 3, 2)))
+        x = Tensor(rng.normal(size=(2, 3, 2)).reshape(6, 2))
+        ids = np.arange(6).reshape(2, 3)
         mask = np.ones((2, 3))
         lstm_w_x = Tensor(rng.normal(size=(2, 8)))
         lstm_w_x.data[1, 2] = np.inf
         with pytest.raises(NonFiniteError):
-            ad.lstm_sequence(x, lstm_w_x, Tensor(rng.normal(size=(2, 8))),
+            ad.lstm_sequence(x, ids, lstm_w_x, Tensor(rng.normal(size=(2, 8))),
                              Tensor(np.zeros(8)), mask)
         gru_w_h = Tensor(rng.normal(size=(2, 4)))
         gru_w_h.data[0, 1] = np.nan
         with pytest.raises(NonFiniteError):
-            ad.gru_sequence(x, Tensor(rng.normal(size=(2, 6))), Tensor(np.zeros(6)),
+            ad.gru_sequence(x, ids, Tensor(rng.normal(size=(2, 6))), Tensor(np.zeros(6)),
                             gru_w_h, Tensor(np.eye(2)), mask)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    @pytest.mark.parametrize("use_ids", [True, False], ids=["ids", "dense"])
-    def test_overflowing_bias_add_raises(self, cell, use_ids):
+    def test_overflowing_bias_add_raises(self, cell):
         # x @ w_x is a finite 1.5e308; adding a bias of 1.5e308 overflows,
         # and the squashing gates would otherwise hide the inf
         nh = 2
         n = (4 if cell == "lstm" else 3) * nh
         ids = np.zeros((2, 3), dtype=int)
-        table = np.ones((1, 1))
-        x = Tensor(table if use_ids else table[ids])
+        x = Tensor(np.ones((1, 1)))
         w_x, b = Tensor(np.full((1, n), 1.5e308)), Tensor(np.full(n, 1.5e308))
         w_h = Tensor(np.zeros((nh, 4 * nh if cell == "lstm" else 2 * nh)))
         with pytest.raises(NonFiniteError):
             if cell == "lstm":
-                ad.lstm_sequence(x, w_x, w_h, b, None, ids=ids if use_ids else None)
+                ad.lstm_sequence(x, ids, w_x, w_h, b, None)
             else:
-                ad.gru_sequence(x, w_x, b, w_h, Tensor(np.zeros((nh, nh))),
-                                ids=ids if use_ids else None)
+                ad.gru_sequence(x, ids, w_x, b, w_h, Tensor(np.zeros((nh, nh))))
+
+    @staticmethod
+    def recurrent_op(cell, scale, reset_scale=0.0, taped=False):
+        """A 3-step op on a (2, 2) table whose recurrent weights are all
+        ``scale`` (the GRU's w_hn all ``reset_scale``), as a function of no
+        arguments; x @ w_x and the biases are small, so only the recurrent
+        products can grow."""
+        nh = 2
+        table = Tensor(np.array([[0.5, -0.25], [1.0, 0.75]]), requires_grad=taped)
+        ids = np.array([[0, 1, 1], [1, 0, 1]])
+        with np.errstate(over="ignore"):  # Tensor()'s check sums the weights
+            w_h = Tensor(np.full((nh, (4 if cell == "lstm" else 2) * nh), scale))
+            w_hn = Tensor(np.full((nh, nh), reset_scale))
+        if cell == "lstm":
+            return lambda: ad.lstm_sequence(table, ids, Tensor(np.full((2, 4 * nh), 0.5)), w_h,
+                                            Tensor(np.full(4 * nh, 0.25)), None)
+        return lambda: ad.gru_sequence(table, ids, Tensor(np.full((2, 3 * nh), 0.5)),
+                                       Tensor(np.full(3 * nh, 0.25)), w_h, w_hn,
+                                       h0=Tensor(np.ones((2, nh))))
+
+    @pytest.mark.parametrize("cell,scale,reset_scale", [
+        ("lstm", 1.5e308, 0.0), ("gru", 1.5e308, 0.0), ("gru", 0.0, 1.5e308),
+        ("gru", 1.5e308, 1.5e308)], ids=["lstm_w_h", "gru_w_h", "gru_w_hn", "gru_both"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
+    def test_overflowing_recurrent_product_raises(self, cell, scale, reset_scale, taped):
+        # h @ w_h overflows to inf inside the loop, where the gates would
+        # squash it to 0 or 1 and return a finite output; nothing warns
+        run = self.recurrent_op(cell, scale, reset_scale, taped)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match=f"{cell}_sequence"):
+                if taped:
+                    run()
+                else:
+                    with ad.no_grad():
+                        run()
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("scale,checked", [(1e150, False), (1e307, True)],
+                             ids=["bound_finite", "steps_checked"])
+    def test_large_recurrent_weights_that_do_not_overflow_pass(self, cell, scale, checked):
+        # products of about 1e150 keep the bound finite, so no step is
+        # checked; at 1e307 the squares in the bound overflow, so every step
+        # is checked, and none raises: the products themselves stay finite
+        weights = [np.full((2, 8), scale)] + [np.full((2, 2), scale)] * (cell == "gru")
+        assert ad._may_overflow(np.ones((3, 8)), None, *weights) is checked
+        out = self.recurrent_op(cell, scale, scale if cell == "gru" else 0.0)()
+        assert np.isfinite(out.data).all()
+
+    def test_overflow_bound(self):
+        # the state bound comes from h0, and a NaN anywhere turns the checks on
+        proj, w_h = np.ones((3, 6)), np.full((2, 4), 1e150)
+        assert not ad._may_overflow(proj, np.full((3, 2), 1e5), w_h)
+        assert ad._may_overflow(proj, np.full((3, 2), 1e160), w_h)
+        assert ad._may_overflow(np.full((3, 6), np.nan), None, w_h)
+        assert ad._may_overflow(proj, None, np.full((2, 4), np.nan))
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2,)])
     def test_gru_h0_shape_error(self, rng, shape):
         # a (1, H) state would broadcast over the batch and get a (B, H) gradient
         with pytest.raises(ShapeError, match="h0 shape"):
-            ad.gru_sequence(Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(2, 6))),
+            ad.gru_sequence(Tensor(rng.normal(size=(2, 3, 2)).reshape(6, 2)),
+                            np.arange(6).reshape(2, 3), Tensor(rng.normal(size=(2, 6))),
                             Tensor(np.zeros(6)), Tensor(rng.normal(size=(2, 4))),
                             Tensor(np.eye(2)), h0=Tensor(np.zeros(shape), requires_grad=True))
 

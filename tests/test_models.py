@@ -134,8 +134,8 @@ class TestMasking:
         x = rng.normal(size=(4, 9, 5))
         x_padded = np.concatenate([x, rng.normal(size=(4, 5, 5))], axis=1)
         mask_padded = np.concatenate([mask, np.zeros((4, 5))], axis=1)
-        assert np.array_equal(bigru(Tensor(x), mask).data,
-                              bigru(Tensor(x_padded), mask_padded).data)
+        assert np.array_equal(bigru(*identity_input(x), mask).data,
+                              bigru(*identity_input(x_padded), mask_padded).data)
 
     @staticmethod
     def _sig(v):
@@ -166,7 +166,7 @@ class TestMasking:
             keep = mask[:, t:t + 1] > 0
             h, c = np.where(keep, h_new, h), np.where(keep, c_new, c)
             want[:, t] = h
-        np.testing.assert_allclose(lstm(Tensor(x), mask).data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lstm(*identity_input(x), mask).data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("with_h0", [False, True])
@@ -189,7 +189,7 @@ class TestMasking:
             h_new = (1.0 - z) * cand + z * h
             h = np.where(mask[:, t:t + 1] > 0, h_new, h)
             want[:, t] = h
-        got = gru(Tensor(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
+        got = gru(*identity_input(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_cnn_encoder_matches_reference_loop(self, rng, made_ops):
@@ -294,6 +294,12 @@ class TestNumericGenerator:
         op = "matmul" if part == "w" else "add"
         with pytest.raises(ad.NonFiniteError, match=f"produced by {op}$"):
             gen.logits(Tensor(rng.normal(size=(4, 16))))
+
+
+def identity_input(x: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """A dense (B, T, E) input as a (B*T, E) table and the (B, T) ids of its rows."""
+    batch, steps, dim = x.shape
+    return Tensor(x.reshape(batch * steps, dim)), np.arange(batch * steps).reshape(batch, steps)
 
 
 def toy_cvae(rng, vocab_size=34, cond=16):
@@ -409,6 +415,94 @@ class TestCvae:
         assert out == reference_greedy_decode(cvae, v_e, ctrl)
 
 
+class TestDecoderInput:
+    """The decoder reads one [token; control] row per distinct pair."""
+
+    # ragged comments whose (token, control) pairs repeat within and across
+    # rows: token 5 under control 0 in rows 0 and 2, 7 under control 1 twice
+    COMMENTS = [[5, 6, 5], [5, 6], [6, 5, 5, 7], [5], [7, 7, 5]]
+    CONTROLS = np.array([0, 1, 0, 2, 1])
+
+    def teacher_input(self, cvae):
+        ids, mask = pad_batch(self.COMMENTS)
+        return ids, mask, cvae._teacher_io(ids, mask)[0]
+
+    def concat_rows(self, cvae, dec_in):
+        """The per-position (B, T, E + C) concat the decoder used to read."""
+        ctrl = np.repeat(self.CONTROLS[:, None], dec_in.shape[1], axis=1)
+        return ad.concat([cvae.embed(dec_in), cvae.ctrl(ctrl)], axis=2)
+
+    def test_rows_are_the_per_position_concat_once_per_pair(self, rng):
+        cvae = toy_cvae(rng)
+        dec_in = self.teacher_input(cvae)[2]
+        table, ids = cvae._dec_input(dec_in, self.CONTROLS)
+        want = self.concat_rows(cvae, dec_in).data
+        assert ids.shape == dec_in.shape
+        assert np.array_equal(table.data[ids].view(np.uint64), want.view(np.uint64))
+        pairs = set(zip(dec_in.ravel().tolist(),
+                        np.repeat(self.CONTROLS, dec_in.shape[1]).tolist()))
+        assert table.shape == (len(pairs), 14)
+        assert len(np.unique(table.data, axis=0)) == len(pairs)
+
+    def test_decoder_agrees_with_identity_ids_over_the_concat(self, rng):
+        cvae = toy_cvae(rng)
+        dec_in = self.teacher_input(cvae)[2]
+        batch, steps = dec_in.shape
+        h0 = rng.normal(size=(batch, 12))
+        g = Tensor(rng.normal(size=(batch, steps, 12)))
+        names = ["embed.w", "ctrl.w", "dec.w_x", "dec.b_x", "dec.w_h", "dec.w_hn"]
+        results = []
+        for pairs in (True, False):
+            params = cvae.parameters()
+            for param in params.values():
+                param.grad = None
+            h = Tensor(h0, requires_grad=True)
+            if pairs:
+                table, ids = cvae._dec_input(dec_in, self.CONTROLS)
+            else:
+                table = self.concat_rows(cvae, dec_in).reshape(batch * steps, -1)
+                ids = np.arange(batch * steps).reshape(batch, steps)
+            out = cvae.dec(table, ids, h0=h)
+            ad.mul(out, g).sum().backward()
+            results.append([out.data, h.grad] + [params[name].grad for name in names])
+        for name, a, b in zip(["output", "h0"] + names, *results):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("name", ["embed.w", "ctrl.w", "dec.w_x"])
+    def test_reconstruction_gradients_match_finite_differences(self, rng, name):
+        cvae = toy_cvae(rng)
+        ids, mask, dec_in = self.teacher_input(cvae)
+        v_e = Tensor(rng.normal(size=(len(self.COMMENTS), 16)))
+        weights = Tensor(rng.normal(size=len(self.COMMENTS)))
+
+        def recon_loss():
+            recon, _ = cvae.elbo_per_example(v_e, self.CONTROLS, ids, mask,
+                                             np.random.default_rng(7))
+            return ad.mul(recon, weights).sum()
+
+        param = cvae.parameters()[name]
+        recon_loss().backward()
+        if name == "embed.w":  # the rows of the tokens the comments use
+            coords = (np.unique(dec_in)[:, None] * param.shape[1]
+                      + np.arange(param.shape[1])).ravel()
+        else:
+            coords = rng.choice(param.size, size=min(40, param.size), replace=False)
+        flat = param.data.reshape(-1)
+        orig = flat[coords].copy()
+
+        def loss_at(values):
+            flat[coords] = values
+            with ad.no_grad():
+                loss = recon_loss().item()
+            flat[coords] = orig
+            return loss
+
+        want = finite_difference_grad(loss_at, orig.copy())
+        got = param.grad.reshape(-1)[coords]
+        assert np.abs(got).max() > 1e-3
+        assert relative_error(got, want) < 1e-4
+
+
 def controls(batch: int, control: int) -> np.ndarray:
     return np.full(batch, control, dtype=np.int64)
 
@@ -432,13 +526,14 @@ def reference_greedy_decode(cvae, v_e, ctrl_ids):
         cond = cvae.condition(v_e, ctrl_ids)
         h = cvae._decode_hidden(cvae.prior(cond)[0], cond)
         batch = v_e.shape[0]
-        ctrl = cvae.ctrl(ctrl_ids[:, None])
+        ctrl = cvae.ctrl(ctrl_ids)
         tokens = np.full(batch, BOS, dtype=np.int64)
         finished = np.zeros(batch, dtype=bool)
         out = [[] for _ in range(batch)]
         for _ in range(cvae.config.max_len):
-            x = ad.concat([cvae.embed(tokens[:, None]), ctrl], axis=2)
-            h = cvae.dec(x, h0=h).reshape(batch, cvae.config.decoder_hidden)
+            # each row's own [token; control] row, with identity ids
+            x = ad.concat([cvae.embed(tokens), ctrl], axis=1)
+            h = cvae.dec(x, np.arange(batch)[:, None], h0=h).reshape(batch, -1)
             tokens = cvae.dec_out(h).argmax(axis=1)
             for i in range(batch):
                 if finished[i]:

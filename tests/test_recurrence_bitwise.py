@@ -3,11 +3,13 @@
 ``reference_lstm_sequence`` keeps the gates as (B, 4H) rows and makes a
 temporary for each elementwise call. ``reference_gru_sequence`` allocates
 each step's split of the carried gradient and concatenates the states each
-step started from. Both gather the biased input projection time-major
-before the loop, compute the sigmoid as 1 / (1 + exp(-x)), and let a step
-whose mask is all ones take the new state as it is. Each computes every
-value by the same float operations in the same order as its ``autodiff``
-op, so outputs and gradients must match exactly, not to a tolerance.
+step started from. Both project each distinct id's table row once, as the
+ops do, gather the biased projection time-major before the loop, compute
+the sigmoid as 1 / (1 + exp(-x)), and let a step whose mask is all ones
+take the new state as it is. A dense (B, T, E) input is passed as the
+(B*T, E) table with the ids of its rows. Each computes every value by
+the same float operations in the same order as its ``autodiff`` op, so
+outputs and gradients must match exactly, not to a tolerance.
 """
 from __future__ import annotations
 
@@ -25,15 +27,17 @@ def _one_exp_sigmoid(x, out=None):
         return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
-def _projection(x, w_x, b, mask):
-    """Time-major rows, (T, B, n) biased projection and (T, B, 1) mask."""
-    batch, steps, dim = x.shape
-    rows = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
+def _projection(table, ids, w_x, b, mask):
+    """Distinct-id rows, the distinct ids, each time-major position's (T, B)
+    index among them, the (T, B, n) biased projection and (T, B, 1) mask."""
+    uniq, inv = np.unique(ids.T, return_inverse=True)
+    inv = inv.reshape(ids.T.shape)
+    rows = table.data[uniq]
     proj = rows @ w_x.data
     proj += b.data
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).T[:, :, None]
-    return (rows, None, None), proj.reshape(steps, batch, -1), mask
+    return (rows, uniq, inv), proj[inv], mask
 
 
 def _all_live(mask, t):
@@ -56,9 +60,9 @@ def _split_carry(d, mask, t):
     return d_new, d - d_new
 
 
-def reference_lstm_sequence(x, w_x, w_h, b, mask):
-    flat_x, proj, mask = _projection(x, w_x, b, mask)
-    parents = (x, w_x, w_h, b)
+def reference_lstm_sequence(table, ids, w_x, w_h, b, mask):
+    source, proj, mask = _projection(table, ids, w_x, b, mask)
+    parents = (table, w_x, w_h, b)
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
     nh = w_h.shape[0]
@@ -107,15 +111,16 @@ def reference_lstm_sequence(x, w_x, w_h, b, mask):
             ad._accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
         if b.requires_grad:
             ad._accumulate(b, flat.sum(axis=0))
-        ad._input_grads(x, w_x, flat_x, d_gates)
+        ad._input_grads(table, w_x, *source, d_gates)
 
     return ad._make(np.ascontiguousarray(states.transpose(1, 0, 2)), parents,
                     backward if record else None, "lstm_sequence")
 
 
-def reference_gru_sequence(x, w_x, b_x, w_h, w_hn, mask=None, h0=None, reverse=False):
-    flat_x, proj, mask = _projection(x, w_x, b_x, mask)
-    parents = (x, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
+def reference_gru_sequence(table, ids, w_x, b_x, w_h, w_hn, mask=None, h0=None,
+                           reverse=False):
+    source, proj, mask = _projection(table, ids, w_x, b_x, mask)
+    parents = (table, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
     nh = w_hn.shape[0]
@@ -173,7 +178,7 @@ def reference_gru_sequence(x, w_x, b_x, w_h, w_hn, mask=None, h0=None, reverse=F
             ad._accumulate(b_x, flat.sum(axis=0))
         if h0 is not None and h0.requires_grad:
             ad._accumulate(h0, dh)
-        ad._input_grads(x, w_x, flat_x, d_proj)
+        ad._input_grads(table, w_x, *source, d_proj)
 
     return ad._make(np.ascontiguousarray(states.transpose(1, 0, 2)), parents,
                     backward if record else None, "gru_sequence")
@@ -189,6 +194,12 @@ def _mask(rng, batch, steps, mask_kind):
     if mask_kind == "empty rows":
         mask[::2] = 0.0
     return mask
+
+
+def _identity(x):
+    """A (B, T, E) input as a (B*T, E) table and the (B, T) ids of its rows."""
+    batch, steps, dim = x.shape
+    return x.reshape(batch * steps, dim), np.arange(batch * steps).reshape(batch, steps)
 
 
 def _run(op, arrays, g, taped):
@@ -227,12 +238,12 @@ CASES = [
 @pytest.mark.parametrize("batch,steps,dim,nh,mask_kind", CASES)
 def test_lstm_sequence_matches_reference_bitwise(batch, steps, dim, nh, mask_kind, taped):
     rng = np.random.default_rng(batch * 1000 + steps)
-    x = rng.normal(size=(batch, steps, dim))
+    table, ids = _identity(rng.normal(size=(batch, steps, dim)))
     weights = (rng.normal(size=(dim, 4 * nh)), rng.normal(size=(nh, 4 * nh)) * 0.5,
                rng.normal(size=4 * nh))
     mask = _mask(rng, batch, steps, mask_kind)
     g = rng.normal(size=(batch, steps, nh))
-    got, want = (_run(lambda *p: op(*p, mask), (x, *weights), g, taped)
+    got, want = (_run(lambda x, *w: op(x, ids, *w, mask), (table, *weights), g, taped)
                  for op in (ad.lstm_sequence, reference_lstm_sequence))
     _assert_bitwise(["output", "x", "w_x", "w_h", "b"], got, want)
 
@@ -256,7 +267,8 @@ GRU_CASES = [
 def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, mask_kind, reverse,
                                                 with_h0, taped):
     rng = np.random.default_rng(batch * 1000 + steps)
-    arrays = [rng.normal(size=(batch, steps, dim)), rng.normal(size=(dim, 3 * nh)),
+    table, ids = _identity(rng.normal(size=(batch, steps, dim)))
+    arrays = [table, rng.normal(size=(dim, 3 * nh)),
               rng.normal(size=3 * nh), rng.normal(size=(nh, 2 * nh)) * 0.5,
               rng.normal(size=(nh, nh)) * 0.5]
     if with_h0:
@@ -266,7 +278,7 @@ def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, mask_kind
 
     def call(op):
         return lambda x, w_x, b_x, w_h, w_hn, *h0: op(
-            x, w_x, b_x, w_h, w_hn, mask, h0=h0[0] if h0 else None, reverse=reverse)
+            x, ids, w_x, b_x, w_h, w_hn, mask, h0=h0[0] if h0 else None, reverse=reverse)
 
     got, want = (_run(call(op), arrays, g, taped)
                  for op in (ad.gru_sequence, reference_gru_sequence))
@@ -285,8 +297,11 @@ def test_all_ones_mask_is_no_mask_bitwise(cell, batch, steps, nh, use_ids, rever
     rng = np.random.default_rng(seed)
     dim, vocab = 3, 7
     n = (4 if cell == "lstm" else 3) * nh
-    ids = rng.integers(0, vocab, size=(batch, steps)) if use_ids else None
-    x = rng.normal(size=(vocab, dim) if use_ids else (batch, steps, dim))
+    if use_ids:
+        ids = rng.integers(0, vocab, size=(batch, steps))
+        x = rng.normal(size=(vocab, dim))
+    else:
+        x, ids = _identity(rng.normal(size=(batch, steps, dim)))
     arrays = [x, rng.normal(size=(dim, n))]
     if cell == "lstm":
         arrays += [rng.normal(size=(nh, n)) * 0.5, rng.normal(size=n)]
@@ -299,9 +314,9 @@ def test_all_ones_mask_is_no_mask_bitwise(cell, batch, steps, nh, use_ids, rever
 
     def op(mask):
         if cell == "lstm":
-            return lambda *p: ad.lstm_sequence(*p, mask, ids=ids)
+            return lambda x, *w: ad.lstm_sequence(x, ids, *w, mask)
         return lambda x, w_x, b_x, w_h, w_hn, *h0: ad.gru_sequence(
-            x, w_x, b_x, w_h, w_hn, mask, h0=h0[0] if h0 else None, reverse=reverse, ids=ids)
+            x, ids, w_x, b_x, w_h, w_hn, mask, h0=h0[0] if h0 else None, reverse=reverse)
 
     got = _run(op(np.ones((batch, steps))), arrays, g, taped)
     want = _run(op(None), arrays, g, taped)
