@@ -619,10 +619,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # (B, T, H) output holds the state after each position, so the final state
 # of a forward pass is position T-1 and of a reverse pass position 0.
 #
-# A state is a gated tanh, h0 or a convex mix of states, so |h| <= 1 (LSTM)
-# or max(1, max|h0|) (GRU) bounds each recurrent product; only a call whose
-# bound (_may_overflow) is not finite checks each step's pre-activations
-# before the squash.
+# A state is a gated tanh, h0 or (for mask values in [0, 1], as padding
+# masks hold) a convex mix of states, so |h| <= 1 (LSTM) or max(1, max|h0|)
+# (GRU) bounds each recurrent product; only a call whose bound
+# (_may_overflow) is not finite checks each step's pre-activations before
+# the squash.
 #
 # The LSTM keeps its per-step work gate-major, so that each elementwise
 # call runs over contiguous memory: its projection is (4, rows, H), so a
