@@ -174,9 +174,13 @@ def _classifier_logits(classifier, examples, form: str, vocab: Vocab | None) -> 
     if form == "numeric":
         scores = np.array([ex.subscores for ex in examples], dtype=np.int64)
         return classifier.logits_hard(scores)
-    comments = [pad_batch([vocab.encode(getattr(ex, pol)) for ex in examples])
-                for pol in POLARITIES]
-    return classifier.logits_hard(comments)
+    return classifier.logits_hard(*_golden_comments(vocab, examples))
+
+
+def _golden_comments(vocab: Vocab, examples) -> tuple[np.ndarray, np.ndarray]:
+    """Padded ids and mask of the examples' comments, polarity-major: row
+    k * B + i is example i's comment under POLARITIES[k]."""
+    return pad_batch([vocab.encode(getattr(ex, pol)) for pol in POLARITIES for ex in examples])
 
 
 def _in_batches(fn, examples, batch_size: int) -> list:
@@ -420,8 +424,7 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
         logits = bundle.generator.logits(v_e)
         ce = ad.cross_entropy(logits.reshape(-1, N_LEVELS), subs.reshape(-1))
         return ce.reshape(subs.shape).sum(axis=1), logits
-    ids, mask = pad_batch([bundle.vocab.encode(getattr(ex, pol))
-                           for pol in POLARITIES for ex in batch])
+    ids, mask = _golden_comments(bundle.vocab, batch)
     v_rows, controls = _polarity_rows(v_e)
     recon, kl = bundle.generator.elbo_per_example(v_rows, controls, ids, mask, rng)
     part = recon + ad.mul(kl, Tensor(beta))
@@ -458,10 +461,11 @@ def _risk_terms(bundle: ModelBundle, classifier, v_e: Tensor, logits: Tensor,
     with ad.no_grad():
         p_pred = ad.softmax(logits).data[rows, labels]
         if bundle.form == "numeric":
-            explanation = score_logits.argmax(axis=2)
+            cls_logits = classifier.logits_hard(score_logits.argmax(axis=2))
         else:
-            explanation = [pad_batch(part) for part in _decode_comments(bundle, v_e)]
-        p_cls = ad.softmax(classifier.logits_hard(explanation)).data[rows, labels]
+            decoded = bundle.generator.decode(*_polarity_rows(v_e))
+            cls_logits = classifier.logits_hard(*pad_batch(decoded))
+        p_cls = ad.softmax(cls_logits).data[rows, labels]
     factor = explanation_factor(ProbTriple(p_pred, p_cls, gold_probs))
     return factor, mrt_loss(loss_vec, Tensor(factor))
 

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import (BOS, EOS, N_CLASSES, PAD, SUBSCORE_FIELDS, Vocab,
+from .data import (BOS, EOS, N_CLASSES, PAD, POLARITIES, SUBSCORE_FIELDS, Vocab,
                    pad_batch)
 
 ENCODER_KINDS = ("bow", "gru", "lstm", "cnn")
@@ -119,12 +119,33 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Both final states, concatenated: (B, 2H); the input as for GRU."""
-        return ad.concat([_final_state(self.fwd(table, ids, mask)),
-                          _final_state(self.bwd(table, ids, mask, reverse=True),
-                                       reverse=True)],
-                         axis=1)
+    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray | None) -> Tensor:
+        """Both final states, concatenated: (B, 2H); the input as for GRU.
+
+        From a zero state a row's final states depend on its (ids, mask) row
+        alone, so both directions run once per distinct row, in order of
+        first occurrence, and a gather hands each row its states; the
+        gather's backward sums the gradients of repeated rows.
+        """
+        ids = np.asarray(ids)
+        key = ids
+        if mask is not None:
+            mask = np.asarray(mask, dtype=np.float64)
+            if mask.shape != ids.shape:
+                raise ad.ShapeError(f"BiGRU mask shape {mask.shape} != ids shape {ids.shape}")
+            key = np.concatenate([ids, np.ascontiguousarray(mask).view(np.int64)], axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        rows = np.sort(first)
+        # each row's first occurrence, placed among the sorted first rows (the
+        # inverse's shape differs across numpy versions)
+        gather = np.searchsorted(rows, first[inverse.reshape(-1)])
+        ids = ids[rows]
+        mask = None if mask is None else mask[rows]
+        states = ad.concat([_final_state(self.fwd(table, ids, mask)),
+                            _final_state(self.bwd(table, ids, mask, reverse=True),
+                                         reverse=True)],
+                           axis=1)
+        return ad.embedding_lookup(states, gather)
 
 
 def _masked_mean(emb3: Tensor, mask: np.ndarray) -> Tensor:
@@ -455,7 +476,8 @@ class ClassifierText(Module):
 
     One shared bidirectional recurrent layer reads each comment; its final
     states concatenate with the comment's mean embedding (skip connection)
-    and the three comment vectors feed one output layer.
+    and the three comment vectors feed one output layer. All three
+    polarities are read as one batch.
     """
 
     def __init__(self, rng, vocab_size: int, n_classes: int,
@@ -465,15 +487,20 @@ class ClassifierText(Module):
         self.out = Linear(rng, 3 * (2 * hidden + emb_dim), n_classes)
         self.frozen = False
 
-    def _comment_vec(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        return ad.concat([self.rnn(self.embed.w, ids, mask),
+    def logits_hard(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """(B, n_classes) logits from the padded (3B, T) ``ids`` and ``mask``
+        of the comments, polarity-major: row k * B + i is example i's comment
+        under ``POLARITIES[k]``."""
+        ids, mask = np.asarray(ids), np.asarray(mask)
+        n_pol = len(POLARITIES)
+        if ids.ndim != 2 or ids.shape[0] % n_pol or mask.shape != ids.shape:
+            raise ValueError(f"expected (3B, T) comment ids and a mask of their shape, "
+                             f"got {ids.shape} and {mask.shape}")
+        batch = ids.shape[0] // n_pol
+        vecs = ad.concat([self.rnn(self.embed.w, ids, mask),
                           _masked_mean(self.embed(ids), mask)], axis=1)
-
-    def logits_hard(self, comments: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        if len(comments) != 3:
-            raise ValueError("expected exactly three comments")
-        vecs = [self._comment_vec(ids, mask) for ids, mask in comments]
-        return self.out(ad.concat(vecs, axis=1))
+        per_example = np.arange(n_pol * batch).reshape(n_pol, batch).T  # (B, 3) rows
+        return self.out(ad.embedding_lookup(vecs, per_example).reshape(batch, -1))
 
 
 # -- bundle ----------------------------------------------------------------------

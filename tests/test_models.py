@@ -6,7 +6,8 @@ from gloss.autodiff import Adam, Tensor
 from gloss.data import BOS, EOS, Vocab, pad_batch
 from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
                           CvaeConfig, EncoderConfig, ModelBundle,
-                          NumericGenerator, Predictor, TextCvae, build_encoder)
+                          NumericGenerator, Predictor, TextCvae, _masked_mean,
+                          build_encoder)
 
 from conftest import finite_difference_grad, relative_error
 
@@ -547,22 +548,158 @@ def reference_greedy_decode(cvae, v_e, ctrl_ids):
     return out
 
 
+def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 12):
+    """(B, T) ids and mask (None for "no_mask") whose rows repeat, except in
+    "all_distinct"; in "ragged" two rows share their ids and differ in mask."""
+    if case == "all_equal":
+        base = rng.integers(4, vocab, size=(1, steps))
+        pick = np.zeros(batch, dtype=np.int64)
+    else:
+        n_rows = batch if case == "all_distinct" else 4
+        base = rng.integers(4, vocab, size=(n_rows, steps))
+        pick = (np.arange(batch) if case == "all_distinct"
+                else rng.integers(0, n_rows, size=batch))
+    ids, mask = base[pick], np.ones((batch, steps))
+    if case == "ragged":
+        for row, n in enumerate(rng.integers(2, steps + 1, size=4)):
+            mask[pick == row, n:] = 0.0
+        ids[mask == 0] = 0
+        ids[-1], mask[-1] = ids[0], mask[0]
+        mask[-1, 1:] = 0.0  # row 0's ids, one step long
+    return ids, None if case == "no_mask" else mask
+
+
+class TestBiGRUDistinctRows:
+    """The BiGRU runs each distinct (ids, mask) row once and gathers."""
+
+    CASES = ["no_mask", "ragged", "all_equal", "all_distinct"]
+
+    @staticmethod
+    def _read(net, table, ids, mask, g):
+        """The output and the gradients of sum(g * out) wrt the table and
+        each weight."""
+        for p in [table] + list(net.parameters().values()):
+            p.grad = None
+        out = net(table, ids, mask)
+        ad.mul(out, Tensor(g)).sum().backward()
+        return [out.data, table.grad] + [p.grad for p in net.parameters().values()]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_row_by_row_reads(self, rng, case):
+        ids, mask = repeated_rows(rng, case)
+        net = BiGRU(rng, 5, 4)
+        table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        g = rng.normal(size=(len(ids), 8))
+        got = self._read(net, table, ids, mask, g)
+        rows = [self._read(net, table, ids[i:i + 1], None if mask is None else mask[i:i + 1],
+                           g[i:i + 1])
+                for i in range(len(ids))]
+        want = [np.concatenate([r[0] for r in rows])]
+        want += [sum(r[k] for r in rows) for k in range(1, len(got))]
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_distinct_rows_run_as_given(self, rng):
+        """A batch with no repeated row runs in its own row order, so the
+        states are bitwise those of the two directions without a gather."""
+        ids, mask = repeated_rows(rng, "all_distinct")
+        net = BiGRU(rng, 5, 4)
+        table = Tensor(rng.normal(size=(12, 5)))
+        want = np.concatenate([net.fwd(table, ids, mask).data[:, -1],
+                               net.bwd(table, ids, mask, reverse=True).data[:, 0]], axis=1)
+        assert np.array_equal(net(table, ids, mask).data, want)
+
+    def test_gradients_match_finite_differences(self, rng):
+        ids, mask = repeated_rows(rng, "ragged")
+        net = BiGRU(rng, 5, 4)
+        table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        weights = rng.normal(size=(len(ids), 8))
+        ad.mul(net(table, ids, mask), Tensor(weights)).sum().backward()
+        params = {"table": table} | net.parameters()
+        assert len(params) == 9
+        for name, param in params.items():
+            flat = param.data.reshape(-1)
+            coords = rng.choice(flat.size, size=min(12, flat.size), replace=False)
+            orig = flat[coords].copy()
+
+            def loss_at(values):
+                flat[coords] = values
+                with ad.no_grad():
+                    loss = float((net(table, ids, mask).data * weights).sum())
+                flat[coords] = orig
+                return loss
+
+            want = finite_difference_grad(loss_at, orig.copy())
+            got = param.grad.reshape(-1)[coords]
+            assert relative_error(got, want) < 1e-4, name
+
+    def test_mask_of_another_shape_is_rejected(self, rng):
+        ids, mask = repeated_rows(rng, "ragged")
+        with pytest.raises(ValueError):
+            BiGRU(rng, 5, 4)(Tensor(rng.normal(size=(12, 5))), ids, mask[:-1])
+
+
 class TestClassifierSoftHard:
     def test_numeric_wrong_arity(self, rng):
         c = ClassifierNumeric(rng, 10)
         with pytest.raises(ValueError):
             c.logits_hard(np.array([[1, 2, 3]]))
 
-    def test_text_wrong_arity(self, rng):
+    @pytest.mark.parametrize("rows,mask_rows,mask_steps", [
+        (2, 2, 3), (4, 4, 3), (6, 5, 3), (6, 6, 2), (6, 3, 3)])
+    def test_text_rejects_misaligned_input(self, rng, rows, mask_rows, mask_steps):
+        """Rows must stack three polarities and the mask must be the ids'
+        shape; either fault is caught before the rows are read."""
         c = ClassifierText(rng, 34, 9)
+        calls = []
+        c.rnn = lambda *args: calls.append(args)
         with pytest.raises(ValueError):
-            c.logits_hard([pad_batch([[5]])] * 2)
+            c.logits_hard(np.full((rows, 3), 5), np.ones((mask_rows, mask_steps)))
+        with pytest.raises(ValueError):
+            c.logits_hard(np.full(6, 5), np.ones(6))
+        assert calls == []
 
     def test_text_handles_empty_comment(self, rng):
         c = ClassifierText(rng, 34, 9)
-        comments = [pad_batch([[]]), pad_batch([[5]]), pad_batch([[6, 7]])]
-        probs = ad.softmax(c.logits_hard(comments)).data
+        probs = ad.softmax(c.logits_hard(*pad_batch([[], [5], [6, 7]]))).data
+        assert probs.shape == (1, 9)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_text_matches_per_polarity_reads(self, rng):
+        """Each example's logits are those of its three comments read
+        polarity by polarity, each padded on its own, in POLARITIES order."""
+        c = ClassifierText(rng, 34, 9, emb_dim=6, hidden=5)
+        comments = [[[5, 6], [7], [5, 6], [8, 9, 10]],
+                    [[11], [11], [12, 13, 14, 15], [11]],
+                    [[], [5, 6], [16], [17, 18]]]
+        vecs = []
+        for part in comments:
+            ids, mask = pad_batch(part)
+            vecs.append(ad.concat([c.rnn(c.embed.w, ids, mask),
+                                   _masked_mean(c.embed(ids), mask)], axis=1))
+        want = c.out(ad.concat(vecs, axis=1)).data
+        got = c.logits_hard(*pad_batch([row for part in comments for row in part])).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_text_read_runs_each_direction_once_over_distinct_rows(self, rng, monkeypatch):
+        """Three 32-row polarities with repeated comments: one read calls the
+        GRU op twice (one per direction), each over the distinct rows only."""
+        c = ClassifierText(rng, 34, 9)
+        pool = [list(rng.integers(4, 34, size=n)) for n in (3, 5, 5, 8)]
+        picks = rng.integers(0, len(pool), size=96)
+        ids, mask = pad_batch([pool[k] for k in picks])
+        seen = []
+        gru_sequence = ad.gru_sequence
+
+        def counted(table, ids, *args, **kwargs):
+            seen.append(ids)
+            return gru_sequence(table, ids, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "gru_sequence", counted)
+        c.logits_hard(ids, mask)
+        distinct = len(np.unique(picks))
+        assert [len(rows) for rows in seen] == [distinct, distinct]
+        assert all(len(np.unique(rows, axis=0)) == distinct for rows in seen)
 
 
 class TestBundle:
