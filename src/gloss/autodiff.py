@@ -323,21 +323,10 @@ def _row_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
                        minlength=n_rows * n).reshape(n_rows, n)
 
 
-def _add_rows(table: Tensor, uniq: np.ndarray, d_rows: np.ndarray) -> None:
-    """Add ``d_rows`` to the grad rows of ``table`` at the distinct ``uniq``."""
-    if table.grad is None:
-        table.grad = np.zeros_like(table.data)
-    # the rows are distinct, so a fancy-indexed += adds each once
-    table.grad[uniq] += d_rows
-
-
-def _distinct_ids(ids: np.ndarray, n_rows: int):
-    """Sorted distinct ids and, in ids' shape, each id's index among them;
-    ``IndexError`` for an id outside [0, n_rows)."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    if uniq[0] < 0 or uniq[-1] >= n_rows:
+def _check_ids(ids: np.ndarray, n_rows: int) -> None:
+    """``IndexError`` for an id outside [0, n_rows)."""
+    if ids.min() < 0 or ids.max() >= n_rows:
         raise IndexError(f"embedding index out of range [0, {n_rows})")
-    return uniq, inv.reshape(ids.shape)
 
 
 # Bytes of window scores that conv_max sums and pools at once: about what
@@ -348,16 +337,17 @@ _CONV_BLOCK_BYTES = 1 << 18
 def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
     """Max over valid windows of a convolution over embedded ids, shape (B, F).
 
-    ``table`` is the (V, E) embedding table, ``ids`` a (B, T) array of its
-    row indices, ``w`` a (width * E, F) kernel and ``valid`` a (B, W) mask,
+    ``table`` is a (V, E) table of embedding rows, ``ids`` a (B, T) array of
+    its row indices, ``w`` a (width * E, F) kernel and ``valid`` a (B, W) mask,
     W = T - width + 1, with at least one valid window per row. Equal to
     gathering each window's embeddings into a (B, W, width * E) array,
     multiplying it by ``w``, setting the invalid windows' scores to -inf and
     taking the max over windows; the gradient goes to each row's first
-    maximum, as ``Tensor.max`` sends it. Each distinct id is projected
+    maximum, as ``Tensor.max`` sends it. Every row of ``table`` is projected
     through each kernel offset once and a window's score is the sum of its
-    tokens' projected rows, so the product scales with the distinct ids in
-    the batch, not with B * W * width.
+    tokens' projected rows, so the product scales with V, not with
+    B * W * width; a caller passes the rows its ids use (``models`` passes
+    one row per distinct id of the batch).
     """
     ids = np.asarray(ids)
     if table.ndim != 2 or ids.ndim != 2 or w.ndim != 2 or w.shape[0] % table.shape[1]:
@@ -373,12 +363,11 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
                          f"({ids.shape[0]}, {n_windows}) windows of width {width}")
     if not valid.any(axis=1).all():
         raise ValueError("conv_max needs at least one valid window per row")
-    uniq, inv = _distinct_ids(ids, table.shape[0])
-    rows = table.data[uniq]
-    n_filters = w.shape[1]
+    _check_ids(ids, table.shape[0])
+    n_rows, n_filters = table.shape[0], w.shape[1]
     # (E, width * F): column block j is the kernel slice for window offset j
     kernel = w.data.reshape(width, n_embed, n_filters).transpose(1, 0, 2).reshape(n_embed, -1)
-    proj = (rows @ kernel).reshape(len(uniq), width, n_filters)
+    proj = (table.data @ kernel).reshape(n_rows, width, n_filters)
     batch = ids.shape[0]
     data = np.empty((batch, n_filters))
     recording = _recording((table, w))
@@ -388,7 +377,7 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
     step = max(1, _CONV_BLOCK_BYTES // (n_windows * n_filters * 8))
     for lo in range(0, batch, step):
         hi = lo + step
-        block = inv[lo:hi]
+        block = ids[lo:hi]
         scores = proj[:, 0][block[:, :n_windows]]
         for j in range(1, width):
             scores += proj[:, j][block[:, j:j + n_windows]]
@@ -399,17 +388,17 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
             np.argmax(scores, axis=1, out=first[lo:hi])
 
     def backward(g):
-        # the window at ``first`` holds token inv[b, first + j] at offset j,
+        # the window at ``first`` holds token ids[b, first + j] at offset j,
         # and that token's projected row at offset j takes the gradient
         offsets = np.arange(width)[:, None, None]
-        tokens = inv[np.arange(batch)[:, None], first + offsets]
+        tokens = ids[np.arange(batch)[:, None], first + offsets]
         d_proj = _row_sums(tokens * width + offsets, np.broadcast_to(g, tokens.shape),
-                           len(uniq) * width).reshape(len(uniq), -1)
+                           n_rows * width).reshape(n_rows, -1)
         if w.requires_grad:
-            d_w = (rows.T @ d_proj).reshape(n_embed, width, n_filters)
+            d_w = (table.data.T @ d_proj).reshape(n_embed, width, n_filters)
             _accumulate(w, d_w.transpose(1, 0, 2).reshape(w.shape))
         if table.requires_grad:
-            _add_rows(table, uniq, d_proj @ kernel.T)
+            _accumulate(table, d_proj @ kernel.T)
 
     return _make(data, (table, w), backward, "conv_max")
 
@@ -590,8 +579,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table`` by integer ``ids``; grads scatter-add back."""
     ids = np.asarray(ids)
-    if ids.min() < 0 or ids.max() >= table.shape[0]:
-        raise IndexError(f"embedding index out of range [0, {table.shape[0]})")
+    _check_ids(ids, table.shape[0])
     data = table.data[ids]
 
     def backward(g):
@@ -607,17 +595,19 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # table that a (B, T) id array picks: an embedding table, or rows that the
 # caller builds, such as the CVAE decoder's [token; control] pairs. The
 # input projection, with the bias folded in, is one matmul outside the time
-# loop over the distinct ids' rows alone, and each step takes its ids' B
-# rows of it into a buffer (mode="clip" only skips numpy's buffered range
-# check: the ids were checked). The recurrence runs in numpy, and backward
-# is hand-written backprop through time that sums the pre-activation
-# gradient per distinct id and gathers each weight gradient in one matmul
-# over all steps. A step whose mask is not all ones carries the state by
-# one rule, _carry: h <- h + m * (h_new - h). A step whose mask is all ones,
-# and every step with no mask, writes the new state straight into its slot.
-# _split_carry splits the carried gradient the same two ways, in place. The
-# (B, T, H) output holds the state after each position, so the final state
-# of a forward pass is position T-1 and of a reverse pass position 0.
+# loop over every row of the table, so its cost scales with V: models pass
+# a table of the batch's distinct rows (models._distinct_lookup). Each step
+# takes its ids' B rows of the projection into a buffer (mode="clip" only
+# skips numpy's buffered range check: the ids were checked). The recurrence
+# runs in numpy, and backward is hand-written backprop through time that
+# sums the pre-activation gradient per table row and gathers each weight
+# gradient in one matmul over all steps. A step whose mask is not all ones
+# carries the state by one rule, _carry: h <- h + m * (h_new - h). A step
+# whose mask is all ones, and every step with no mask, writes the new state
+# straight into its slot. _split_carry splits the carried gradient the same
+# two ways, in place. The (B, T, H) output holds the state after each
+# position, so the final state of a forward pass is position T-1 and of a
+# reverse pass position 0.
 #
 # A state is a gated tanh, h0 or (for mask values in [0, 1], as padding
 # masks hold) a convex mix of states, so |h| <= 1 (LSTM) or max(1, max|h0|)
@@ -643,16 +633,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, mask, opname: str):
-    """The table rows of the distinct ids, those ids, each time-major
-    position's (T, B) index among them, the projection ``rows @ w_x + b``
-    and each step's (B, 1) mask column (None for a step of all ones)."""
+    """The (T, B) time-major ids, the projection ``table @ w_x + b`` and each
+    step's (B, 1) mask column (None for a step of all ones)."""
     ids = np.asarray(ids)
     if table.ndim != 2 or ids.ndim != 2 or w_x.ndim != 2 or table.shape[1] != w_x.shape[0]:
         raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
                          f"weights, got {table.shape}, {ids.shape} and {w_x.shape}")
     batch, steps = ids.shape
-    uniq, inv = _distinct_ids(ids.T, table.shape[0])
-    rows = table.data[uniq]
+    _check_ids(ids, table.shape[0])
     masks = [None] * steps
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
@@ -661,11 +649,11 @@ def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, mask, opname: st
         mask = np.ascontiguousarray(mask.T)[:, :, None]
         for t in np.flatnonzero((mask != 1.0).any(axis=(1, 2))):
             masks[t] = mask[t]
-    proj = rows @ w_x.data
+    proj = table.data @ w_x.data
     proj += b.data
     # checked after the bias, so that an overflowing sum raises
     _check_finite(proj, opname)
-    return rows, uniq, inv, proj, masks
+    return np.ascontiguousarray(ids.T), proj, masks
 
 
 def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
@@ -681,14 +669,14 @@ def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
     return not math.isfinite(2.0 * bound)
 
 
-def _input_grads(table: Tensor, w_x: Tensor, rows, uniq, inv, d_proj: np.ndarray) -> None:
+def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, d_proj: np.ndarray) -> None:
     """Gradients of the table and W_x from the (T, B, n) pre-activation
-    gradient, summed per distinct id; the rest as :func:`_sequence_input`."""
-    flat = _row_sums(inv[..., None], d_proj, len(uniq))
+    gradient at the (T, B) time-major ``ids``, summed per table row."""
+    flat = _row_sums(ids[..., None], d_proj, table.shape[0])
     if w_x.requires_grad:
-        _accumulate(w_x, rows.T @ flat)
+        _accumulate(w_x, table.data.T @ flat)
     if table.requires_grad:
-        _add_rows(table, uniq, flat @ w_x.data.T)
+        _accumulate(table, flat @ w_x.data.T)
 
 
 def _batch_major(states: np.ndarray) -> np.ndarray:
@@ -720,10 +708,10 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask)
     pick. Gates are packed [input, forget, output, candidate] along the last
     axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and ``b`` (4H,).
     """
-    rows, uniq, inv, proj, masks = _sequence_input(table, ids, w_x, b, mask, "lstm_sequence")
+    ids, proj, masks = _sequence_input(table, ids, w_x, b, mask, "lstm_sequence")
     parents = (table, w_x, w_h, b)
     record = _recording(parents)
-    steps, batch = inv.shape
+    steps, batch = ids.shape
     nh = w_h.shape[0]
     proj = np.ascontiguousarray(proj.reshape(-1, 4, nh).transpose(1, 0, 2))
     if record:
@@ -748,7 +736,7 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask)
             prev = hc[:, k]
             cur = hc[:, k + 1] if record else prev
             np.matmul(prev[0], w_h.data, out=gates)
-            np.add(np.take(proj, inv[t], axis=1, out=pre, mode="clip"), gates_gm, out=pre)
+            np.add(np.take(proj, ids[t], axis=1, out=pre, mode="clip"), gates_gm, out=pre)
             if check:
                 _check_finite(pre, "lstm_sequence")
             act = acts[k]
@@ -814,7 +802,7 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask)
             _accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
         if b.requires_grad:
             _accumulate(b, flat.sum(axis=0))
-        _input_grads(table, w_x, rows, uniq, inv, d_gates)
+        _input_grads(table, w_x, ids, d_gates)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "lstm_sequence")
@@ -830,10 +818,10 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
     reset-gated state. The state starts at ``h0`` (zeros when None), and
     ``reverse`` runs from position T-1 down to 0.
     """
-    rows, uniq, inv, proj, masks = _sequence_input(table, ids, w_x, b_x, mask, "gru_sequence")
+    ids, proj, masks = _sequence_input(table, ids, w_x, b_x, mask, "gru_sequence")
     parents = (table, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = _recording(parents)
-    steps, batch = inv.shape
+    steps, batch = ids.shape
     nh = w_hn.shape[0]
     if h0 is not None and h0.shape != (batch, nh):
         raise ShapeError(f"gru_sequence h0 shape {h0.shape} != {(batch, nh)}")
@@ -855,7 +843,7 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
         for t in order:
             k = t if record else 0
             h = h_prev[t]
-            np.take(proj, inv[t], axis=0, out=proj_t, mode="clip")
+            np.take(proj, ids[t], axis=0, out=proj_t, mode="clip")
             zr = np.matmul(h, w_h.data, out=zr_all[k])
             zr += proj_t[:, :2 * nh]
             if check:
@@ -905,7 +893,7 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
             _accumulate(b_x, flat.sum(axis=0))
         if h0 is not None and h0.requires_grad:
             _accumulate(h0, dh)
-        _input_grads(table, w_x, rows, uniq, inv, d_proj)
+        _input_grads(table, w_x, ids, d_proj)
 
     return _make(_batch_major(states), parents, backward if record else None,
                  "gru_sequence")

@@ -114,6 +114,34 @@ def _final_state(states: Tensor, reverse: bool = False) -> Tensor:
     return ad.slice_axis(states, 1, t, t + 1).reshape(batch, dim)
 
 
+def _distinct_lookup(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
+    """The rows of ``table`` that ``ids`` pick, once per distinct id, and
+    ``ids`` as indices into them: the input for the sequence ops and
+    ``conv_max``, which project every row of the table they are given."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    return ad.embedding_lookup(table, uniq), inv.reshape(np.shape(ids))
+
+
+def _distinct_rows(ids, mask) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The distinct (ids, mask) rows of a padded batch, in order of first
+    occurrence, and each row's index among them. From a zero state a
+    reader's outputs for a row depend on that row alone, so callers read
+    these and gather; the gather's backward sums repeated rows' gradients."""
+    ids = np.asarray(ids)
+    key = ids
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != ids.shape:
+            raise ad.ShapeError(f"mask shape {mask.shape} != ids shape {ids.shape}")
+        key = np.concatenate([ids, np.ascontiguousarray(mask).view(np.int64)], axis=1)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rows = np.sort(first)
+    # each row's first occurrence, placed among the sorted first rows (the
+    # inverse's shape differs across numpy versions)
+    gather = np.searchsorted(rows, first[inverse.reshape(-1)])
+    return ids[rows], None if mask is None else mask[rows], gather
+
+
 class BiGRU(Module):
     def __init__(self, rng, n_in: int, n_hidden: int):
         self.fwd = GRU(rng, n_in, n_hidden)
@@ -121,31 +149,11 @@ class BiGRU(Module):
 
     def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray | None) -> Tensor:
         """Both final states, concatenated: (B, 2H); the input as for GRU.
-
-        From a zero state a row's final states depend on its (ids, mask) row
-        alone, so both directions run once per distinct row, in order of
-        first occurrence, and a gather hands each row its states; the
-        gather's backward sums the gradients of repeated rows.
-        """
-        ids = np.asarray(ids)
-        key = ids
-        if mask is not None:
-            mask = np.asarray(mask, dtype=np.float64)
-            if mask.shape != ids.shape:
-                raise ad.ShapeError(f"BiGRU mask shape {mask.shape} != ids shape {ids.shape}")
-            key = np.concatenate([ids, np.ascontiguousarray(mask).view(np.int64)], axis=1)
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        rows = np.sort(first)
-        # each row's first occurrence, placed among the sorted first rows (the
-        # inverse's shape differs across numpy versions)
-        gather = np.searchsorted(rows, first[inverse.reshape(-1)])
-        ids = ids[rows]
-        mask = None if mask is None else mask[rows]
-        states = ad.concat([_final_state(self.fwd(table, ids, mask)),
-                            _final_state(self.bwd(table, ids, mask, reverse=True),
-                                         reverse=True)],
-                           axis=1)
-        return ad.embedding_lookup(states, gather)
+        One lookup of the distinct ids' rows feeds both directions."""
+        rows, ids = _distinct_lookup(table, ids)
+        return ad.concat([_final_state(self.fwd(rows, ids, mask)),
+                          _final_state(self.bwd(rows, ids, mask, reverse=True), reverse=True)],
+                         axis=1)
 
 
 def _masked_mean(emb3: Tensor, mask: np.ndarray) -> Tensor:
@@ -217,7 +225,7 @@ class RecurrentEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        return _final_state(self.rnn(self.embed.w, ids, mask))
+        return _final_state(self.rnn(*_distinct_lookup(self.embed.w, ids), mask))
 
 
 class CnnEncoder(Module):
@@ -238,6 +246,7 @@ class CnnEncoder(Module):
         pad = max(0, max(self.config.cnn_filter_sizes) - ids.shape[1])
         ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=PAD)
         mask = np.pad(mask, ((0, 0), (0, pad)))
+        rows, ids = _distinct_lookup(self.embed.w, ids)
         pooled = []
         for width, kernel in zip(self.config.cnn_filter_sizes, self.kernels):
             # a window is valid only when fully inside the sequence, so
@@ -247,8 +256,7 @@ class CnnEncoder(Module):
             valid[valid.sum(axis=1) == 0, 0] = 1.0
             # x -> x + b and relu are monotone, so relu(max(x) + b) is
             # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
-            pooled.append(ad.relu(ad.conv_max(self.embed.w, ids, kernel.w, valid)
-                                  + kernel.b))
+            pooled.append(ad.relu(ad.conv_max(rows, ids, kernel.w, valid) + kernel.b))
         return ad.tanh(self.proj(ad.concat(pooled, axis=1)))
 
 
@@ -359,7 +367,8 @@ class TextCvae(Module):
 
     def posterior(self, cond: Tensor, comment_ids: np.ndarray,
                   comment_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        enc = self.comment_enc(self.embed.w, comment_ids, comment_mask)
+        ids, mask, gather = _distinct_rows(comment_ids, comment_mask)
+        enc = ad.embedding_lookup(self.comment_enc(self.embed.w, ids, mask), gather)
         packed = self.recog_out(ad.tanh(self.recog_hidden(ad.concat([enc, cond], axis=1))))
         return self._split_gaussian(packed)
 
@@ -477,7 +486,7 @@ class ClassifierText(Module):
     One shared bidirectional recurrent layer reads each comment; its final
     states concatenate with the comment's mean embedding (skip connection)
     and the three comment vectors feed one output layer. All three
-    polarities are read as one batch.
+    polarities are read as one batch, each distinct comment once.
     """
 
     def __init__(self, rng, vocab_size: int, n_classes: int,
@@ -497,9 +506,10 @@ class ClassifierText(Module):
             raise ValueError(f"expected (3B, T) comment ids and a mask of their shape, "
                              f"got {ids.shape} and {mask.shape}")
         batch = ids.shape[0] // n_pol
+        ids, mask, gather = _distinct_rows(ids, mask)
         vecs = ad.concat([self.rnn(self.embed.w, ids, mask),
                           _masked_mean(self.embed(ids), mask)], axis=1)
-        per_example = np.arange(n_pol * batch).reshape(n_pol, batch).T  # (B, 3) rows
+        per_example = gather.reshape(n_pol, batch).T  # (B, 3) distinct rows
         return self.out(ad.embedding_lookup(vecs, per_example).reshape(batch, -1))
 
 

@@ -66,9 +66,8 @@ def made_ops(monkeypatch) -> list:
 
     def recording_node(data, parents, backward):
         # every op output is built here: through _make, which knows the op
-        # name (conv_max, which gathers its own rows, among them), or
-        # straight from an op that only moves elements (reshape, slice_axis,
-        # embedding_lookup, concat)
+        # name (conv_max among them), or straight from an op that only
+        # moves elements (reshape, slice_axis, embedding_lookup, concat)
         caller = sys._getframe(1)
         if caller.f_code.co_name == "_make":
             ops.append(caller.f_locals["opname"])

@@ -510,6 +510,78 @@ class TestLookupInput:
                     np.zeros(ids, dtype=int))
 
 
+class TestTableAsGiven:
+    """conv_max and the sequence ops project every row of the table they are
+    given and use the ids as given; picking distinct rows is the caller's."""
+
+    E, H = 3, 4
+    IDS = np.array([[2, 0, 2, 4], [1, 1, 3, 0], [4, 2, 0, 0]])  # rows 0-4 of 5
+    MASK = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    OPS = ["conv_max", "lstm_sequence", "gru_sequence"]
+
+    @classmethod
+    def weights(cls, rng, op):
+        nh = cls.H
+        if op == "conv_max":  # one kernel of width 2
+            return [rng.normal(size=(2 * cls.E, nh))]
+        if op == "lstm_sequence":
+            return [rng.normal(size=(cls.E, 4 * nh)), rng.normal(size=(nh, 4 * nh)) * 0.5,
+                    rng.normal(size=4 * nh)]
+        return [rng.normal(size=(cls.E, 3 * nh)), rng.normal(size=3 * nh),
+                rng.normal(size=(nh, 2 * nh)) * 0.5, rng.normal(size=(nh, nh)) * 0.5]
+
+    @classmethod
+    def run(cls, op, table, ids, weights, g):
+        """Output of ``op`` and the gradients of sum(g * output) wrt the table
+        and each weight."""
+        params = [Tensor(a, requires_grad=True) for a in [table] + weights]
+        if op == "conv_max":
+            out = ad.conv_max(params[0], ids, params[1], cls.MASK[:, 1:])
+        elif op == "lstm_sequence":
+            out = ad.lstm_sequence(params[0], ids, *params[1:], cls.MASK)
+        else:
+            out = ad.gru_sequence(params[0], ids, *params[1:], cls.MASK, reverse=True)
+        ad.mul(out, Tensor(g[:, 0] if op == "conv_max" else g)).sum().backward()
+        return [out.data] + [p.grad for p in params]
+
+    @pytest.fixture
+    def no_unique(self, monkeypatch):
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", unique)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_runs_forward_and_backward_without_unique(self, rng, op, no_unique):
+        got = self.run(op, rng.normal(size=(5, self.E)), self.IDS, self.weights(rng, op),
+                       rng.normal(size=(3, 4, self.H)))
+        assert all(np.isfinite(a).all() and np.abs(a).max() > 0 for a in got)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_unused_rows_change_nothing_and_get_zero_gradient(self, rng, op):
+        compact = rng.normal(size=(5, self.E))
+        at = np.array([1, 3, 4, 6, 8])  # where the compact rows sit among 9
+        table = rng.normal(size=(9, self.E))
+        table[at] = compact
+        weights = self.weights(rng, op)
+        g = rng.normal(size=(3, 4, self.H))
+        got = self.run(op, table, at[self.IDS], weights, g)
+        want = self.run(op, compact, self.IDS, weights, g)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[1][at], want[1], rtol=1e-12, atol=0)
+        assert np.all(np.delete(got[1], at, axis=0) == 0.0)
+        for a, b in zip(got[2:], want[2:]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("bad_id", [-1, 5])
+    def test_out_of_range_id_raises(self, rng, op, bad_id, no_unique):
+        ids = self.IDS.copy()
+        ids[1, 2] = bad_id
+        with pytest.raises(IndexError):
+            self.run(op, rng.normal(size=(5, self.E)), ids, self.weights(rng, op),
+                     rng.normal(size=(3, 4, self.H)))
+
+
 class TestMaskSwitch:
     """Finite differences where the steps switch between all live, which
     replace the state, and masked, which carry it, at the first, a middle

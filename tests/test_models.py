@@ -6,8 +6,8 @@ from gloss.autodiff import Adam, Tensor
 from gloss.data import BOS, EOS, Vocab, pad_batch
 from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
                           CvaeConfig, EncoderConfig, ModelBundle,
-                          NumericGenerator, Predictor, TextCvae, _masked_mean,
-                          build_encoder)
+                          NumericGenerator, Predictor, TextCvae, _distinct_rows,
+                          _masked_mean, build_encoder)
 
 from conftest import finite_difference_grad, relative_error
 
@@ -225,7 +225,8 @@ class TestMasking:
         # product, so it rounds differently from the loop
         np.testing.assert_allclose(taped.data, want, rtol=0, atol=1e-12)
         per_width = ["conv_max", "add", "relu"]
-        assert made_ops == per_width * len(widths) + ["concat", "matmul", "add", "tanh"]
+        assert made_ops == (["embedding_lookup"] + per_width * len(widths)
+                            + ["concat", "matmul", "add", "tanh"])
         with ad.no_grad():
             assert np.array_equal(cnn(ids, mask).data, taped.data)
 
@@ -416,6 +417,94 @@ class TestCvae:
         assert out == reference_greedy_decode(cvae, v_e, ctrl)
 
 
+class TestDistinctIds:
+    """``models`` picks each input's distinct ids once and hands the ops a
+    table of their rows."""
+
+    @staticmethod
+    def count_unique(monkeypatch) -> list:
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        return calls
+
+    def test_cnn_hands_one_table_of_distinct_rows_to_every_width(self, rng, monkeypatch):
+        cnn = build_encoder(EncoderConfig(kind="cnn", vocab_size=34, embedding_dim=6,
+                                          hidden_dim=7, cnn_filters=5), rng)
+        ids, mask = toy_batch(rng)
+        tables = []
+        conv_max = ad.conv_max
+
+        def recorded(table, *args):
+            tables.append(table)
+            return conv_max(table, *args)
+
+        monkeypatch.setattr(ad, "conv_max", recorded)
+        uniques = self.count_unique(monkeypatch)
+        cnn(ids, mask)
+        assert len(uniques) == 1
+        assert len(tables) == len(cnn.kernels) == 4
+        assert all(table is tables[0] for table in tables)
+        want = cnn.embed.w.data[np.unique(ids)]
+        assert np.array_equal(tables[0].data.view(np.uint64), want.view(np.uint64))
+
+    def test_greedy_decode_picks_distinct_ids_once_per_step(self, rng, monkeypatch):
+        cvae = toy_cvae(rng)
+        v_e = Tensor(rng.normal(size=(4, 16)))
+        steps = []
+        gru_sequence = ad.gru_sequence
+
+        def recorded(table, ids, *args, **kwargs):
+            steps.append(ids)
+            return gru_sequence(table, ids, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "gru_sequence", recorded)
+        uniques = self.count_unique(monkeypatch)
+        cvae.decode(v_e, np.arange(4) % 3)
+        assert len(steps) > 1 and len(uniques) == len(steps)
+
+    def test_classifier_masked_mean_reads_only_distinct_rows(self, rng, monkeypatch):
+        """Three 32-row polarities drawn from 4 comments: the mean embedding
+        looks up the distinct comments' rows alone, and the read takes one
+        ``np.unique`` over the (ids, mask) rows and one over their ids."""
+        c = ClassifierText(rng, 34, 9)
+        pool = [list(rng.integers(4, 34, size=n)) for n in (3, 5, 5, 8)]
+        picks = rng.integers(0, len(pool), size=96)
+        ids, mask = pad_batch([pool[k] for k in picks])
+        lookups = []
+        embedding_lookup = ad.embedding_lookup
+
+        def recorded(table, lookup_ids):
+            if table is c.embed.w:
+                lookups.append(np.asarray(lookup_ids))
+            return embedding_lookup(table, lookup_ids)
+
+        monkeypatch.setattr(ad, "embedding_lookup", recorded)
+        distinct = len(set(picks.tolist()))
+        uniques = self.count_unique(monkeypatch)
+        c.logits_hard(ids, mask)
+        assert [key.shape for key in uniques] == [(96, 2 * ids.shape[1]),
+                                                  (distinct, ids.shape[1])]
+        per_row = [rows for rows in lookups if rows.ndim == 2]
+        assert [rows.shape for rows in per_row] == [(distinct, ids.shape[1])]
+        assert len(np.unique(per_row[0], axis=0)) == distinct
+
+    def test_posterior_matches_reading_every_row(self, rng):
+        cvae = toy_cvae(rng)
+        ids, mask = pad_batch([[5, 6, 7], [8], [5, 6, 7], [5, 6], [8], [5, 6, 7]])
+        cond = Tensor(rng.normal(size=(len(ids), 4 + 16)))
+        got = cvae.posterior(cond, ids, mask)
+        enc = cvae.comment_enc(cvae.embed.w, ids, mask)
+        packed = cvae.recog_out(ad.tanh(cvae.recog_hidden(ad.concat([enc, cond], axis=1))))
+        for a, b in zip(got, cvae._split_gaussian(packed)):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
+
+
 class TestDecoderInput:
     """The decoder reads one [token; control] row per distinct pair."""
 
@@ -569,18 +658,26 @@ def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 1
     return ids, None if case == "no_mask" else mask
 
 
+def distinct_read(net, table, ids, mask):
+    """A BiGRU read as ``ClassifierText`` and ``TextCvae.posterior`` make it:
+    over the distinct (ids, mask) rows, then gathered back to every row."""
+    ids, mask, gather = _distinct_rows(ids, mask)
+    return ad.embedding_lookup(net(table, ids, mask), gather)
+
+
 class TestBiGRUDistinctRows:
-    """The BiGRU runs each distinct (ids, mask) row once and gathers."""
+    """A BiGRU read over ``_distinct_rows`` and a gather equals the read of
+    every row."""
 
     CASES = ["no_mask", "ragged", "all_equal", "all_distinct"]
 
     @staticmethod
-    def _read(net, table, ids, mask, g):
+    def _read(read, net, table, ids, mask, g):
         """The output and the gradients of sum(g * out) wrt the table and
         each weight."""
         for p in [table] + list(net.parameters().values()):
             p.grad = None
-        out = net(table, ids, mask)
+        out = read(net, table, ids, mask)
         ad.mul(out, Tensor(g)).sum().backward()
         return [out.data, table.grad] + [p.grad for p in net.parameters().values()]
 
@@ -590,31 +687,45 @@ class TestBiGRUDistinctRows:
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         g = rng.normal(size=(len(ids), 8))
-        got = self._read(net, table, ids, mask, g)
-        rows = [self._read(net, table, ids[i:i + 1], None if mask is None else mask[i:i + 1],
-                           g[i:i + 1])
-                for i in range(len(ids))]
-        want = [np.concatenate([r[0] for r in rows])]
-        want += [sum(r[k] for r in rows) for k in range(1, len(got))]
+        # the distinct rows, in order of first occurrence
+        keys = [(tuple(row), None if mask is None else tuple(mask[i]))
+                for i, row in enumerate(ids)]
+        first = [i for i, key in enumerate(keys) if key not in keys[:i]]
+        rows, row_mask, gather = _distinct_rows(ids, mask)
+        assert np.array_equal(rows, ids[first])
+        if mask is None:
+            assert row_mask is None
+        else:
+            assert np.array_equal(row_mask, mask[first])
+        assert [keys[first[k]] for k in gather] == keys
+        got = self._read(distinct_read, net, table, ids, mask, g)
+        per_row = [self._read(BiGRU.__call__, net, table, ids[i:i + 1],
+                              None if mask is None else mask[i:i + 1], g[i:i + 1])
+                   for i in range(len(ids))]
+        want = [np.concatenate([r[0] for r in per_row])]
+        want += [sum(r[k] for r in per_row) for k in range(1, len(got))]
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_distinct_rows_run_as_given(self, rng):
-        """A batch with no repeated row runs in its own row order, so the
+        """A batch with no repeated row keeps its own row order, so the
         states are bitwise those of the two directions without a gather."""
         ids, mask = repeated_rows(rng, "all_distinct")
+        rows, row_mask, gather = _distinct_rows(ids, mask)
+        assert np.array_equal(rows, ids) and np.array_equal(row_mask, mask)
+        assert np.array_equal(gather, np.arange(len(ids)))
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)))
         want = np.concatenate([net.fwd(table, ids, mask).data[:, -1],
                                net.bwd(table, ids, mask, reverse=True).data[:, 0]], axis=1)
-        assert np.array_equal(net(table, ids, mask).data, want)
+        assert np.array_equal(distinct_read(net, table, ids, mask).data, want)
 
     def test_gradients_match_finite_differences(self, rng):
         ids, mask = repeated_rows(rng, "ragged")
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         weights = rng.normal(size=(len(ids), 8))
-        ad.mul(net(table, ids, mask), Tensor(weights)).sum().backward()
+        ad.mul(distinct_read(net, table, ids, mask), Tensor(weights)).sum().backward()
         params = {"table": table} | net.parameters()
         assert len(params) == 9
         for name, param in params.items():
@@ -625,7 +736,7 @@ class TestBiGRUDistinctRows:
             def loss_at(values):
                 flat[coords] = values
                 with ad.no_grad():
-                    loss = float((net(table, ids, mask).data * weights).sum())
+                    loss = float((distinct_read(net, table, ids, mask).data * weights).sum())
                 flat[coords] = orig
                 return loss
 
@@ -635,6 +746,8 @@ class TestBiGRUDistinctRows:
 
     def test_mask_of_another_shape_is_rejected(self, rng):
         ids, mask = repeated_rows(rng, "ragged")
+        with pytest.raises(ValueError):
+            _distinct_rows(ids, mask[:-1])
         with pytest.raises(ValueError):
             BiGRU(rng, 5, 4)(Tensor(rng.normal(size=(12, 5))), ids, mask[:-1])
 

@@ -3,10 +3,10 @@
 ``reference_lstm_sequence`` keeps the gates as (B, 4H) rows and makes a
 temporary for each elementwise call. ``reference_gru_sequence`` allocates
 each step's split of the carried gradient and concatenates the states each
-step started from. Both project each distinct id's table row once, as the
-ops do, gather the biased projection time-major before the loop, compute
-the sigmoid as 1 / (1 + exp(-x)), and let a step whose mask is all ones
-take the new state as it is. A dense (B, T, E) input is passed as the
+step started from. Both project every row of the table, as the ops do,
+gather the biased projection time-major before the loop, compute the
+sigmoid as 1 / (1 + exp(-x)), and let a step whose mask is all ones take
+the new state as it is. A dense (B, T, E) input is passed as the
 (B*T, E) table with the ids of its rows. Each computes every value by
 the same float operations in the same order as its ``autodiff`` op, so
 outputs and gradients must match exactly, not to a tolerance.
@@ -28,16 +28,14 @@ def _one_exp_sigmoid(x, out=None):
 
 
 def _projection(table, ids, w_x, b, mask):
-    """Distinct-id rows, the distinct ids, each time-major position's (T, B)
-    index among them, the (T, B, n) biased projection and (T, B, 1) mask."""
-    uniq, inv = np.unique(ids.T, return_inverse=True)
-    inv = inv.reshape(ids.T.shape)
-    rows = table.data[uniq]
-    proj = rows @ w_x.data
+    """The (T, B) time-major ids, the (T, B, n) biased projection of their
+    table rows and the (T, B, 1) mask."""
+    inv = np.ascontiguousarray(ids.T)
+    proj = table.data @ w_x.data
     proj += b.data
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).T[:, :, None]
-    return (rows, uniq, inv), proj[inv], mask
+    return inv, proj[inv], mask
 
 
 def _all_live(mask, t):
@@ -61,7 +59,7 @@ def _split_carry(d, mask, t):
 
 
 def reference_lstm_sequence(table, ids, w_x, w_h, b, mask):
-    source, proj, mask = _projection(table, ids, w_x, b, mask)
+    inv, proj, mask = _projection(table, ids, w_x, b, mask)
     parents = (table, w_x, w_h, b)
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
@@ -111,7 +109,7 @@ def reference_lstm_sequence(table, ids, w_x, w_h, b, mask):
             ad._accumulate(w_h, states[:-1].reshape(-1, nh).T @ flat[batch:])
         if b.requires_grad:
             ad._accumulate(b, flat.sum(axis=0))
-        ad._input_grads(table, w_x, *source, d_gates)
+        ad._input_grads(table, w_x, inv, d_gates)
 
     return ad._make(np.ascontiguousarray(states.transpose(1, 0, 2)), parents,
                     backward if record else None, "lstm_sequence")
@@ -119,7 +117,7 @@ def reference_lstm_sequence(table, ids, w_x, w_h, b, mask):
 
 def reference_gru_sequence(table, ids, w_x, b_x, w_h, w_hn, mask=None, h0=None,
                            reverse=False):
-    source, proj, mask = _projection(table, ids, w_x, b_x, mask)
+    inv, proj, mask = _projection(table, ids, w_x, b_x, mask)
     parents = (table, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = ad._recording(parents)
     steps, batch, _ = proj.shape
@@ -178,7 +176,7 @@ def reference_gru_sequence(table, ids, w_x, b_x, w_h, w_hn, mask=None, h0=None,
             ad._accumulate(b_x, flat.sum(axis=0))
         if h0 is not None and h0.requires_grad:
             ad._accumulate(h0, dh)
-        ad._input_grads(table, w_x, *source, d_proj)
+        ad._input_grads(table, w_x, inv, d_proj)
 
     return ad._make(np.ascontiguousarray(states.transpose(1, 0, 2)), parents,
                     backward if record else None, "gru_sequence")
