@@ -601,16 +601,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # skips numpy's buffered range check: the ids were checked). The recurrence
 # runs in numpy, and backward is hand-written backprop through time that
 # sums the pre-activation gradient per table row and gathers each weight
-# gradient in one matmul over all steps. A step whose mask is not all ones
-# carries the state by one rule, _carry: h <- h + m * (h_new - h). A step
-# whose mask is all ones, and every step with no mask, writes the new state
-# straight into its slot. _split_carry splits the carried gradient the same
-# two ways, in place. The (B, T, H) output holds the state after each
-# position, so the final state of a forward pass is position T-1 and of a
-# reverse pass position 0.
+# gradient in one matmul over all steps. Every step runs forward over all
+# B rows, with no mask: callers right-pad, so a row's state at its last
+# real position never depends on a pad, and models read each row's state
+# there (models._last_states). The (B*T, H) output is batch-major: row
+# b*T + t is row b's state after position t.
 #
-# A state is a gated tanh, h0 or (for mask values in [0, 1], as padding
-# masks hold) a convex mix of states, so |h| <= 1 (LSTM) or max(1, max|h0|)
+# An LSTM state is a gated tanh and a GRU state a convex mix of h0 or the
+# state before it and a tanh, so |h| <= 1 (LSTM) or max(1, max|h0|)
 # (GRU) bounds each recurrent product; only a call whose bound
 # (_may_overflow) is not finite checks each step's pre-activations before
 # the squash.
@@ -619,41 +617,31 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # call runs over contiguous memory: its projection is (4, rows, H), so a
 # step's rows land in the (4, B, H) pre-activation buffer, to which the
 # (B, 4H) recurrent product is added transposed; the gate activations are
-# (T, 4, B, H). h and c share one (2, slots, B, H) block, so one carry
-# moves both; under a tape it keeps every step after a zero slot 0, and
-# without one a single slot is updated in place and each h copied out.
+# (T, 4, B, H). h and c share one (2, slots, B, H) block; under a tape it
+# keeps every step after a zero slot 0, and without one a single slot is
+# updated in place and each h copied out.
 # Backward builds each step's (4, B, H) gate gradient and copies it once
 # into the (T, B, 4H) array that feeds the recurrent and weight products.
-# The GRU's (T+1, B, H) state block holds the states and, one slot over,
-# the states each step started from. Every step writes into buffers
+# The GRU's (T+1, B, H) state block holds h0 and the state after each step,
+# so step t reads slot t and writes slot t + 1. Every step writes into buffers
 # allocated once per call. Each value is computed by the same float
 # operations, in the same order, as in a plain loop, so outputs and
 # gradients are bitwise those of that loop (tests/test_recurrence_bitwise.py
 # keeps one per cell).
 
 
-def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, mask, opname: str):
-    """The (T, B) time-major ids, the projection ``table @ w_x + b`` and each
-    step's (B, 1) mask column (None for a step of all ones)."""
+def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, opname: str):
+    """The (T, B) time-major ids and the projection ``table @ w_x + b``."""
     ids = np.asarray(ids)
     if table.ndim != 2 or ids.ndim != 2 or w_x.ndim != 2 or table.shape[1] != w_x.shape[0]:
         raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
                          f"weights, got {table.shape}, {ids.shape} and {w_x.shape}")
-    batch, steps = ids.shape
     _check_ids(ids, table.shape[0])
-    masks = [None] * steps
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (batch, steps):
-            raise ShapeError(f"{opname} mask shape {mask.shape} != {(batch, steps)}")
-        mask = np.ascontiguousarray(mask.T)[:, :, None]
-        for t in np.flatnonzero((mask != 1.0).any(axis=(1, 2))):
-            masks[t] = mask[t]
     proj = table.data @ w_x.data
     proj += b.data
     # checked after the bias, so that an overflowing sum raises
     _check_finite(proj, opname)
-    return np.ascontiguousarray(ids.T), proj, masks
+    return np.ascontiguousarray(ids.T), proj
 
 
 def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
@@ -680,35 +668,19 @@ def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, d_proj: np.ndarray
 
 
 def _batch_major(states: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(states.transpose(1, 0, 2))
+    """(T, B, H) time-major states as the (B*T, H) output."""
+    return np.ascontiguousarray(states.transpose(1, 0, 2)).reshape(-1, states.shape[2])
 
 
-def _carry(h: np.ndarray, h_new: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
-    """out = h + m * (h_new - h) for a step with mask column m; consumes ``h_new``."""
-    h_new -= h
-    h_new *= m
-    np.add(h, h_new, out=out)
-
-
-def _split_carry(d: np.ndarray, d_new: np.ndarray, m):
-    """Split a step's carried-state gradient ``d`` in place, into the buffers
-    (old state's share, new state's share); with no mask column m they swap."""
-    if m is None:
-        d_new.fill(0.0)
-        return d_new, d
-    np.multiply(m, d, out=d_new)
-    d -= d_new
-    return d, d_new
-
-
-def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask) -> Tensor:
-    """LSTM over a padded batch from a zero state; returns (B, T, H) states.
+def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """LSTM over a batch from a zero state; returns (B*T, H) states, row
+    b*T + t the state of row b after position t.
 
     The input is the rows of the (V, E) ``table`` that the (B, T) ``ids``
     pick. Gates are packed [input, forget, output, candidate] along the last
     axis of ``w_x`` (E, 4H), ``w_h`` (H, 4H) and ``b`` (4H,).
     """
-    ids, proj, masks = _sequence_input(table, ids, w_x, b, mask, "lstm_sequence")
+    ids, proj = _sequence_input(table, ids, w_x, b, "lstm_sequence")
     parents = (table, w_x, w_h, b)
     record = _recording(parents)
     steps, batch = ids.shape
@@ -742,32 +714,28 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask)
             act = acts[k]
             _sigmoid(pre[:3], act[:3])
             np.tanh(pre[3], out=act[3])
-            # [h, c] of the step, in its slot when every row is live and
-            # otherwise in pre, which is done with, before the carry
-            m = masks[t]
-            new = cur if m is None else pre[:2]
-            # c = f * c + i * g and h = o * tanh(c), new[0] holding i * g first
-            np.multiply(act[1], prev[1], out=new[1])
-            np.multiply(act[0], act[3], out=new[0])
-            new[1] += new[0]
-            np.multiply(act[2], np.tanh(new[1], out=tanh_c[k]), out=new[0])
-            if m is not None:
-                _carry(prev, new, m, cur)
+            # c = f * c + i * g and h = o * tanh(c), cur[0] holding i * g first
+            np.multiply(act[1], prev[1], out=cur[1])
+            np.multiply(act[0], act[3], out=cur[0])
+            cur[1] += cur[0]
+            np.multiply(act[2], np.tanh(cur[1], out=tanh_c[k]), out=cur[0])
             if not record:
                 states[t] = cur[0]
 
     def backward(grad):
-        grad = grad.transpose(1, 0, 2)
+        grad = grad.reshape(batch, steps, nh).transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         d_gates = np.empty((steps, batch, 4 * nh))
         # one block, which left less heap behind than five arrays: [dh, dc]
-        # passed to the step before, their share in this step's new [h, c],
-        # the step's gate gradients gate-major, sigmoid derivatives, scratch
+        # passed to the step before, the step's new [h, c]'s gradient, the
+        # step's gate gradients gate-major, sigmoid derivatives, scratch
         work = np.zeros((12, batch, nh))
         d, d_new, dgm, deriv, tmp = work[:2], work[2:4], work[4:8], work[8:11], work[11]
         for t in range(steps - 1, -1, -1):
             d[0] += grad[t]
-            d, d_new = _split_carry(d, d_new, masks[t])
+            # the new [h, c] takes the carried gradient; the step before, zero
+            d, d_new = d_new, d
+            d.fill(0.0)
             dh_new, dc_new = d_new
             act = acts[t]
             tc = tanh_c[t]
@@ -809,40 +777,35 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor, mask)
 
 
 def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
-                 mask=None, h0: Tensor | None = None, reverse: bool = False) -> Tensor:
-    """GRU over a padded batch; returns (B, T, H) states.
+                 h0: Tensor | None = None) -> Tensor:
+    """GRU over a batch; returns (B*T, H) states, row b*T + t the state of
+    row b after position t.
 
     The input is the rows of the (V, E) ``table`` that the (B, T) ``ids``
     pick. ``w_x`` (E, 3H) and ``b_x`` (3H,) pack [update, reset, candidate];
     ``w_h`` (H, 2H) packs [update, reset] and ``w_hn`` (H, H) acts on the
-    reset-gated state. The state starts at ``h0`` (zeros when None), and
-    ``reverse`` runs from position T-1 down to 0.
+    reset-gated state. The state starts at ``h0`` (zeros when None).
     """
-    ids, proj, masks = _sequence_input(table, ids, w_x, b_x, mask, "gru_sequence")
+    ids, proj = _sequence_input(table, ids, w_x, b_x, "gru_sequence")
     parents = (table, w_x, b_x, w_h, w_hn) + (() if h0 is None else (h0,))
     record = _recording(parents)
     steps, batch = ids.shape
     nh = w_hn.shape[0]
     if h0 is not None and h0.shape != (batch, nh):
         raise ShapeError(f"gru_sequence h0 shape {h0.shape} != {(batch, nh)}")
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    after = 0 if reverse else 1  # step t's state sits in slot t + after
     block = np.empty((steps + 1, batch, nh))
-    block[steps if reverse else 0] = 0.0 if h0 is None else h0.data
-    states = block[after:after + steps]
-    h_prev = block[1 - after:1 - after + steps]
+    block[0] = 0.0 if h0 is None else h0.data
     slots = steps if record else 1  # without a tape, one reused slot
     zr_all = np.empty((slots, batch, 2 * nh))
     cand_all = np.empty((slots, batch, nh))
     rh_all = np.empty((slots, batch, nh))
     proj_t = np.empty((batch, 3 * nh))  # a step's rows of proj, taken by id
-    h_new = np.empty((batch, nh))  # a masked step's state before the carry
     # an inf or nan can only come from an overflow, on which ``check`` raises
     with np.errstate(over="ignore", invalid="ignore"):
         check = _may_overflow(proj, None if h0 is None else h0.data, w_h.data, w_hn.data)
-        for t in order:
+        for t in range(steps):
             k = t if record else 0
-            h = h_prev[t]
+            h = block[t]
             np.take(proj, ids[t], axis=0, out=proj_t, mode="clip")
             zr = np.matmul(h, w_h.data, out=zr_all[k])
             zr += proj_t[:, :2 * nh]
@@ -855,26 +818,24 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
             if check:
                 _check_finite(cand, "gru_sequence")
             np.tanh(cand, out=cand)
-            m = masks[t]
-            new = states[t] if m is None else h_new
-            np.subtract(h, cand, out=new)
+            new = np.subtract(h, cand, out=block[t + 1])
             new *= zr[:, :nh]
             new += cand
-            if m is not None:
-                _carry(h, new, m, states[t])
 
     def backward(grad):
-        grad = grad.transpose(1, 0, 2)
+        grad = grad.reshape(batch, steps, nh).transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         w_hn_t = np.ascontiguousarray(w_hn.data.T)
         d_proj = np.empty((steps, batch, 3 * nh))
-        dh, dh_new = np.zeros((2, batch, nh))  # to the step before, to h_new
-        for t in reversed(order):
+        dh, dh_new = np.zeros((2, batch, nh))  # to the step before, to the step's state
+        for t in range(steps - 1, -1, -1):
             dh += grad[t]
-            dh, dh_new = _split_carry(dh, dh_new, masks[t])
+            # the step's state takes the carried gradient; the step before, zero
+            dh, dh_new = dh_new, dh
+            dh.fill(0.0)
             zr = zr_all[t]
             z, r = zr[:, :nh], zr[:, nh:]
-            hp, cand = h_prev[t], cand_all[t]
+            hp, cand = block[t], cand_all[t]
             dp = d_proj[t]
             np.multiply(dh_new - dh_new * z, 1.0 - cand * cand, out=dp[:, 2 * nh:])
             d_rh = dp[:, 2 * nh:] @ w_hn_t
@@ -886,7 +847,7 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
             dh += dp[:, :2 * nh] @ w_h_t
         flat = d_proj.reshape(steps * batch, 3 * nh)
         if w_h.requires_grad:
-            _accumulate(w_h, h_prev.reshape(-1, nh).T @ flat[:, :2 * nh])
+            _accumulate(w_h, block[:steps].reshape(-1, nh).T @ flat[:, :2 * nh])
         if w_hn.requires_grad:
             _accumulate(w_hn, rh_all.reshape(-1, nh).T @ flat[:, 2 * nh:])
         if b_x.requires_grad:
@@ -895,7 +856,7 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
             _accumulate(h0, dh)
         _input_grads(table, w_x, ids, d_proj)
 
-    return _make(_batch_major(states), parents, backward if record else None,
+    return _make(_batch_major(block[1:]), parents, backward if record else None,
                  "gru_sequence")
 
 

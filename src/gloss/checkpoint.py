@@ -54,9 +54,12 @@ def save(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(err, OSError):
+            # name the target: the temporary file is not the caller's
+            raise type(err)(f"cannot write {path}: {err.strerror or err}") from err
         raise
 
 

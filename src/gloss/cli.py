@@ -7,7 +7,8 @@ reports. Data goes to stdout (or --out files); diagnostics go to stderr.
 Each key of ``SETTINGS`` is parsed as its type, whether a flag or a
 ``--config`` INI file gives it. A flag wins over the config file, and a
 setting that neither gives is left to the library's default (for eval's
-split seed, the checkpoint's).
+split seed, the checkpoint's). A setting that a command needs, such as its
+schema, may come from either, so the command checks it after the merge.
 
 Exit codes: 0 success; 1 validation error, including a checkpoint whose
 weights are not all finite; 2 a non-finite value computed by any command,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 
 import numpy as np
@@ -107,6 +109,22 @@ def _given(args, *keys: str, **renamed: str) -> dict:
             if getattr(args, key, None) is not None}
 
 
+def _schema(args) -> str:
+    """The command's schema, from the flag or else the config file."""
+    if args.schema is None:
+        raise CliError(f"--schema ({' or '.join(N_CLASSES)}) is required")
+    if args.schema not in N_CLASSES:
+        raise CliError(f"unknown schema {args.schema!r}: expected {' or '.join(N_CLASSES)}")
+    return args.schema
+
+
+def _check_out_dir(path) -> None:
+    """Fail before any training when the directory of --out does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise CliError(f"--out {path}: directory {directory} does not exist")
+
+
 def _load_corpus(path, schema: str, args) -> list:
     try:
         examples, diagnostics = load_jsonl(path, schema)
@@ -145,16 +163,20 @@ def _format_table(rows: list[tuple], header: tuple) -> str:
 
 
 def cmd_synth(args) -> int:
-    generate = synth_numeric if args.schema == "skytrax" else synth_text
+    schema = _schema(args)
+    if args.n is None:
+        raise CliError("--n is required")
+    generate = synth_numeric if schema == "skytrax" else synth_text
     # the generators take no default seed
     examples = generate(args.n, 0 if args.seed is None else args.seed)
-    write_jsonl(args.out, [example_to_record(ex, args.schema) for ex in examples])
-    _info(args, f"wrote {len(examples)} {args.schema} examples to {args.out}")
+    write_jsonl(args.out, [example_to_record(ex, schema) for ex in examples])
+    _info(args, f"wrote {len(examples)} {schema} examples to {args.out}")
     return EXIT_OK
 
 
 def cmd_pretrain_c(args) -> int:
-    schema = args.schema
+    schema = _schema(args)
+    _check_out_dir(args.out)
     examples = _load_corpus(args.corpus, schema, args)
     split_seed = SPLIT_SEED if args.split_seed is None else args.split_seed
     split = filter_and_split(examples, schema, split_seed)
@@ -175,9 +197,8 @@ def cmd_pretrain_c(args) -> int:
 
 
 def cmd_train(args) -> int:
-    schema = args.schema
-    if schema not in N_CLASSES:
-        raise CliError("--schema (pcmag or skytrax) is required")
+    schema = _schema(args)
+    _check_out_dir(args.out)
     examples = _load_corpus(args.corpus, schema, args)
     split_seed = SPLIT_SEED if args.split_seed is None else args.split_seed
     split = filter_and_split(examples, schema, split_seed)
@@ -292,7 +313,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     # eval and explain keep --seed so that invocations passing it still run
     ignored_seed = "accepted and ignored: the outputs are deterministic"
-    schemas = tuple(N_CLASSES)
+    # required, but a --config file may give it, so the command checks it
+    schema_help = " or ".join(N_CLASSES)
 
     def setting(p, *keys, **kwargs):
         for key in keys:
@@ -304,15 +326,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    setting(p, "schema", required=True, choices=schemas)
-    setting(p, "n", required=True)
+    setting(p, "schema", help=schema_help)
+    setting(p, "n", help="number of examples (required)")
     p.add_argument("--out", required=True)
     common(p, "seed of the generated corpus")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pretrain-c", help="pre-train and freeze the explanation classifier")
     p.add_argument("--corpus", required=True)
-    setting(p, "schema", required=True, choices=schemas)
+    setting(p, "schema", help=schema_help)
     p.add_argument("--out", required=True)
     setting(p, "split_seed", "lr", "batch_size", "max_epochs")
     common(p, "seed of the initial weights and of every random draw in training")
@@ -320,7 +342,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model bundle (baseline or gef)")
     p.add_argument("--corpus", required=True)
-    setting(p, "schema", choices=schemas)
+    setting(p, "schema", help=schema_help)
     p.add_argument("--mode", choices=("baseline", "gef"), default="gef")
     p.add_argument("--classifier", default=None, help="frozen classifier checkpoint (gef mode)")
     p.add_argument("--out", required=True)

@@ -87,12 +87,10 @@ class GRU(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 2 * n_hidden), requires_grad=True)
         self.w_hn = Tensor(_xavier(rng, n_hidden, n_hidden), requires_grad=True)
 
-    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray | None = None,
-                 h0: Tensor | None = None, reverse: bool = False) -> Tensor:
-        """(B, T, H) states over the rows of ``table`` that the padded (B, T)
-        ``ids`` pick; masked steps carry state."""
-        return ad.gru_sequence(table, ids, self.w_x, self.b_x, self.w_h, self.w_hn, mask,
-                               h0=h0, reverse=reverse)
+    def __call__(self, table: Tensor, ids: np.ndarray, h0: Tensor | None = None) -> Tensor:
+        """(B*T, H) states over the rows of ``table`` that the (B, T) ``ids``
+        pick; row b*T + t is row b's state after position t."""
+        return ad.gru_sequence(table, ids, self.w_x, self.b_x, self.w_h, self.w_hn, h0=h0)
 
 
 class LSTM(Module):
@@ -101,17 +99,27 @@ class LSTM(Module):
         self.w_h = Tensor(_xavier(rng, n_hidden, 4 * n_hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * n_hidden), requires_grad=True)
 
-    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """(B, T, H) states over the rows of ``table`` that the padded (B, T)
-        ``ids`` pick; masked steps carry state."""
-        return ad.lstm_sequence(table, ids, self.w_x, self.w_h, self.b, mask)
+    def __call__(self, table: Tensor, ids: np.ndarray) -> Tensor:
+        """(B*T, H) states over the rows of ``table`` that the (B, T) ``ids``
+        pick; row b*T + t is row b's state after position t."""
+        return ad.lstm_sequence(table, ids, self.w_x, self.w_h, self.b)
 
 
-def _final_state(states: Tensor, reverse: bool = False) -> Tensor:
-    """The state after the last step of a (B, T, H) sequence op."""
-    batch, steps, dim = states.shape
-    t = 0 if reverse else steps - 1
-    return ad.slice_axis(states, 1, t, t + 1).reshape(batch, dim)
+def _lengths(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The length of each row of a right-padded (B, T) batch, its mask row's sum."""
+    if np.shape(mask) != ids.shape:
+        raise ad.ShapeError(f"mask shape {np.shape(mask)} != ids shape {ids.shape}")
+    return np.sum(mask, axis=1).astype(np.int64)
+
+
+def _last_states(states: Tensor, lengths: np.ndarray) -> Tensor:
+    """Each row's state after its last real position, (B, H), from the
+    (B*T, H) states of a sequence op over right-padded rows of ``lengths``;
+    a row of length 0 reads as the zero initial state."""
+    batch = len(lengths)
+    last = np.arange(batch) * (states.shape[0] // batch) + np.maximum(lengths - 1, 0)
+    nonempty = Tensor((lengths > 0).astype(np.float64)[:, None])
+    return ad.mul(ad.embedding_lookup(states, last), nonempty)
 
 
 def _distinct_lookup(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
@@ -122,24 +130,20 @@ def _distinct_lookup(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
     return ad.embedding_lookup(table, uniq), inv.reshape(np.shape(ids))
 
 
-def _distinct_rows(ids, mask) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The distinct (ids, mask) rows of a padded batch, in order of first
-    occurrence, and each row's index among them. From a zero state a
-    reader's outputs for a row depend on that row alone, so callers read
-    these and gather; the gather's backward sums repeated rows' gradients."""
-    ids = np.asarray(ids)
-    key = ids
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != ids.shape:
-            raise ad.ShapeError(f"mask shape {mask.shape} != ids shape {ids.shape}")
-        key = np.concatenate([ids, np.ascontiguousarray(mask).view(np.int64)], axis=1)
+def _distinct_rows(ids, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a right-padded batch, (ids, mask) keyed by ids
+    and length, in order of first occurrence, and each row's index among
+    them. From a zero state a reader's outputs for a row depend on that row
+    alone, so callers read these and gather; the gather's backward sums
+    repeated rows' gradients."""
+    ids, mask = np.asarray(ids), np.asarray(mask)
+    key = np.concatenate([ids, _lengths(ids, mask)[:, None]], axis=1)
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     rows = np.sort(first)
     # each row's first occurrence, placed among the sorted first rows (the
     # inverse's shape differs across numpy versions)
     gather = np.searchsorted(rows, first[inverse.reshape(-1)])
-    return ids[rows], None if mask is None else mask[rows], gather
+    return ids[rows], mask[rows], gather
 
 
 class BiGRU(Module):
@@ -147,13 +151,19 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray | None) -> Tensor:
-        """Both final states, concatenated: (B, 2H); the input as for GRU.
-        One lookup of the distinct ids' rows feeds both directions."""
+    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """Both directions' states after each row's last real position,
+        concatenated: (B, 2H); the input as for GRU, right-padded as ``mask``
+        says. ``bwd`` runs forward over each row's real ids reversed, as a
+        packed sequence's reverse direction does, so neither direction reads
+        a pad; an empty row reads as zeros. One lookup of the distinct ids'
+        rows feeds both directions."""
         rows, ids = _distinct_lookup(table, ids)
-        return ad.concat([_final_state(self.fwd(rows, ids, mask)),
-                          _final_state(self.bwd(rows, ids, mask, reverse=True), reverse=True)],
-                         axis=1)
+        lengths = _lengths(ids, mask)
+        flip = np.maximum(lengths[:, None] - 1 - np.arange(ids.shape[1]), 0)
+        return ad.concat([_last_states(self.fwd(rows, ids), lengths),
+                          _last_states(self.bwd(rows, np.take_along_axis(ids, flip, 1)),
+                                       lengths)], axis=1)
 
 
 def _masked_mean(emb3: Tensor, mask: np.ndarray) -> Tensor:
@@ -225,7 +235,7 @@ class RecurrentEncoder(Module):
 
     def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         _check_nonempty(mask)
-        return _final_state(self.rnn(*_distinct_lookup(self.embed.w, ids), mask))
+        return _last_states(self.rnn(*_distinct_lookup(self.embed.w, ids)), _lengths(ids, mask))
 
 
 class CnnEncoder(Module):
@@ -418,11 +428,9 @@ class TextCvae(Module):
         kl = self.gaussian_kl(mu_q, logvar_q, mu_p, logvar_p)
 
         dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_mask)
-        batch, steps = dec_in.shape
         states = self.dec(*self._dec_input(dec_in, controls), h0=self._decode_hidden(z, cond))
-        logits = self.dec_out(states.reshape(batch * steps, self.config.decoder_hidden))
-        ce = ad.cross_entropy(logits, targets.reshape(-1))
-        recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(batch, steps).sum(axis=1)
+        ce = ad.cross_entropy(self.dec_out(states), targets.reshape(-1))
+        recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(dec_in.shape).sum(axis=1)
         return recon, kl
 
     def decode(self, v_e: Tensor, controls: np.ndarray) -> list[list[int]]:
@@ -441,7 +449,7 @@ class TextCvae(Module):
             finished = np.zeros(batch, dtype=bool)
             steps = []
             for _ in range(self.config.max_len):
-                h = self.dec(*self._dec_input(tokens[:, None], controls), h0=h).reshape(batch, -1)
+                h = self.dec(*self._dec_input(tokens[:, None], controls), h0=h)
                 tokens = self.dec_out(h).argmax(axis=1)
                 steps.append(tokens)
                 finished |= tokens == EOS

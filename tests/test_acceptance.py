@@ -77,22 +77,22 @@ def gradient_cases(rng) -> list:
         lambda t: ad.mul(ad.conv_max(w32, conv_ids, t.reshape(4, 3), valid), w23).sum(),
     ]
 
-    # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs,
-    # two of them padded; every output state is weighted into the loss. The
-    # inputs are the rows of a (12, 1) table x, one per position (identity
-    # ids). The (3, 4) input stands in for x, h0, each weight or the bias in
-    # turn; weights of other shapes are linear maps of it.
-    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+    # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs;
+    # every output state is weighted into the loss. The inputs are the rows
+    # of a (12, 1) table x, one per position (identity ids). The (3, 4)
+    # input stands in for x, h0, each weight or the bias in turn; weights of
+    # other shapes are linear maps of it. Padded rows read at their own
+    # lengths are checked through the models (tests/test_models.py).
     seq_ids = np.arange(12).reshape(3, 4)
     seq_x = Tensor(rng.normal(size=(3, 4, 1)).reshape(12, 1))
     l_wx = Tensor(rng.normal(size=(1, 12)) * 0.5)
     l_wh = Tensor(rng.normal(size=(3, 12)) * 0.5)
     l_b = Tensor(rng.normal(size=12) * 0.5)
-    l_out = Tensor(rng.normal(size=(3, 4, 3)))
+    l_out = Tensor(rng.normal(size=(12, 3)))
     to_w_h = Tensor(rng.normal(size=(4, 12)) * 0.3)
 
     def lstm(x=seq_x, w_x=l_wx, w_h=l_wh, b=l_b):
-        return ad.mul(ad.lstm_sequence(x, seq_ids, w_x, w_h, b, mask), l_out).sum()
+        return ad.mul(ad.lstm_sequence(x, seq_ids, w_x, w_h, b), l_out).sum()
 
     cases += [
         lambda t: lstm(x=t.reshape(12, 1)),
@@ -106,26 +106,22 @@ def gradient_cases(rng) -> list:
     g_wh = Tensor(rng.normal(size=(4, 8)) * 0.5)
     g_whn = Tensor(rng.normal(size=(4, 4)) * 0.5)
     g_h0 = Tensor(rng.normal(size=(3, 4)) * 0.5)
-    g_out = Tensor(rng.normal(size=(3, 4, 4)))
+    g_out = Tensor(rng.normal(size=(12, 4)))
     to_w_h2 = Tensor(rng.normal(size=(3, 8)) * 0.3)
     to_w_hn = Tensor(rng.normal(size=(3, 4)) * 0.3)
 
-    def gru(reverse, x=seq_x, w_x=g_wx, b_x=g_bx, w_h=g_wh, w_hn=g_whn,
-            h0=g_h0, seq_mask=mask):
-        states = ad.gru_sequence(x, seq_ids, w_x, b_x, w_h, w_hn, seq_mask, h0=h0,
-                                 reverse=reverse)
-        return ad.mul(states, g_out).sum()
+    def gru(x=seq_x, w_x=g_wx, b_x=g_bx, w_h=g_wh, w_hn=g_whn, h0=g_h0):
+        return ad.mul(ad.gru_sequence(x, seq_ids, w_x, b_x, w_h, w_hn, h0=h0), g_out).sum()
 
-    for rev in (False, True):
-        cases += [
-            lambda t, rev=rev: gru(rev, x=t.reshape(12, 1), h0=None),
-            lambda t, rev=rev: gru(rev, x=t.reshape(12, 1), seq_mask=None),
-            lambda t, rev=rev: gru(rev, w_x=t.reshape(1, 12)),
-            lambda t, rev=rev: gru(rev, b_x=t.reshape(12)),
-            lambda t, rev=rev: gru(rev, w_h=ad.matmul(t.reshape(4, 3), to_w_h2)),
-            lambda t, rev=rev: gru(rev, w_hn=ad.matmul(t.reshape(4, 3), to_w_hn)),
-            lambda t, rev=rev: gru(rev, h0=t),
-        ]
+    cases += [
+        lambda t: gru(x=t.reshape(12, 1), h0=None),
+        lambda t: gru(x=t.reshape(12, 1)),
+        lambda t: gru(w_x=t.reshape(1, 12)),
+        lambda t: gru(b_x=t.reshape(12)),
+        lambda t: gru(w_h=ad.matmul(t.reshape(4, 3), to_w_h2)),
+        lambda t: gru(w_hn=ad.matmul(t.reshape(4, 3), to_w_hn)),
+        lambda t: gru(h0=t),
+    ]
     return cases
 
 

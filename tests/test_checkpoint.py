@@ -207,6 +207,13 @@ def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+def test_failed_save_names_the_target_not_the_temporary_file(tmp_path):
+    path = tmp_path / "missing" / "model.ckpt"
+    with pytest.raises(FileNotFoundError) as info:
+        checkpoint.save(path, {"a": np.zeros(4)})
+    assert str(info.value) == f"cannot write {path}: No such file or directory"
+
+
 def test_save_replaces_existing_file(tmp_path):
     path = tmp_path / "model.ckpt"
     checkpoint.save(path, {"a": np.zeros(4)})

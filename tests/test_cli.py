@@ -315,6 +315,58 @@ class TestSettings:
         assert err == "error: config key 'lr': could not convert string to float: 'abc'\n"
         assert not out.exists()
 
+    def test_required_settings_may_come_from_the_config_file(self, small_corpus, tmp_path,
+                                                              capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nschema = skytrax\nn = 40\nmax_epochs = 1\n")
+        corpus = tmp_path / "z.jsonl"
+        assert run_cli("synth", "--out", corpus, "--config", config, "--quiet") == 0
+        assert len(load_jsonl(corpus, "skytrax")[0]) == 40
+        ckpt = tmp_path / "c.ckpt"
+        assert run_cli("pretrain-c", "--corpus", small_corpus, "--out", ckpt,
+                       "--config", config, "--quiet") == 0
+        assert checkpoint.load(ckpt)[1]["schema"] == "skytrax"
+        # and synth still needs n from one or the other
+        config.write_text("[run]\nschema = skytrax\n")
+        capsys.readouterr()
+        assert run_cli("synth", "--out", tmp_path / "y.jsonl", "--config", config,
+                       "--quiet") == 1
+        assert capsys.readouterr().err == "error: --n is required\n"
+
+    @pytest.mark.parametrize("command", ["synth", "pretrain-c", "train"])
+    @pytest.mark.parametrize("given", ["nowhere", "flag", "config"])
+    def test_missing_or_unknown_schema_exits_1(self, small_corpus, tmp_path, capsys,
+                                               train_calls, command, given):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nschema = skytrack\n")
+        flags = {"nowhere": (), "flag": ("--schema", "skytrack"),
+                 "config": ("--config", config)}[given]
+        args = {"synth": ("--n", "5"), "pretrain-c": ("--corpus", small_corpus),
+                "train": ("--corpus", small_corpus, "--mode", "baseline")}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, *args, *flags, "--out", out, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --schema (pcmag or skytrax) is required\n" if given == "nowhere"
+                       else "error: unknown schema 'skytrack': expected pcmag or skytrax\n")
+        assert not out.exists() and not train_calls
+
+    @pytest.mark.parametrize("command", ["pretrain-c", "train"])
+    def test_missing_out_directory_exits_1_before_training(self, small_corpus, tmp_path,
+                                                           capsys, monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(framework, "train", lambda *args, **kw: trained.append(args))
+        monkeypatch.setattr(framework, "pretrain_classifier",
+                            lambda *args, **kw: trained.append(args))
+        out = tmp_path / "missing" / "m.ckpt"
+        capsys.readouterr()
+        assert run_cli(command, "--corpus", small_corpus, "--schema", "skytrax",
+                       "--out", out, "--quiet",
+                       *(("--mode", "baseline") if command == "train" else ())) == 1
+        assert capsys.readouterr().err == (f"error: --out {out}: directory {out.parent} "
+                                           "does not exist\n")
+        assert trained == []
+
     def test_eval_split_seed_precedence(self, numeric_corpus, trained_model, tmp_path,
                                         monkeypatch):
         arrays, meta = checkpoint.load(trained_model[0])

@@ -142,19 +142,11 @@ class TestMasking:
     def _sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    @staticmethod
-    def _ragged_mask(rng, batch, steps):
-        mask = np.ones((batch, steps))
-        for i, n in enumerate(rng.integers(1, steps + 1, size=batch)):
-            mask[i, n:] = 0.0
-        return mask
-
     def test_lstm_sequence_matches_reference_loop(self, rng):
         batch, steps, dim, nh = 5, 7, 3, 4
         lstm = LSTM(rng, dim, nh)
         lstm.b.data[:] = rng.normal(size=4 * nh)
         x = rng.normal(size=(batch, steps, dim))
-        mask = self._ragged_mask(rng, batch, steps)
         w_x, w_h, b = lstm.w_x.data, lstm.w_h.data, lstm.b.data
         h, c = np.zeros((batch, nh)), np.zeros((batch, nh))
         want = np.zeros((batch, steps, nh))
@@ -162,36 +154,32 @@ class TestMasking:
             pre = [x[:, t] @ w_x[:, k * nh:(k + 1) * nh] + h @ w_h[:, k * nh:(k + 1) * nh]
                    + b[k * nh:(k + 1) * nh] for k in range(4)]
             i, f, o = (self._sig(p) for p in pre[:3])
-            c_new = f * c + i * np.tanh(pre[3])
-            h_new = o * np.tanh(c_new)
-            keep = mask[:, t:t + 1] > 0
-            h, c = np.where(keep, h_new, h), np.where(keep, c_new, c)
+            c = f * c + i * np.tanh(pre[3])
+            h = o * np.tanh(c)
             want[:, t] = h
-        np.testing.assert_allclose(lstm(*identity_input(x), mask).data, want, rtol=0, atol=1e-12)
+        got = lstm(*identity_input(x)).data.reshape(batch, steps, nh)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("with_h0", [False, True])
-    def test_gru_sequence_matches_reference_loop(self, rng, reverse, with_h0):
+    def test_gru_sequence_matches_reference_loop(self, rng, with_h0):
         batch, steps, dim, nh = 5, 7, 3, 4
         gru = GRU(rng, dim, nh)
         gru.b_x.data[:] = rng.normal(size=3 * nh)
         x = rng.normal(size=(batch, steps, dim))
-        mask = self._ragged_mask(rng, batch, steps)
         h0 = rng.normal(size=(batch, nh)) if with_h0 else np.zeros((batch, nh))
         w_x, b_x = gru.w_x.data, gru.b_x.data
         w_z, w_r = gru.w_h.data[:, :nh], gru.w_h.data[:, nh:]
         h = h0
         want = np.zeros((batch, steps, nh))
-        for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        for t in range(steps):
             gx = x[:, t] @ w_x + b_x
             z = self._sig(gx[:, :nh] + h @ w_z)
             r = self._sig(gx[:, nh:2 * nh] + h @ w_r)
             cand = np.tanh(gx[:, 2 * nh:] + (r * h) @ gru.w_hn.data)
-            h_new = (1.0 - z) * cand + z * h
-            h = np.where(mask[:, t:t + 1] > 0, h_new, h)
+            h = (1.0 - z) * cand + z * h
             want[:, t] = h
-        got = gru(*identity_input(x), mask, h0=Tensor(h0) if with_h0 else None, reverse=reverse)
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        got = gru(*identity_input(x), h0=Tensor(h0) if with_h0 else None)
+        np.testing.assert_allclose(got.data.reshape(batch, steps, nh), want, rtol=0, atol=1e-12)
 
     def test_cnn_encoder_matches_reference_loop(self, rng, made_ops):
         widths = (2, 3, 5)
@@ -229,6 +217,115 @@ class TestMasking:
                             + ["concat", "matmul", "add", "tanh"])
         with ad.no_grad():
             assert np.array_equal(cnn(ids, mask).data, taped.data)
+
+
+class TestReadAtLength:
+    """The recurrent readers run forward over every position of a
+    right-padded batch and read each row's state at its own length; the
+    BiGRU's backward direction reads each row's real ids reversed."""
+
+    LENGTHS = [5, 0, 2, 5, 1]  # one empty row; two rows use every step
+    TOL, STEP = 1e-4, 1e-3  # acceptance criterion 1's
+
+    @classmethod
+    def batch(cls, rng, empty_row=True):
+        lengths = cls.LENGTHS if empty_row else [n or 3 for n in cls.LENGTHS]
+        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
+        return ids, mask, lengths
+
+    @staticmethod
+    def reader(rng, kind):
+        """A reader of (ids, mask) and its parameters by name, the embedding
+        table included."""
+        if kind == "bigru":
+            net = BiGRU(rng, 6, 4)
+            table = Tensor(rng.normal(size=(34, 6)), requires_grad=True)
+            return (lambda ids, mask: net(table, ids, mask)), {"table": table} | net.parameters()
+        enc = build_encoder(EncoderConfig(kind=kind, vocab_size=34, embedding_dim=6,
+                                          hidden_dim=4), rng)
+        for name, p in enc.parameters().items():  # nonzero biases
+            if name.endswith((".b", ".b_x")):
+                p.data[:] = rng.normal(size=p.shape) * 0.5
+        return enc, enc.parameters()
+
+    @staticmethod
+    def read(reader, params, ids, mask, g):
+        """The output and the gradients of sum(g * output) wrt ``params``."""
+        for p in params.values():
+            p.grad = None
+        out = reader(ids, mask)
+        ad.mul(out, Tensor(g)).sum().backward()
+        return [out.data] + [p.grad for p in params.values()]
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
+    def test_matches_each_row_read_alone(self, rng, kind):
+        reader, params = self.reader(rng, kind)
+        ids, mask, lengths = self.batch(rng, empty_row=kind == "bigru")
+        g = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
+        got = self.read(reader, params, ids, mask, g)
+        alone = [self.read(reader, params, ids[b:b + 1, :n], np.ones((1, n)), g[b:b + 1])
+                 for b, n in enumerate(lengths) if n]
+        nonempty = np.array(lengths) > 0
+        np.testing.assert_allclose(got[0][nonempty], np.concatenate([r[0] for r in alone]),
+                                   rtol=1e-12, atol=0)
+        # an empty row's state is exactly the zero initial state, and it
+        # passes no gradient back
+        assert np.all(got[0][~nonempty] == 0.0)
+        for k in range(1, len(got)):
+            np.testing.assert_allclose(got[k], sum(r[k] for r in alone), rtol=1e-12,
+                                       atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_encoder_rejects_an_empty_row(self, rng, kind):
+        reader, _ = self.reader(rng, kind)
+        ids, mask, _ = self.batch(rng)
+        with pytest.raises(ValueError, match="empty sequence"):
+            reader(ids, mask)
+
+    def test_bigru_backward_direction_reads_each_row_reversed(self, rng, monkeypatch):
+        reader, params = self.reader(rng, "bigru")
+        ids, mask, lengths = self.batch(rng)
+        seen = []
+        gru_sequence = ad.gru_sequence
+
+        def recorded(table, ids, *args, **kwargs):
+            seen.append((table.data, ids))
+            return gru_sequence(table, ids, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "gru_sequence", recorded)
+        reader(ids, mask)
+        (rows, fwd), (bwd_rows, bwd) = seen
+        assert bwd_rows is rows
+        assert np.array_equal(rows[fwd], params["table"].data[ids])
+        for b, n in enumerate(lengths):
+            assert np.array_equal(bwd[b, :n], fwd[b, :n][::-1])
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
+    def test_gradients_match_finite_differences(self, rng, kind):
+        """Through the read at each length and, for the BiGRU, the flip."""
+        reader, params = self.reader(rng, kind)
+        ids, mask, _ = self.batch(rng, empty_row=kind == "bigru")
+        weights = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
+        ad.mul(reader(ids, mask), Tensor(weights)).sum().backward()
+        for name, param in params.items():
+            flat = param.data.reshape(-1)
+            coords = np.arange(flat.size)
+            if name in ("table", "embed.w"):  # the rows the batch reads
+                coords = (np.unique(ids)[:, None] * param.shape[1]
+                          + np.arange(param.shape[1])).ravel()
+            coords = rng.choice(coords, size=min(12, coords.size), replace=False)
+            orig = flat[coords].copy()
+
+            def loss_at(values):
+                flat[coords] = values
+                with ad.no_grad():
+                    loss = float((reader(ids, mask).data * weights).sum())
+                flat[coords] = orig
+                return loss
+
+            want = finite_difference_grad(loss_at, orig.copy(), step=self.STEP)
+            got = param.grad.reshape(-1)[coords]
+            assert relative_error(got, want) < self.TOL, name
 
 
 class TestPredictor:
@@ -471,7 +568,7 @@ class TestDistinctIds:
     def test_classifier_masked_mean_reads_only_distinct_rows(self, rng, monkeypatch):
         """Three 32-row polarities drawn from 4 comments: the mean embedding
         looks up the distinct comments' rows alone, and the read takes one
-        ``np.unique`` over the (ids, mask) rows and one over their ids."""
+        ``np.unique`` over the (ids, length) rows and one over their ids."""
         c = ClassifierText(rng, 34, 9)
         pool = [list(rng.integers(4, 34, size=n)) for n in (3, 5, 5, 8)]
         picks = rng.integers(0, len(pool), size=96)
@@ -488,7 +585,7 @@ class TestDistinctIds:
         distinct = len(set(picks.tolist()))
         uniques = self.count_unique(monkeypatch)
         c.logits_hard(ids, mask)
-        assert [key.shape for key in uniques] == [(96, 2 * ids.shape[1]),
+        assert [key.shape for key in uniques] == [(96, ids.shape[1] + 1),
                                                   (distinct, ids.shape[1])]
         per_row = [rows for rows in lookups if rows.ndim == 2]
         assert [rows.shape for rows in per_row] == [(distinct, ids.shape[1])]
@@ -539,7 +636,7 @@ class TestDecoderInput:
         dec_in = self.teacher_input(cvae)[2]
         batch, steps = dec_in.shape
         h0 = rng.normal(size=(batch, 12))
-        g = Tensor(rng.normal(size=(batch, steps, 12)))
+        g = Tensor(rng.normal(size=(batch * steps, 12)))
         names = ["embed.w", "ctrl.w", "dec.w_x", "dec.b_x", "dec.w_h", "dec.w_hn"]
         results = []
         for pairs in (True, False):
@@ -623,7 +720,7 @@ def reference_greedy_decode(cvae, v_e, ctrl_ids):
         for _ in range(cvae.config.max_len):
             # each row's own [token; control] row, with identity ids
             x = ad.concat([cvae.embed(tokens), ctrl], axis=1)
-            h = cvae.dec(x, np.arange(batch)[:, None], h0=h).reshape(batch, -1)
+            h = cvae.dec(x, np.arange(batch)[:, None], h0=h)
             tokens = cvae.dec_out(h).argmax(axis=1)
             for i in range(batch):
                 if finished[i]:
@@ -638,8 +735,8 @@ def reference_greedy_decode(cvae, v_e, ctrl_ids):
 
 
 def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 12):
-    """(B, T) ids and mask (None for "no_mask") whose rows repeat, except in
-    "all_distinct"; in "ragged" two rows share their ids and differ in mask."""
+    """(B, T) ids and mask whose rows repeat, except in "all_distinct"; only
+    "ragged" pads, and two of its rows share their ids and differ in mask."""
     if case == "all_equal":
         base = rng.integers(4, vocab, size=(1, steps))
         pick = np.zeros(batch, dtype=np.int64)
@@ -655,7 +752,7 @@ def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 1
         ids[mask == 0] = 0
         ids[-1], mask[-1] = ids[0], mask[0]
         mask[-1, 1:] = 0.0  # row 0's ids, one step long
-    return ids, None if case == "no_mask" else mask
+    return ids, mask
 
 
 def distinct_read(net, table, ids, mask):
@@ -669,7 +766,7 @@ class TestBiGRUDistinctRows:
     """A BiGRU read over ``_distinct_rows`` and a gather equals the read of
     every row."""
 
-    CASES = ["no_mask", "ragged", "all_equal", "all_distinct"]
+    CASES = ["unpadded", "ragged", "all_equal", "all_distinct"]
 
     @staticmethod
     def _read(read, net, table, ids, mask, g):
@@ -688,19 +785,15 @@ class TestBiGRUDistinctRows:
         table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         g = rng.normal(size=(len(ids), 8))
         # the distinct rows, in order of first occurrence
-        keys = [(tuple(row), None if mask is None else tuple(mask[i]))
-                for i, row in enumerate(ids)]
+        keys = [(tuple(row), tuple(mask[i])) for i, row in enumerate(ids)]
         first = [i for i, key in enumerate(keys) if key not in keys[:i]]
         rows, row_mask, gather = _distinct_rows(ids, mask)
         assert np.array_equal(rows, ids[first])
-        if mask is None:
-            assert row_mask is None
-        else:
-            assert np.array_equal(row_mask, mask[first])
+        assert np.array_equal(row_mask, mask[first])
         assert [keys[first[k]] for k in gather] == keys
         got = self._read(distinct_read, net, table, ids, mask, g)
         per_row = [self._read(BiGRU.__call__, net, table, ids[i:i + 1],
-                              None if mask is None else mask[i:i + 1], g[i:i + 1])
+                              mask[i:i + 1], g[i:i + 1])
                    for i in range(len(ids))]
         want = [np.concatenate([r[0] for r in per_row])]
         want += [sum(r[k] for r in per_row) for k in range(1, len(got))]
@@ -709,15 +802,14 @@ class TestBiGRUDistinctRows:
 
     def test_distinct_rows_run_as_given(self, rng):
         """A batch with no repeated row keeps its own row order, so the
-        states are bitwise those of the two directions without a gather."""
+        states are bitwise those of the BiGRU without a gather."""
         ids, mask = repeated_rows(rng, "all_distinct")
         rows, row_mask, gather = _distinct_rows(ids, mask)
         assert np.array_equal(rows, ids) and np.array_equal(row_mask, mask)
         assert np.array_equal(gather, np.arange(len(ids)))
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)))
-        want = np.concatenate([net.fwd(table, ids, mask).data[:, -1],
-                               net.bwd(table, ids, mask, reverse=True).data[:, 0]], axis=1)
+        want = net(table, ids, mask).data
         assert np.array_equal(distinct_read(net, table, ids, mask).data, want)
 
     def test_gradients_match_finite_differences(self, rng):
