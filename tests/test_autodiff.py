@@ -417,6 +417,14 @@ class TestRowSums:
         assert np.array_equal(table.grad.view(np.uint64), want.view(np.uint64))
 
 
+def _reversed_within(ids, lengths):
+    """Each row's first ``lengths`` ids reversed, as the BiGRU's backward
+    direction reads them; the positions past a row's length repeat its
+    first id."""
+    flip = np.maximum(np.asarray(lengths)[:, None] - 1 - np.arange(ids.shape[1]), 0)
+    return np.take_along_axis(ids, flip, 1)
+
+
 class TestLookupInput:
     """The sequence ops fed by an embedding table and (B, T) ids."""
 
@@ -441,11 +449,15 @@ class TestLookupInput:
             return ad.lstm_sequence(table, ids, *weights)
         return ad.gru_sequence(table, ids, *weights, h0=h0)
 
-    @pytest.mark.parametrize("cell,with_h0", [("lstm", False), ("gru", False), ("gru", True)])
+    @pytest.mark.parametrize("cell,reverse,with_h0", [
+        ("lstm", False, False), ("gru", False, False), ("gru", True, False),
+        ("gru", False, True), ("gru", True, True)])
     @pytest.mark.parametrize("ids_kind", ["repeated", "all_distinct"])
     @pytest.mark.parametrize("wrt", ["table", "w_x"])
-    def test_finite_differences(self, rng, cell, with_h0, ids_kind, wrt):
+    def test_finite_differences(self, rng, cell, reverse, with_h0, ids_kind, wrt):
         ids = self.REPEATED if ids_kind == "repeated" else self.ALL_DISTINCT
+        if reverse:  # the ids of the BiGRU's backward direction
+            ids = _reversed_within(ids, (ids != 0).sum(axis=1))
         table = rng.normal(size=(self.V, self.E))
         weights = self.weights(rng, cell)
         h0 = Tensor(rng.normal(size=(3, self.H)) * 0.5) if with_h0 else None
@@ -593,9 +605,10 @@ def _lookup_and_dense(rng, build, weight_shapes, ids, g):
 
 
 @pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "unpadded"])
-@pytest.mark.parametrize("cell,with_h0", [("lstm", False), ("gru", False), ("gru", True),
-                                          ("bigru", False)])
-def test_lookup_input_agrees_with_dense_lookup(rng, cell, with_h0, ragged):
+@pytest.mark.parametrize("cell,reverse,with_h0", [
+    ("lstm", False, False), ("gru", False, False), ("gru", True, False),
+    ("gru", False, True), ("gru", True, True), ("bigru", False, False)])
+def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragged):
     from gloss.models import BiGRU
 
     batch, steps, nh = 6, 7, 4
@@ -605,6 +618,8 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, with_h0, ragged):
         for row, n in enumerate(rng.integers(1, steps + 1, size=batch)):
             mask[row, n:] = 0.0
             ids[row, n:] = 0
+    if reverse:  # the ids of the BiGRU's backward direction
+        ids = _reversed_within(ids, mask.sum(axis=1).astype(np.int64))
     if cell == "lstm":
         shapes = [(5, 4 * nh), (nh, 4 * nh), (4 * nh,)]
 

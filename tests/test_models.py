@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gloss import autodiff as ad
 from gloss.autodiff import Adam, Tensor
@@ -301,12 +303,42 @@ class TestReadAtLength:
             assert np.array_equal(bwd[b, :n], fwd[b, :n][::-1])
 
     @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
-    def test_gradients_match_finite_differences(self, rng, kind):
-        """Through the read at each length and, for the BiGRU, the flip."""
+    def test_mask_shape_must_match_ids(self, rng, kind):
+        reader, _ = self.reader(rng, kind)
+        ids, mask, _ = self.batch(rng, empty_row=False)
+        with pytest.raises(ad.ShapeError):
+            reader(ids, mask[:, :-1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["gru", "lstm", "bigru"]),
+           lengths=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_ragged_batch_matches_each_row_read_alone(self, kind, lengths, seed):
+        rng = np.random.default_rng(seed)
+        if kind != "bigru":  # the encoders reject empty rows
+            lengths = [n or 1 for n in lengths]
         reader, params = self.reader(rng, kind)
-        ids, mask, _ = self.batch(rng, empty_row=kind == "bigru")
+        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
+        g = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
+        got = self.read(reader, params, ids, mask, g)
+        nonempty = np.array(lengths) > 0
+        assert np.all(got[0][~nonempty] == 0.0)
+        for b in np.flatnonzero(nonempty):
+            n = lengths[b]
+            alone = self.read(reader, params, ids[b:b + 1, :n], np.ones((1, n)), g[b:b + 1])
+            np.testing.assert_allclose(got[0][b:b + 1], alone[0], rtol=1e-12, atol=0)
+
+    def check_finite_differences(self, rng, kind, ids, mask, names=None):
+        """The gradients of a weighted sum of the reader's output wrt each
+        parameter in ``names`` (all by default) against central differences
+        at up to 12 coordinates; for the embedding table, of the rows the
+        batch reads."""
+        reader, params = self.reader(rng, kind)
         weights = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
         ad.mul(reader(ids, mask), Tensor(weights)).sum().backward()
+        if names is not None:
+            params = {name: p for name, p in params.items() if name in names}
+            assert params
         for name, param in params.items():
             flat = param.data.reshape(-1)
             coords = np.arange(flat.size)
@@ -326,6 +358,24 @@ class TestReadAtLength:
             want = finite_difference_grad(loss_at, orig.copy(), step=self.STEP)
             got = param.grad.reshape(-1)[coords]
             assert relative_error(got, want) < self.TOL, name
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
+    def test_gradients_match_finite_differences(self, rng, kind):
+        """Through the read at each length and, for the BiGRU, the flip."""
+        ids, mask, _ = self.batch(rng, empty_row=kind == "bigru")
+        self.check_finite_differences(rng, kind, ids, mask)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
+    @pytest.mark.parametrize("end", [1, 3, 5], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("wrt", ["table", "w_h"])
+    def test_row_ending_at_each_step_matches_finite_differences(self, rng, kind, end, wrt):
+        """Row 1 of three ends at the first, a middle or the last of five
+        steps, so its state is read there and the steps after it are not;
+        for the table rows the batch reads, or the recurrent weights."""
+        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in (5, end, 5)])
+        names = {"table", "embed.w"} if wrt == "table" else {
+            "fwd.w_h", "bwd.w_h", "rnn.w_h"}
+        self.check_finite_differences(rng, kind, ids, mask, names)
 
 
 class TestPredictor:

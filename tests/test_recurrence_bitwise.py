@@ -6,7 +6,7 @@ each step's gradient and concatenates the states each step started from.
 Both project every row of the table, as the ops do, gather the biased
 projection time-major before the loop and compute the sigmoid as
 1 / (1 + exp(-x)). A dense (B, T, E) input is passed as the (B*T, E) table
-with the ids of its rows. Each computes every value by the same float
+with the ids of its rows, padded or reversed as the models pass them. Each computes every value by the same float
 operations in the same order as its ``autodiff`` op, so outputs and
 gradients must match exactly, not to a tolerance.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
 from gloss import autodiff as ad
 from gloss.autodiff import Tensor
 
@@ -158,6 +159,25 @@ def _identity(x):
     return x.reshape(batch * steps, dim), np.arange(batch * steps).reshape(batch, steps)
 
 
+def _padded(rng, ids, padding, direction="forward"):
+    """``ids`` as the models pass them to the ops: right-padded with the pad
+    id 0 past random row lengths ("ragged"), with every second row all pad
+    ("empty rows"), or whole (None); in the "reverse" direction each row's
+    real ids reversed within its length, as the BiGRU's backward direction
+    reads them, its positions past the length repeating the row's first id."""
+    batch, steps = ids.shape
+    lengths = np.full(batch, steps)
+    if padding is not None:
+        lengths = rng.integers(1, steps + 1, size=batch)
+        if padding == "empty rows":
+            lengths[::2] = 0
+        ids = np.where(np.arange(steps) < lengths[:, None], ids, 0)
+    if direction == "reverse":
+        flip = np.maximum(lengths[:, None] - 1 - np.arange(steps), 0)
+        ids = np.take_along_axis(ids, flip, 1)
+    return ids
+
+
 def _run(op, arrays, g, taped):
     """Output of ``op`` over ``arrays`` as parameters and, when taped, the
     gradients of sum(g * output) with respect to each of them."""
@@ -177,22 +197,26 @@ def _assert_bitwise(names, got, want):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
-# (batch, steps, dim, hidden): a single row and step, small batches, and the
-# numeric workload's training and dev shapes
+# (batch, steps, dim, hidden, padding): a single row and step, padding,
+# rows of pad only, no padding, and the numeric workload's training and dev
+# shapes
 CASES = [
-    (1, 1, 3, 4),
-    (5, 7, 3, 4),
-    (6, 5, 3, 4),
-    (32, 40, 48, 64),
-    (100, 40, 48, 64),
+    (1, 1, 3, 4, "ragged"),
+    (1, 1, 3, 4, None),
+    (5, 7, 3, 4, "ragged"),
+    (6, 5, 3, 4, "empty rows"),
+    (5, 7, 3, 4, None),
+    (32, 40, 48, 64, "ragged"),
+    (100, 40, 48, 64, "ragged"),
 ]
 
 
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
-@pytest.mark.parametrize("batch,steps,dim,nh", CASES)
-def test_lstm_sequence_matches_reference_bitwise(batch, steps, dim, nh, taped):
+@pytest.mark.parametrize("batch,steps,dim,nh,padding", CASES)
+def test_lstm_sequence_matches_reference_bitwise(batch, steps, dim, nh, padding, taped):
     rng = np.random.default_rng(batch * 1000 + steps)
     table, ids = _identity(rng.normal(size=(batch, steps, dim)))
+    ids = _padded(rng, ids, padding)
     weights = (rng.normal(size=(dim, 4 * nh)), rng.normal(size=(nh, 4 * nh)) * 0.5,
                rng.normal(size=4 * nh))
     g = rng.normal(size=(batch * steps, nh))
@@ -204,20 +228,24 @@ def test_lstm_sequence_matches_reference_bitwise(batch, steps, dim, nh, taped):
 # as CASES, with a one-step batch as in greedy decoding and the text
 # workload's encoder shape in place of the numeric ones
 GRU_CASES = [
-    (1, 1, 3, 4),
-    (4, 1, 3, 4),
-    (5, 7, 3, 4),
-    (6, 5, 3, 4),
-    (32, 40, 32, 64),
+    (1, 1, 3, 4, "ragged"),
+    (4, 1, 3, 4, None),
+    (5, 7, 3, 4, "ragged"),
+    (6, 5, 3, 4, "empty rows"),
+    (5, 7, 3, 4, None),
+    (32, 40, 32, 64, "ragged"),
 ]
 
 
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
 @pytest.mark.parametrize("with_h0", [True, False], ids=["h0", "zero_h0"])
-@pytest.mark.parametrize("batch,steps,dim,nh", GRU_CASES)
-def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, with_h0, taped):
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("batch,steps,dim,nh,padding", GRU_CASES)
+def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, padding, direction,
+                                                with_h0, taped):
     rng = np.random.default_rng(batch * 1000 + steps)
     table, ids = _identity(rng.normal(size=(batch, steps, dim)))
+    ids = _padded(rng, ids, padding, direction)
     arrays = [table, rng.normal(size=(dim, 3 * nh)),
               rng.normal(size=3 * nh), rng.normal(size=(nh, 2 * nh)) * 0.5,
               rng.normal(size=(nh, nh)) * 0.5]
