@@ -363,12 +363,11 @@ def build_vocab(examples: list, schema: str, min_freq: int = 2) -> Vocab:
 
 
 def pad_batch(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad id lists to a dense (batch, T) int array plus a float mask; T is
-    at least 1, so a batch of empty sequences still has one padded step."""
-    max_len = max(1, max((len(s) for s in sequences), default=1))
-    ids = np.full((len(sequences), max_len), PAD, dtype=np.int64)
-    mask = np.zeros((len(sequences), max_len), dtype=np.float64)
+    """Right-pad id lists with PAD to a dense (batch, T) int array, and give
+    each list's length as int64; T is at least 1, so a batch of empty
+    sequences still has one padded step."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    ids = np.full((len(sequences), max(1, lengths.max(initial=0))), PAD, dtype=np.int64)
     for i, seq in enumerate(sequences):
         ids[i, :len(seq)] = seq
-        mask[i, :len(seq)] = 1.0
-    return ids, mask
+    return ids, lengths

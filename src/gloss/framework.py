@@ -178,7 +178,7 @@ def _classifier_logits(classifier, examples, form: str, vocab: Vocab | None) -> 
 
 
 def _golden_comments(vocab: Vocab, examples) -> tuple[np.ndarray, np.ndarray]:
-    """Padded ids and mask of the examples' comments, polarity-major: row
+    """Padded ids and lengths of the examples' comments, polarity-major: row
     k * B + i is example i's comment under POLARITIES[k]."""
     return pad_batch([vocab.encode(getattr(ex, pol)) for pol in POLARITIES for ex in examples])
 
@@ -424,9 +424,9 @@ def _generation_loss(bundle: ModelBundle, v_e: Tensor, batch, beta: float,
         logits = bundle.generator.logits(v_e)
         ce = ad.cross_entropy(logits.reshape(-1, N_LEVELS), subs.reshape(-1))
         return ce.reshape(subs.shape).sum(axis=1), logits
-    ids, mask = _golden_comments(bundle.vocab, batch)
     v_rows, controls = _polarity_rows(v_e)
-    recon, kl = bundle.generator.elbo_per_example(v_rows, controls, ids, mask, rng)
+    recon, kl = bundle.generator.elbo_per_example(
+        v_rows, controls, *_golden_comments(bundle.vocab, batch), rng)
     part = recon + ad.mul(kl, Tensor(beta))
     return part.reshape(len(POLARITIES), len(batch)).sum(axis=0), None
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -105,11 +104,17 @@ class LSTM(Module):
         return ad.lstm_sequence(table, ids, self.w_x, self.w_h, self.b)
 
 
-def _lengths(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The length of each row of a right-padded (B, T) batch, its mask row's sum."""
-    if np.shape(mask) != ids.shape:
-        raise ad.ShapeError(f"mask shape {np.shape(mask)} != ids shape {ids.shape}")
-    return np.sum(mask, axis=1).astype(np.int64)
+def _check_lengths(ids: np.ndarray, lengths) -> np.ndarray:
+    """The row lengths of the right-padded (B, T) ``ids`` as int64; a
+    ``ShapeError`` unless they are B integers in [0, T], since a longer one
+    would read the next row's states."""
+    lengths = np.asarray(lengths)
+    if (np.ndim(ids) != 2 or lengths.shape != (len(ids),) or lengths.dtype.kind not in "iu"
+            or not np.all((lengths >= 0) & (lengths <= np.shape(ids)[1]))):
+        raise ad.ShapeError(f"lengths must be B integers in [0, T] for (B, T) ids of shape "
+                            f"{np.shape(ids)}, got {lengths.dtype} lengths of shape "
+                            f"{lengths.shape}")
+    return lengths.astype(np.int64)
 
 
 def _last_states(states: Tensor, lengths: np.ndarray) -> Tensor:
@@ -130,20 +135,21 @@ def _distinct_lookup(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
     return ad.embedding_lookup(table, uniq), inv.reshape(np.shape(ids))
 
 
-def _distinct_rows(ids, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a right-padded batch, (ids, mask) keyed by ids
-    and length, in order of first occurrence, and each row's index among
+def _distinct_rows(ids, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a right-padded batch, (ids, lengths) keyed by
+    ids and length, in order of first occurrence, and each row's index among
     them. From a zero state a reader's outputs for a row depend on that row
     alone, so callers read these and gather; the gather's backward sums
     repeated rows' gradients."""
-    ids, mask = np.asarray(ids), np.asarray(mask)
-    key = np.concatenate([ids, _lengths(ids, mask)[:, None]], axis=1)
+    ids = np.asarray(ids)
+    lengths = _check_lengths(ids, lengths)
+    key = np.concatenate([ids, lengths[:, None]], axis=1)
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     rows = np.sort(first)
     # each row's first occurrence, placed among the sorted first rows (the
     # inverse's shape differs across numpy versions)
     gather = np.searchsorted(rows, first[inverse.reshape(-1)])
-    return ids[rows], mask[rows], gather
+    return ids[rows], lengths[rows], gather
 
 
 class BiGRU(Module):
@@ -151,26 +157,27 @@ class BiGRU(Module):
         self.fwd = GRU(rng, n_in, n_hidden)
         self.bwd = GRU(rng, n_in, n_hidden)
 
-    def __call__(self, table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    def __call__(self, table: Tensor, ids: np.ndarray, lengths) -> Tensor:
         """Both directions' states after each row's last real position,
-        concatenated: (B, 2H); the input as for GRU, right-padded as ``mask``
-        says. ``bwd`` runs forward over each row's real ids reversed, as a
-        packed sequence's reverse direction does, so neither direction reads
-        a pad; an empty row reads as zeros. One lookup of the distinct ids'
-        rows feeds both directions."""
+        concatenated: (B, 2H); the input as for GRU, right-padded past each
+        row's ``lengths``. ``bwd`` runs forward over each row's real ids
+        reversed, as a packed sequence's reverse direction does, so neither
+        direction reads a pad; an empty row reads as zeros. One lookup of the
+        distinct ids' rows feeds both directions."""
+        lengths = _check_lengths(ids, lengths)
         rows, ids = _distinct_lookup(table, ids)
-        lengths = _lengths(ids, mask)
         flip = np.maximum(lengths[:, None] - 1 - np.arange(ids.shape[1]), 0)
         return ad.concat([_last_states(self.fwd(rows, ids), lengths),
                           _last_states(self.bwd(rows, np.take_along_axis(ids, flip, 1)),
                                        lengths)], axis=1)
 
 
-def _masked_mean(emb3: Tensor, mask: np.ndarray) -> Tensor:
-    weights = mask[:, :, None]
-    lengths = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-    summed = ad.mul(emb3, Tensor(weights)).sum(axis=1)
-    return ad.mul(summed, Tensor(1.0 / lengths))
+def _masked_mean(emb3: Tensor, lengths: np.ndarray) -> Tensor:
+    """Each row's mean over its first ``lengths`` positions of the (B, T, E)
+    ``emb3``; an empty row reads as zeros."""
+    weights = np.arange(emb3.shape[1]) < lengths[:, None]
+    summed = ad.mul(emb3, Tensor(weights[:, :, None].astype(np.float64))).sum(axis=1)
+    return ad.mul(summed, Tensor(1.0 / np.maximum(lengths, 1)[:, None]))
 
 
 # -- encoders ------------------------------------------------------------------
@@ -210,9 +217,12 @@ class EncoderConfig:
         return out
 
 
-def _check_nonempty(mask: np.ndarray) -> None:
-    if mask.shape[1] == 0 or mask.sum(axis=1).min() == 0:
-        raise ValueError("encoder input contains an empty sequence")
+def _check_nonempty(ids: np.ndarray, lengths) -> np.ndarray:
+    """An encoder's checked ``lengths``; its input has rows, none empty."""
+    lengths = _check_lengths(ids, lengths)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise ValueError("encoder input is empty or contains an empty sequence")
+    return lengths
 
 
 class BowEncoder(Module):
@@ -221,9 +231,9 @@ class BowEncoder(Module):
         self.embed = Embedding(rng, config.vocab_size, config.embedding_dim)
         self.proj = Linear(rng, config.embedding_dim, config.hidden_dim)
 
-    def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        _check_nonempty(mask)
-        return ad.tanh(self.proj(_masked_mean(self.embed(ids), mask)))
+    def __call__(self, ids: np.ndarray, lengths) -> Tensor:
+        lengths = _check_nonempty(ids, lengths)
+        return ad.tanh(self.proj(_masked_mean(self.embed(ids), lengths)))
 
 
 class RecurrentEncoder(Module):
@@ -233,9 +243,9 @@ class RecurrentEncoder(Module):
         rnn_cls = GRU if config.kind == "gru" else LSTM
         self.rnn = rnn_cls(rng, config.embedding_dim, config.hidden_dim)
 
-    def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        _check_nonempty(mask)
-        return _last_states(self.rnn(*_distinct_lookup(self.embed.w, ids)), _lengths(ids, mask))
+    def __call__(self, ids: np.ndarray, lengths) -> Tensor:
+        lengths = _check_nonempty(ids, lengths)
+        return _last_states(self.rnn(*_distinct_lookup(self.embed.w, ids)), lengths)
 
 
 class CnnEncoder(Module):
@@ -251,19 +261,18 @@ class CnnEncoder(Module):
         self.proj = Linear(rng, config.cnn_filters * len(config.cnn_filter_sizes),
                            config.hidden_dim)
 
-    def __call__(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        _check_nonempty(mask)
+    def __call__(self, ids: np.ndarray, lengths) -> Tensor:
+        lengths = _check_nonempty(ids, lengths)
         pad = max(0, max(self.config.cnn_filter_sizes) - ids.shape[1])
         ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=PAD)
-        mask = np.pad(mask, ((0, 0), (0, pad)))
         rows, ids = _distinct_lookup(self.embed.w, ids)
         pooled = []
         for width, kernel in zip(self.config.cnn_filter_sizes, self.kernels):
-            # a window is valid only when fully inside the sequence, so
-            # padding can never win the max; rows shorter than the filter
-            # fall back to their first window
-            valid = sliding_window_view(mask, width, axis=1).prod(axis=2)
-            valid[valid.sum(axis=1) == 0, 0] = 1.0
+            # window s is valid when it ends inside the row (s + width <= L),
+            # so padding can never win the max; a row shorter than the
+            # filter keeps its first window
+            valid = (np.arange(ids.shape[1] - width + 1)
+                     <= np.maximum(lengths - width, 0)[:, None])
             # x -> x + b and relu are monotone, so relu(max(x) + b) is
             # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
             pooled.append(ad.relu(ad.conv_max(rows, ids, kernel.w, valid) + kernel.b))
@@ -376,9 +385,9 @@ class TextCvae(Module):
         return self._split_gaussian(self.prior_out(ad.tanh(self.prior_hidden(cond))))
 
     def posterior(self, cond: Tensor, comment_ids: np.ndarray,
-                  comment_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        ids, mask, gather = _distinct_rows(comment_ids, comment_mask)
-        enc = ad.embedding_lookup(self.comment_enc(self.embed.w, ids, mask), gather)
+                  comment_lengths) -> tuple[Tensor, Tensor]:
+        ids, lengths, gather = _distinct_rows(comment_ids, comment_lengths)
+        enc = ad.embedding_lookup(self.comment_enc(self.embed.w, ids, lengths), gather)
         packed = self.recog_out(ad.tanh(self.recog_hidden(ad.concat([enc, cond], axis=1))))
         return self._split_gaussian(packed)
 
@@ -395,12 +404,13 @@ class TextCvae(Module):
     def _decode_hidden(self, z: Tensor, cond: Tensor) -> Tensor:
         return ad.tanh(self.dec_init(ad.concat([z, cond], axis=1)))
 
-    def _teacher_io(self, comment_ids: np.ndarray, comment_mask: np.ndarray):
-        """Decoder inputs (BOS-shifted) and targets (EOS-terminated)."""
+    def _teacher_io(self, comment_ids: np.ndarray, comment_lengths):
+        """Decoder inputs (BOS-shifted), targets (EOS-terminated) and the
+        targets' weights, 1 up to each row's EOS and 0 past it."""
+        lengths = _check_lengths(comment_ids, comment_lengths)
         batch, steps = comment_ids.shape
         if steps > self.config.max_len:
             raise ValueError(f"comment length {steps} exceeds decode cap {self.config.max_len}")
-        lengths = comment_mask.sum(axis=1).astype(np.int64)
         dec_in = np.concatenate([np.full((batch, 1), BOS, dtype=np.int64), comment_ids], axis=1)
         targets = np.full((batch, steps + 1), PAD, dtype=np.int64)
         targets[:, :steps] = comment_ids
@@ -416,18 +426,18 @@ class TextCvae(Module):
         return ad.concat(rows, axis=1), ids.reshape(tokens.shape)
 
     def elbo_per_example(self, v_e: Tensor, controls: np.ndarray, comment_ids: np.ndarray,
-                         comment_mask: np.ndarray, rng: np.random.Generator,
+                         comment_lengths, rng: np.random.Generator,
                          ) -> tuple[Tensor, Tensor]:
         """Teacher-forced reconstruction and KL, each shape (batch,); row i is
         conditioned on control id ``controls[i]``."""
+        dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_lengths)
         cond = self.condition(v_e, controls)
         mu_p, logvar_p = self.prior(cond)
-        mu_q, logvar_q = self.posterior(cond, comment_ids, comment_mask)
+        mu_q, logvar_q = self.posterior(cond, comment_ids, comment_lengths)
         eps = Tensor(rng.standard_normal(mu_q.shape))
         z = mu_q + ad.mul(ad.exp(ad.mul(logvar_q, Tensor(0.5))), eps)
         kl = self.gaussian_kl(mu_q, logvar_q, mu_p, logvar_p)
 
-        dec_in, targets, t_mask = self._teacher_io(comment_ids, comment_mask)
         states = self.dec(*self._dec_input(dec_in, controls), h0=self._decode_hidden(z, cond))
         ce = ad.cross_entropy(self.dec_out(states), targets.reshape(-1))
         recon = ad.mul(ce, Tensor(t_mask.reshape(-1))).reshape(dec_in.shape).sum(axis=1)
@@ -482,6 +492,8 @@ class ClassifierNumeric(Module):
         n_fields = len(SUBSCORE_FIELDS)
         if subscores.ndim != 2 or subscores.shape[1] != n_fields:
             raise ValueError(f"expected (batch, {n_fields}) scores")
+        if subscores.size and (subscores.min() < 0 or subscores.max() >= N_LEVELS):
+            raise ValueError(f"scores must lie in 0..{N_LEVELS - 1}")
         offsets = np.arange(n_fields) * N_LEVELS
         flat = self.embed(subscores + offsets).reshape(
             subscores.shape[0], n_fields * self.emb_dim)
@@ -504,19 +516,18 @@ class ClassifierText(Module):
         self.out = Linear(rng, 3 * (2 * hidden + emb_dim), n_classes)
         self.frozen = False
 
-    def logits_hard(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """(B, n_classes) logits from the padded (3B, T) ``ids`` and ``mask``
-        of the comments, polarity-major: row k * B + i is example i's comment
-        under ``POLARITIES[k]``."""
-        ids, mask = np.asarray(ids), np.asarray(mask)
+    def logits_hard(self, ids: np.ndarray, lengths) -> Tensor:
+        """(B, n_classes) logits from the right-padded (3B, T) ``ids`` of the
+        comments and their ``lengths``, polarity-major: row k * B + i is
+        example i's comment under ``POLARITIES[k]``."""
+        ids = np.asarray(ids)
         n_pol = len(POLARITIES)
-        if ids.ndim != 2 or ids.shape[0] % n_pol or mask.shape != ids.shape:
-            raise ValueError(f"expected (3B, T) comment ids and a mask of their shape, "
-                             f"got {ids.shape} and {mask.shape}")
+        if ids.ndim != 2 or ids.shape[0] % n_pol:
+            raise ValueError(f"expected (3B, T) comment ids, got shape {ids.shape}")
         batch = ids.shape[0] // n_pol
-        ids, mask, gather = _distinct_rows(ids, mask)
-        vecs = ad.concat([self.rnn(self.embed.w, ids, mask),
-                          _masked_mean(self.embed(ids), mask)], axis=1)
+        ids, lengths, gather = _distinct_rows(ids, lengths)
+        vecs = ad.concat([self.rnn(self.embed.w, ids, lengths),
+                          _masked_mean(self.embed(ids), lengths)], axis=1)
         per_example = gather.reshape(n_pol, batch).T  # (B, 3) distinct rows
         return self.out(ad.embedding_lookup(vecs, per_example).reshape(batch, -1))
 
@@ -550,8 +561,7 @@ class ModelBundle(Module):
                                       cvae_config)
 
     def encode_reviews(self, examples) -> Tensor:
-        ids, mask = pad_batch([self.vocab.encode(ex.review) for ex in examples])
-        return self.encoder(ids, mask)
+        return self.encoder(*pad_batch([self.vocab.encode(ex.review) for ex in examples]))
 
     def meta(self) -> dict:
         out = {

@@ -15,8 +15,6 @@ fine-grained signal is recoverable from the text by construction:
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .data import PCMagExample, SkytraxExample, SUBSCORE_FIELDS, tokenize
@@ -68,14 +66,6 @@ def overall_from_subscores(subscores) -> int:
     """Overall rating rule: clamp(round(2 * mean(subscores)), 1, 10)."""
     doubled_mean = 2.0 * sum(subscores) / len(subscores)
     return int(min(10, max(1, round(doubled_mean))))
-
-
-def numeric_label_distribution() -> np.ndarray:
-    """Exact class distribution of the rating rule over all 6**5 score tuples."""
-    counts = np.zeros(10, dtype=np.float64)
-    for tup in itertools.product(range(6), repeat=5):
-        counts[overall_from_subscores(tup) - 1] += 1
-    return counts / counts.sum()
 
 
 def _field_phrase(field: str, score: int, ambiguity: float, rng: np.random.Generator) -> str:
@@ -171,17 +161,6 @@ def text_comment_bank() -> dict[tuple[int, str], list[tuple[str, ...]]]:
                 tuple(tokenize(t.format(a=adj))) for t in templates
             ]
     return bank
-
-
-_COMMENT_TO_GRADE: dict[tuple[str, ...], int] = {}
-for _key, _comments in text_comment_bank().items():
-    for _tokens in _comments:
-        _COMMENT_TO_GRADE[_tokens] = _key[0]
-
-
-def comment_grade(tokens) -> int:
-    """Invert the comment bank: exact token sequence back to its grade."""
-    return _COMMENT_TO_GRADE[tuple(tokens)]
 
 
 def synth_text(n: int, seed: int) -> list[PCMagExample]:

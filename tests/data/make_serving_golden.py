@@ -15,14 +15,13 @@ Rewrite the outputs with
     PYTHONPATH=src python tests/data/make_serving_golden.py
 
 only when a change is meant to move serving arithmetic; say in the change
-log which outputs moved and by how much. Pass ``--retrain`` to rebuild the
-corpora and checkpoints as well, which only a change to the checkpoint
-format should need.
+log which outputs moved and by how much. It keeps the committed corpora and
+checkpoints, and writes them anew only where ``tests/data/serving/`` is
+missing, which only a change to the checkpoint format should need.
 """
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 # gloss sets its one-thread BLAS default at import, before numpy loads
@@ -108,7 +107,7 @@ def _train_case(name: str) -> None:
 
 def retrain() -> None:
     """Write the corpora, classifiers and bundles anew."""
-    DIR.mkdir(exist_ok=True)
+    DIR.mkdir()
     for schema, synth in (("skytrax", synth_numeric), ("pcmag", synth_text)):
         examples = synth(SCHEDULE[schema][0], seed=31)
         write_jsonl(corpus_path(schema), [example_to_record(ex, schema) for ex in examples])
@@ -154,7 +153,7 @@ def serve(name: str, out_dir: Path) -> dict:
 
 
 def main() -> None:
-    if "--retrain" in sys.argv[1:]:
+    if not DIR.exists():
         retrain()
     golden = {}
     for name in CASES:

@@ -396,7 +396,7 @@ def test_criterion_8_cvae_sanity():
                                       decoder_hidden=24, comment_hidden=12,
                                       embedding_dim=16, mlp_hidden=12))
     v_e = Tensor(np.zeros((len(examples), 8)))
-    ids, mask = pad_batch([vocab.encode(ex.pos) for ex in examples])
+    ids, lengths = pad_batch([vocab.encode(ex.pos) for ex in examples])
     pos = np.zeros(len(examples), dtype=np.int64)  # control id of every row
 
     def elbo_mean(*args):
@@ -405,7 +405,7 @@ def test_criterion_8_cvae_sanity():
 
     def elbo_loss(seed):
         with ad.no_grad():
-            loss = elbo_mean(v_e, pos, ids, mask, np.random.default_rng(seed))
+            loss = elbo_mean(v_e, pos, ids, lengths, np.random.default_rng(seed))
         return loss.item()
 
     initial = elbo_loss(0)
@@ -414,7 +414,7 @@ def test_criterion_8_cvae_sanity():
     order_rng = np.random.default_rng(83)
     for _ in range(300):
         idx = order_rng.choice(len(examples), size=10, replace=False)
-        loss = elbo_mean(Tensor(v_e.data[idx]), pos[idx], ids[idx], mask[idx], step_rng)
+        loss = elbo_mean(Tensor(v_e.data[idx]), pos[idx], ids[idx], lengths[idx], step_rng)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

@@ -613,13 +613,12 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragg
 
     batch, steps, nh = 6, 7, 4
     ids = rng.integers(0, 9, size=(batch, steps))  # a 20-row table, 9 ids used
-    mask = np.ones((batch, steps))
+    lengths = np.full(batch, steps)
     if ragged:
-        for row, n in enumerate(rng.integers(1, steps + 1, size=batch)):
-            mask[row, n:] = 0.0
-            ids[row, n:] = 0
+        lengths = rng.integers(1, steps + 1, size=batch)
+        ids[np.arange(steps) >= lengths[:, None]] = 0
     if reverse:  # the ids of the BiGRU's backward direction
-        ids = _reversed_within(ids, mask.sum(axis=1).astype(np.int64))
+        ids = _reversed_within(ids, lengths)
     if cell == "lstm":
         shapes = [(5, 4 * nh), (nh, 4 * nh), (4 * nh,)]
 
@@ -640,7 +639,7 @@ def test_lookup_input_agrees_with_dense_lookup(rng, cell, reverse, with_h0, ragg
             for name, w in zip(names, ws):
                 part, attr = name.split(".")
                 setattr(getattr(net, part), attr, w)
-            return net(x, ids, mask)
+            return net(x, ids, lengths)
     g_shape = (batch, 2 * nh) if cell == "bigru" else (batch * steps, nh)
     got, want = _lookup_and_dense(rng, build, shapes, ids, rng.normal(size=g_shape))
     assert len(got) == len(want)

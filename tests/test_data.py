@@ -282,11 +282,13 @@ class TestVocab:
 
 
 def test_pad_batch():
-    ids, mask = pad_batch([[5, 6], [7]])
+    ids, lengths = pad_batch([[5, 6], [7]])
     np.testing.assert_array_equal(ids, [[5, 6], [7, 0]])
-    np.testing.assert_array_equal(mask, [[1.0, 1.0], [1.0, 0.0]])
-    ids, mask = pad_batch([[]])
-    assert ids.shape == (1, 1) and mask.sum() == 0
+    assert lengths.dtype == np.int64 and lengths.tolist() == [2, 1]
+    ids, lengths = pad_batch([[]])
+    assert ids.shape == (1, 1) and lengths.tolist() == [0]
+    ids, lengths = pad_batch([])
+    assert ids.shape == (0, 1) and lengths.shape == (0,) and lengths.dtype == np.int64
 
 
 FIELD_NAMES = ["review", "pos", "neg", "neu", "overall", "seat", "cabin", "food",

@@ -21,10 +21,10 @@ def toy_vocab(n_extra: int = 30) -> Vocab:
 
 def toy_batch(rng, batch=4, t=9, vocab_size=34):
     ids = rng.integers(4, vocab_size, size=(batch, t))
-    mask = np.ones((batch, t))
-    mask[0, 6:] = 0
+    lengths = np.full(batch, t)
+    lengths[0] = 6
     ids[0, 6:] = 0
-    return ids, mask
+    return ids, lengths
 
 
 @pytest.fixture(params=["bow", "gru", "lstm", "cnn"])
@@ -57,53 +57,49 @@ class TestEncoderConfig:
 
 class TestEncoders:
     def test_output_shape(self, encoder, rng):
-        ids, mask = toy_batch(rng)
-        assert encoder(ids, mask).shape == (4, 16)
+        ids, lengths = toy_batch(rng)
+        assert encoder(ids, lengths).shape == (4, 16)
 
     def test_deterministic(self, encoder, rng):
-        ids, mask = toy_batch(rng)
-        a = encoder(ids, mask).data
-        b = encoder(ids, mask).data
+        ids, lengths = toy_batch(rng)
+        a = encoder(ids, lengths).data
+        b = encoder(ids, lengths).data
         np.testing.assert_array_equal(a, b)
 
     def test_empty_sequence_rejected(self, encoder):
         ids = np.zeros((2, 3), dtype=np.int64)
-        mask = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            encoder(ids, mask)
+            encoder(ids, np.zeros(2, dtype=np.int64))
 
     def test_bow_permutation_invariant_gru_not(self, rng):
         ids = np.array([[5, 6, 7, 8, 9, 10]])
         perm = np.array([[10, 9, 8, 7, 6, 5]])
-        mask = np.ones((1, 6))
+        lengths = np.array([6])
         bow = build_encoder(EncoderConfig(kind="bow", vocab_size=34,
                                           embedding_dim=12, hidden_dim=16), rng)
         gru = build_encoder(EncoderConfig(kind="gru", vocab_size=34,
                                           embedding_dim=12, hidden_dim=16), rng)
-        np.testing.assert_allclose(bow(ids, mask).data, bow(perm, mask).data,
+        np.testing.assert_allclose(bow(ids, lengths).data, bow(perm, lengths).data,
                                    atol=1e-12)
-        assert not np.allclose(gru(ids, mask).data, gru(perm, mask).data)
+        assert not np.allclose(gru(ids, lengths).data, gru(perm, lengths).data)
 
     def test_padding_does_not_leak(self, encoder, rng):
         # same sequence padded to different lengths encodes identically
         ids = np.array([[5, 6, 7]])
-        mask = np.ones((1, 3))
         ids_padded = np.array([[5, 6, 7, 0, 0, 0]])
-        mask_padded = np.concatenate([mask, np.zeros((1, 3))], axis=1)
-        np.testing.assert_allclose(encoder(ids, mask).data,
-                                   encoder(ids_padded, mask_padded).data,
+        np.testing.assert_allclose(encoder(ids, [3]).data, encoder(ids_padded, [3]).data,
                                    atol=1e-12)
 
     def test_gradients_reach_embeddings(self, encoder, rng):
-        ids, mask = toy_batch(rng)
-        encoder(ids, mask).sum().backward()
+        ids, lengths = toy_batch(rng)
+        encoder(ids, lengths).sum().backward()
         grads = [t.grad for t in encoder.parameters().values()]
         assert all(g is not None for g in grads)
 
     def test_gradients_match_finite_differences(self, encoder, rng):
-        ids, mask = toy_batch(rng)
+        ids, lengths = toy_batch(rng)
         weights = rng.normal(size=(4, 16))
-        ad.mul(encoder(ids, mask), Tensor(weights)).sum().backward()
+        ad.mul(encoder(ids, lengths), Tensor(weights)).sum().backward()
         for name, param in encoder.parameters().items():
             flat = param.data.reshape(-1)
             coords = rng.choice(flat.size, size=min(20, flat.size), replace=False)
@@ -112,7 +108,7 @@ class TestEncoders:
             def loss_at(values):
                 flat[coords] = values
                 with ad.no_grad():
-                    loss = float((encoder(ids, mask).data * weights).sum())
+                    loss = float((encoder(ids, lengths).data * weights).sum())
                 flat[coords] = orig
                 return loss
 
@@ -125,20 +121,18 @@ class TestMasking:
     """Padding never changes a state, and the sequence ops match plain loops."""
 
     def test_appended_pad_columns_leave_encoders_bitwise_unchanged(self, encoder, rng):
-        ids, mask = toy_batch(rng)
+        ids, lengths = toy_batch(rng)
         ids_padded = np.concatenate([ids, np.zeros((4, 5), dtype=ids.dtype)], axis=1)
-        mask_padded = np.concatenate([mask, np.zeros((4, 5))], axis=1)
-        assert np.array_equal(encoder(ids, mask).data,
-                              encoder(ids_padded, mask_padded).data)
+        assert np.array_equal(encoder(ids, lengths).data,
+                              encoder(ids_padded, lengths).data)
 
     def test_appended_pad_columns_leave_bigru_bitwise_unchanged(self, rng):
         bigru = BiGRU(rng, 5, 7)
-        _, mask = toy_batch(rng)
+        _, lengths = toy_batch(rng)
         x = rng.normal(size=(4, 9, 5))
         x_padded = np.concatenate([x, rng.normal(size=(4, 5, 5))], axis=1)
-        mask_padded = np.concatenate([mask, np.zeros((4, 5))], axis=1)
-        assert np.array_equal(bigru(*identity_input(x), mask).data,
-                              bigru(*identity_input(x_padded), mask_padded).data)
+        assert np.array_equal(bigru(*identity_input(x), lengths).data,
+                              bigru(*identity_input(x_padded), lengths).data)
 
     @staticmethod
     def _sig(v):
@@ -209,7 +203,8 @@ class TestMasking:
             pooled.append(np.array([f[v].max(axis=0) for f, v in zip(feats, valid)]))
         want = np.tanh(np.concatenate(pooled, axis=1) @ cnn.proj.w.data + cnn.proj.b.data)
 
-        taped = cnn(ids, mask)
+        lengths = mask.sum(axis=1).astype(np.int64)
+        taped = cnn(ids, lengths)
         assert taped.requires_grad
         # conv_max sums each window's projected tokens, not one K-long dot
         # product, so it rounds differently from the loop
@@ -218,7 +213,7 @@ class TestMasking:
         assert made_ops == (["embedding_lookup"] + per_width * len(widths)
                             + ["concat", "matmul", "add", "tanh"])
         with ad.no_grad():
-            assert np.array_equal(cnn(ids, mask).data, taped.data)
+            assert np.array_equal(cnn(ids, lengths).data, taped.data)
 
 
 class TestReadAtLength:
@@ -232,17 +227,17 @@ class TestReadAtLength:
     @classmethod
     def batch(cls, rng, empty_row=True):
         lengths = cls.LENGTHS if empty_row else [n or 3 for n in cls.LENGTHS]
-        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
-        return ids, mask, lengths
+        return pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
 
     @staticmethod
     def reader(rng, kind):
-        """A reader of (ids, mask) and its parameters by name, the embedding
-        table included."""
+        """A reader of (ids, lengths) and its parameters by name, the
+        embedding table included."""
         if kind == "bigru":
             net = BiGRU(rng, 6, 4)
             table = Tensor(rng.normal(size=(34, 6)), requires_grad=True)
-            return (lambda ids, mask: net(table, ids, mask)), {"table": table} | net.parameters()
+            return ((lambda ids, lengths: net(table, ids, lengths)),
+                    {"table": table} | net.parameters())
         enc = build_encoder(EncoderConfig(kind=kind, vocab_size=34, embedding_dim=6,
                                           hidden_dim=4), rng)
         for name, p in enc.parameters().items():  # nonzero biases
@@ -251,23 +246,23 @@ class TestReadAtLength:
         return enc, enc.parameters()
 
     @staticmethod
-    def read(reader, params, ids, mask, g):
+    def read(reader, params, ids, lengths, g):
         """The output and the gradients of sum(g * output) wrt ``params``."""
         for p in params.values():
             p.grad = None
-        out = reader(ids, mask)
+        out = reader(ids, lengths)
         ad.mul(out, Tensor(g)).sum().backward()
         return [out.data] + [p.grad for p in params.values()]
 
     @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
     def test_matches_each_row_read_alone(self, rng, kind):
         reader, params = self.reader(rng, kind)
-        ids, mask, lengths = self.batch(rng, empty_row=kind == "bigru")
+        ids, lengths = self.batch(rng, empty_row=kind == "bigru")
         g = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
-        got = self.read(reader, params, ids, mask, g)
-        alone = [self.read(reader, params, ids[b:b + 1, :n], np.ones((1, n)), g[b:b + 1])
+        got = self.read(reader, params, ids, lengths, g)
+        alone = [self.read(reader, params, ids[b:b + 1, :n], [n], g[b:b + 1])
                  for b, n in enumerate(lengths) if n]
-        nonempty = np.array(lengths) > 0
+        nonempty = lengths > 0
         np.testing.assert_allclose(got[0][nonempty], np.concatenate([r[0] for r in alone]),
                                    rtol=1e-12, atol=0)
         # an empty row's state is exactly the zero initial state, and it
@@ -280,13 +275,12 @@ class TestReadAtLength:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_encoder_rejects_an_empty_row(self, rng, kind):
         reader, _ = self.reader(rng, kind)
-        ids, mask, _ = self.batch(rng)
         with pytest.raises(ValueError, match="empty sequence"):
-            reader(ids, mask)
+            reader(*self.batch(rng))
 
     def test_bigru_backward_direction_reads_each_row_reversed(self, rng, monkeypatch):
         reader, params = self.reader(rng, "bigru")
-        ids, mask, lengths = self.batch(rng)
+        ids, lengths = self.batch(rng)
         seen = []
         gru_sequence = ad.gru_sequence
 
@@ -295,19 +289,55 @@ class TestReadAtLength:
             return gru_sequence(table, ids, *args, **kwargs)
 
         monkeypatch.setattr(ad, "gru_sequence", recorded)
-        reader(ids, mask)
+        reader(ids, lengths)
         (rows, fwd), (bwd_rows, bwd) = seen
         assert bwd_rows is rows
         assert np.array_equal(rows[fwd], params["table"].data[ids])
         for b, n in enumerate(lengths):
             assert np.array_equal(bwd[b, :n], fwd[b, :n][::-1])
 
-    @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
-    def test_mask_shape_must_match_ids(self, rng, kind):
-        reader, _ = self.reader(rng, kind)
-        ids, mask, _ = self.batch(rng, empty_row=False)
+
+    @staticmethod
+    def any_reader(rng, name):
+        """Each reader of a padded batch as a function of (ids, lengths) of
+        six rows; the CVAE's condition is built here, before the read."""
+        if name in ("bow", "gru", "lstm", "cnn"):
+            return build_encoder(EncoderConfig(kind=name, vocab_size=34, embedding_dim=6,
+                                               hidden_dim=4), rng)
+        if name == "bigru":
+            net, table = BiGRU(rng, 6, 4), Tensor(rng.normal(size=(34, 6)))
+            return lambda ids, lengths: net(table, ids, lengths)
+        if name == "distinct_rows":
+            return _distinct_rows
+        if name == "classifier":
+            return ClassifierText(rng, 34, 9).logits_hard
+        cvae = toy_cvae(rng)
+        if name == "teacher_io":
+            return cvae._teacher_io
+        v_e, ctrl = Tensor(rng.normal(size=(6, 16))), controls(6, 0)
+        if name == "posterior":
+            cond = cvae.condition(v_e, ctrl)
+            return lambda ids, lengths: cvae.posterior(cond, ids, lengths)
+        return lambda ids, lengths: cvae.elbo_per_example(v_e, ctrl, ids, lengths,
+                                                          np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["bow", "gru", "lstm", "cnn", "bigru", "distinct_rows",
+                                      "posterior", "elbo", "teacher_io", "classifier"])
+    @pytest.mark.parametrize("fault", ["short", "2-D", "negative", "over-T", "float"])
+    def test_lengths_must_fit_ids(self, rng, name, fault, made_ops):
+        """Lengths of another shape, below 0, past T or not integers raise
+        ``ShapeError`` before any op runs; a length past T would read the
+        next row's states."""
+        reader = self.any_reader(rng, name)
+        ids, lengths = pad_batch([list(rng.integers(4, 34, size=n)) for n in (5, 3, 1, 4, 2, 5)])
+        lengths = {"short": lengths[:-1], "2-D": lengths[:, None],
+                   "negative": np.where(lengths == 3, -1, lengths),
+                   "over-T": np.where(lengths == 3, 6, lengths),
+                   "float": lengths.astype(np.float64)}[fault]
+        made_ops.clear()
         with pytest.raises(ad.ShapeError):
-            reader(ids, mask[:, :-1])
+            reader(ids, lengths)
+        assert made_ops == []
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(["gru", "lstm", "bigru"]),
@@ -318,24 +348,24 @@ class TestReadAtLength:
         if kind != "bigru":  # the encoders reject empty rows
             lengths = [n or 1 for n in lengths]
         reader, params = self.reader(rng, kind)
-        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
+        ids, lengths = pad_batch([list(rng.integers(4, 34, size=n)) for n in lengths])
         g = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
-        got = self.read(reader, params, ids, mask, g)
-        nonempty = np.array(lengths) > 0
+        got = self.read(reader, params, ids, lengths, g)
+        nonempty = lengths > 0
         assert np.all(got[0][~nonempty] == 0.0)
         for b in np.flatnonzero(nonempty):
             n = lengths[b]
-            alone = self.read(reader, params, ids[b:b + 1, :n], np.ones((1, n)), g[b:b + 1])
+            alone = self.read(reader, params, ids[b:b + 1, :n], [n], g[b:b + 1])
             np.testing.assert_allclose(got[0][b:b + 1], alone[0], rtol=1e-12, atol=0)
 
-    def check_finite_differences(self, rng, kind, ids, mask, names=None):
+    def check_finite_differences(self, rng, kind, ids, lengths, names=None):
         """The gradients of a weighted sum of the reader's output wrt each
         parameter in ``names`` (all by default) against central differences
         at up to 12 coordinates; for the embedding table, of the rows the
         batch reads."""
         reader, params = self.reader(rng, kind)
         weights = rng.normal(size=(len(ids), 8 if kind == "bigru" else 4))
-        ad.mul(reader(ids, mask), Tensor(weights)).sum().backward()
+        ad.mul(reader(ids, lengths), Tensor(weights)).sum().backward()
         if names is not None:
             params = {name: p for name, p in params.items() if name in names}
             assert params
@@ -351,7 +381,7 @@ class TestReadAtLength:
             def loss_at(values):
                 flat[coords] = values
                 with ad.no_grad():
-                    loss = float((reader(ids, mask).data * weights).sum())
+                    loss = float((reader(ids, lengths).data * weights).sum())
                 flat[coords] = orig
                 return loss
 
@@ -362,8 +392,8 @@ class TestReadAtLength:
     @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
     def test_gradients_match_finite_differences(self, rng, kind):
         """Through the read at each length and, for the BiGRU, the flip."""
-        ids, mask, _ = self.batch(rng, empty_row=kind == "bigru")
-        self.check_finite_differences(rng, kind, ids, mask)
+        ids, lengths = self.batch(rng, empty_row=kind == "bigru")
+        self.check_finite_differences(rng, kind, ids, lengths)
 
     @pytest.mark.parametrize("kind", ["gru", "lstm", "bigru"])
     @pytest.mark.parametrize("end", [1, 3, 5], ids=["first", "middle", "last"])
@@ -372,10 +402,10 @@ class TestReadAtLength:
         """Row 1 of three ends at the first, a middle or the last of five
         steps, so its state is read there and the steps after it are not;
         for the table rows the batch reads, or the recurrent weights."""
-        ids, mask = pad_batch([list(rng.integers(4, 34, size=n)) for n in (5, end, 5)])
+        ids, lengths = pad_batch([list(rng.integers(4, 34, size=n)) for n in (5, end, 5)])
         names = {"table", "embed.w"} if wrt == "table" else {
             "fwd.w_h", "bwd.w_h", "rnn.w_h"}
-        self.check_finite_differences(rng, kind, ids, mask, names)
+        self.check_finite_differences(rng, kind, ids, lengths, names)
 
 
 class TestPredictor:
@@ -477,8 +507,8 @@ class TestCvae:
     def test_elbo_components(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(3, 16)))
-        ids, mask = pad_batch([[5, 6, 7], [8, 9], [10]])
-        recon, kl = cvae.elbo_per_example(v_e, controls(3, 0), ids, mask,
+        ids, lengths = pad_batch([[5, 6, 7], [8, 9], [10]])
+        recon, kl = cvae.elbo_per_example(v_e, controls(3, 0), ids, lengths,
                                           np.random.default_rng(0))
         assert recon.shape == kl.shape == (3,)
         assert (kl.data >= 0).all() and (recon.data >= 0).all()
@@ -486,9 +516,9 @@ class TestCvae:
     def test_comment_over_cap_rejected(self, rng):
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(1, 16)))
-        ids, mask = pad_batch([[5] * 13])
+        ids, lengths = pad_batch([[5] * 13])
         with pytest.raises(ValueError):
-            cvae.elbo_per_example(v_e, controls(1, 0), ids, mask, np.random.default_rng(0))
+            cvae.elbo_per_example(v_e, controls(1, 0), ids, lengths, np.random.default_rng(0))
 
     def test_decode_respects_cap_and_seed(self, rng):
         cvae = toy_cvae(rng)
@@ -510,16 +540,16 @@ class TestCvae:
         # saturates and reconstruction loss approaches zero
         cvae = toy_cvae(rng, vocab_size=5)
         v_e = Tensor(rng.normal(size=(8, 16)))
-        ids, mask = pad_batch([[4, 4, 4]] * 8)
+        ids, lengths = pad_batch([[4, 4, 4]] * 8)
         opt = Adam(cvae.parameters(), lr=5e-2)
         train_rng = np.random.default_rng(3)
         for _ in range(100):
-            recon, kl = cvae.elbo_per_example(v_e, controls(8, 0), ids, mask, train_rng)
+            recon, kl = cvae.elbo_per_example(v_e, controls(8, 0), ids, lengths, train_rng)
             loss = recon.mean()
             opt.zero_grad()
             loss.backward()
             opt.step()
-        final = cvae.elbo_per_example(v_e, controls(8, 0), ids, mask,
+        final = cvae.elbo_per_example(v_e, controls(8, 0), ids, lengths,
                                       np.random.default_rng(4))[0].mean()
         assert final.item() < 0.05
 
@@ -583,7 +613,7 @@ class TestDistinctIds:
     def test_cnn_hands_one_table_of_distinct_rows_to_every_width(self, rng, monkeypatch):
         cnn = build_encoder(EncoderConfig(kind="cnn", vocab_size=34, embedding_dim=6,
                                           hidden_dim=7, cnn_filters=5), rng)
-        ids, mask = toy_batch(rng)
+        ids, lengths = toy_batch(rng)
         tables = []
         conv_max = ad.conv_max
 
@@ -593,7 +623,7 @@ class TestDistinctIds:
 
         monkeypatch.setattr(ad, "conv_max", recorded)
         uniques = self.count_unique(monkeypatch)
-        cnn(ids, mask)
+        cnn(ids, lengths)
         assert len(uniques) == 1
         assert len(tables) == len(cnn.kernels) == 4
         assert all(table is tables[0] for table in tables)
@@ -622,7 +652,7 @@ class TestDistinctIds:
         c = ClassifierText(rng, 34, 9)
         pool = [list(rng.integers(4, 34, size=n)) for n in (3, 5, 5, 8)]
         picks = rng.integers(0, len(pool), size=96)
-        ids, mask = pad_batch([pool[k] for k in picks])
+        ids, lengths = pad_batch([pool[k] for k in picks])
         lookups = []
         embedding_lookup = ad.embedding_lookup
 
@@ -634,7 +664,7 @@ class TestDistinctIds:
         monkeypatch.setattr(ad, "embedding_lookup", recorded)
         distinct = len(set(picks.tolist()))
         uniques = self.count_unique(monkeypatch)
-        c.logits_hard(ids, mask)
+        c.logits_hard(ids, lengths)
         assert [key.shape for key in uniques] == [(96, ids.shape[1] + 1),
                                                   (distinct, ids.shape[1])]
         per_row = [rows for rows in lookups if rows.ndim == 2]
@@ -643,10 +673,10 @@ class TestDistinctIds:
 
     def test_posterior_matches_reading_every_row(self, rng):
         cvae = toy_cvae(rng)
-        ids, mask = pad_batch([[5, 6, 7], [8], [5, 6, 7], [5, 6], [8], [5, 6, 7]])
+        ids, lengths = pad_batch([[5, 6, 7], [8], [5, 6, 7], [5, 6], [8], [5, 6, 7]])
         cond = Tensor(rng.normal(size=(len(ids), 4 + 16)))
-        got = cvae.posterior(cond, ids, mask)
-        enc = cvae.comment_enc(cvae.embed.w, ids, mask)
+        got = cvae.posterior(cond, ids, lengths)
+        enc = cvae.comment_enc(cvae.embed.w, ids, lengths)
         packed = cvae.recog_out(ad.tanh(cvae.recog_hidden(ad.concat([enc, cond], axis=1))))
         for a, b in zip(got, cvae._split_gaussian(packed)):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
@@ -661,8 +691,8 @@ class TestDecoderInput:
     CONTROLS = np.array([0, 1, 0, 2, 1])
 
     def teacher_input(self, cvae):
-        ids, mask = pad_batch(self.COMMENTS)
-        return ids, mask, cvae._teacher_io(ids, mask)[0]
+        ids, lengths = pad_batch(self.COMMENTS)
+        return ids, lengths, cvae._teacher_io(ids, lengths)[0]
 
     def concat_rows(self, cvae, dec_in):
         """The per-position (B, T, E + C) concat the decoder used to read."""
@@ -708,12 +738,12 @@ class TestDecoderInput:
     @pytest.mark.parametrize("name", ["embed.w", "ctrl.w", "dec.w_x"])
     def test_reconstruction_gradients_match_finite_differences(self, rng, name):
         cvae = toy_cvae(rng)
-        ids, mask, dec_in = self.teacher_input(cvae)
+        ids, lengths, dec_in = self.teacher_input(cvae)
         v_e = Tensor(rng.normal(size=(len(self.COMMENTS), 16)))
         weights = Tensor(rng.normal(size=len(self.COMMENTS)))
 
         def recon_loss():
-            recon, _ = cvae.elbo_per_example(v_e, self.CONTROLS, ids, mask,
+            recon, _ = cvae.elbo_per_example(v_e, self.CONTROLS, ids, lengths,
                                              np.random.default_rng(7))
             return ad.mul(recon, weights).sum()
 
@@ -785,8 +815,9 @@ def reference_greedy_decode(cvae, v_e, ctrl_ids):
 
 
 def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 12):
-    """(B, T) ids and mask whose rows repeat, except in "all_distinct"; only
-    "ragged" pads, and two of its rows share their ids and differ in mask."""
+    """(B, T) ids and lengths whose rows repeat, except in "all_distinct";
+    only "ragged" pads, and two of its rows share their ids and differ in
+    length."""
     if case == "all_equal":
         base = rng.integers(4, vocab, size=(1, steps))
         pick = np.zeros(batch, dtype=np.int64)
@@ -795,21 +826,20 @@ def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 1
         base = rng.integers(4, vocab, size=(n_rows, steps))
         pick = (np.arange(batch) if case == "all_distinct"
                 else rng.integers(0, n_rows, size=batch))
-    ids, mask = base[pick], np.ones((batch, steps))
+    ids, lengths = base[pick], np.full(batch, steps)
     if case == "ragged":
         for row, n in enumerate(rng.integers(2, steps + 1, size=4)):
-            mask[pick == row, n:] = 0.0
-        ids[mask == 0] = 0
-        ids[-1], mask[-1] = ids[0], mask[0]
-        mask[-1, 1:] = 0.0  # row 0's ids, one step long
-    return ids, mask
+            lengths[pick == row] = n
+        ids[np.arange(steps) >= lengths[:, None]] = 0
+        ids[-1], lengths[-1] = ids[0], 1  # row 0's ids, one step long
+    return ids, lengths
 
 
-def distinct_read(net, table, ids, mask):
+def distinct_read(net, table, ids, lengths):
     """A BiGRU read as ``ClassifierText`` and ``TextCvae.posterior`` make it:
-    over the distinct (ids, mask) rows, then gathered back to every row."""
-    ids, mask, gather = _distinct_rows(ids, mask)
-    return ad.embedding_lookup(net(table, ids, mask), gather)
+    over the distinct (ids, lengths) rows, then gathered back to every row."""
+    ids, lengths, gather = _distinct_rows(ids, lengths)
+    return ad.embedding_lookup(net(table, ids, lengths), gather)
 
 
 class TestBiGRUDistinctRows:
@@ -819,31 +849,31 @@ class TestBiGRUDistinctRows:
     CASES = ["unpadded", "ragged", "all_equal", "all_distinct"]
 
     @staticmethod
-    def _read(read, net, table, ids, mask, g):
+    def _read(read, net, table, ids, lengths, g):
         """The output and the gradients of sum(g * out) wrt the table and
         each weight."""
         for p in [table] + list(net.parameters().values()):
             p.grad = None
-        out = read(net, table, ids, mask)
+        out = read(net, table, ids, lengths)
         ad.mul(out, Tensor(g)).sum().backward()
         return [out.data, table.grad] + [p.grad for p in net.parameters().values()]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_row_by_row_reads(self, rng, case):
-        ids, mask = repeated_rows(rng, case)
+        ids, lengths = repeated_rows(rng, case)
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         g = rng.normal(size=(len(ids), 8))
         # the distinct rows, in order of first occurrence
-        keys = [(tuple(row), tuple(mask[i])) for i, row in enumerate(ids)]
+        keys = [(tuple(row), lengths[i]) for i, row in enumerate(ids)]
         first = [i for i, key in enumerate(keys) if key not in keys[:i]]
-        rows, row_mask, gather = _distinct_rows(ids, mask)
+        rows, row_lengths, gather = _distinct_rows(ids, lengths)
         assert np.array_equal(rows, ids[first])
-        assert np.array_equal(row_mask, mask[first])
+        assert np.array_equal(row_lengths, lengths[first])
         assert [keys[first[k]] for k in gather] == keys
-        got = self._read(distinct_read, net, table, ids, mask, g)
+        got = self._read(distinct_read, net, table, ids, lengths, g)
         per_row = [self._read(BiGRU.__call__, net, table, ids[i:i + 1],
-                              mask[i:i + 1], g[i:i + 1])
+                              lengths[i:i + 1], g[i:i + 1])
                    for i in range(len(ids))]
         want = [np.concatenate([r[0] for r in per_row])]
         want += [sum(r[k] for r in per_row) for k in range(1, len(got))]
@@ -853,21 +883,21 @@ class TestBiGRUDistinctRows:
     def test_distinct_rows_run_as_given(self, rng):
         """A batch with no repeated row keeps its own row order, so the
         states are bitwise those of the BiGRU without a gather."""
-        ids, mask = repeated_rows(rng, "all_distinct")
-        rows, row_mask, gather = _distinct_rows(ids, mask)
-        assert np.array_equal(rows, ids) and np.array_equal(row_mask, mask)
+        ids, lengths = repeated_rows(rng, "all_distinct")
+        rows, row_lengths, gather = _distinct_rows(ids, lengths)
+        assert np.array_equal(rows, ids) and np.array_equal(row_lengths, lengths)
         assert np.array_equal(gather, np.arange(len(ids)))
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)))
-        want = net(table, ids, mask).data
-        assert np.array_equal(distinct_read(net, table, ids, mask).data, want)
+        want = net(table, ids, lengths).data
+        assert np.array_equal(distinct_read(net, table, ids, lengths).data, want)
 
     def test_gradients_match_finite_differences(self, rng):
-        ids, mask = repeated_rows(rng, "ragged")
+        ids, lengths = repeated_rows(rng, "ragged")
         net = BiGRU(rng, 5, 4)
         table = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         weights = rng.normal(size=(len(ids), 8))
-        ad.mul(distinct_read(net, table, ids, mask), Tensor(weights)).sum().backward()
+        ad.mul(distinct_read(net, table, ids, lengths), Tensor(weights)).sum().backward()
         params = {"table": table} | net.parameters()
         assert len(params) == 9
         for name, param in params.items():
@@ -878,7 +908,7 @@ class TestBiGRUDistinctRows:
             def loss_at(values):
                 flat[coords] = values
                 with ad.no_grad():
-                    loss = float((distinct_read(net, table, ids, mask).data * weights).sum())
+                    loss = float((distinct_read(net, table, ids, lengths).data * weights).sum())
                 flat[coords] = orig
                 return loss
 
@@ -886,12 +916,12 @@ class TestBiGRUDistinctRows:
             got = param.grad.reshape(-1)[coords]
             assert relative_error(got, want) < 1e-4, name
 
-    def test_mask_of_another_shape_is_rejected(self, rng):
-        ids, mask = repeated_rows(rng, "ragged")
-        with pytest.raises(ValueError):
-            _distinct_rows(ids, mask[:-1])
-        with pytest.raises(ValueError):
-            BiGRU(rng, 5, 4)(Tensor(rng.normal(size=(12, 5))), ids, mask[:-1])
+    def test_lengths_of_another_shape_are_rejected(self, rng):
+        ids, lengths = repeated_rows(rng, "ragged")
+        with pytest.raises(ad.ShapeError):
+            _distinct_rows(ids, lengths[:-1])
+        with pytest.raises(ad.ShapeError):
+            BiGRU(rng, 5, 4)(Tensor(rng.normal(size=(12, 5))), ids, lengths[:-1])
 
 
 class TestClassifierSoftHard:
@@ -900,19 +930,30 @@ class TestClassifierSoftHard:
         with pytest.raises(ValueError):
             c.logits_hard(np.array([[1, 2, 3]]))
 
-    @pytest.mark.parametrize("rows,mask_rows,mask_steps", [
-        (2, 2, 3), (4, 4, 3), (6, 5, 3), (6, 6, 2), (6, 3, 3)])
-    def test_text_rejects_misaligned_input(self, rng, rows, mask_rows, mask_steps):
-        """Rows must stack three polarities and the mask must be the ids'
-        shape; either fault is caught before the rows are read."""
+    @pytest.mark.parametrize("scores", [[6, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 6]],
+                             ids=["first-field-6", "minus-1", "last-field-6"])
+    def test_numeric_rejects_a_score_outside_0_to_5(self, rng, scores, made_ops):
+        """A score past a field's six levels would read another field's
+        embedding row; it raises before any op runs."""
+        c = ClassifierNumeric(rng, 10)
+        made_ops.clear()
+        with pytest.raises(ValueError, match="0..5"):
+            c.logits_hard(np.array([[0, 5, 2, 3, 4], scores]))
+        assert made_ops == []
+
+    @pytest.mark.parametrize("rows,lengths", [
+        (2, [3] * 2), (4, [3] * 4), (6, [3] * 5), (6, [3] * 3), (6, [3] * 5 + [4]),
+        (6, [3] * 5 + [-1]), (6, [3.0] * 6)], ids=["2-rows", "4-rows", "5-lengths",
+                                                  "3-lengths", "over-T", "negative", "float"])
+    def test_text_rejects_misaligned_input(self, rng, rows, lengths, made_ops):
+        """Rows must stack three polarities, and there must be one integer
+        length in [0, T] per row; either fault is caught before any op runs."""
         c = ClassifierText(rng, 34, 9)
-        calls = []
-        c.rnn = lambda *args: calls.append(args)
         with pytest.raises(ValueError):
-            c.logits_hard(np.full((rows, 3), 5), np.ones((mask_rows, mask_steps)))
+            c.logits_hard(np.full((rows, 3), 5), np.array(lengths))
         with pytest.raises(ValueError):
-            c.logits_hard(np.full(6, 5), np.ones(6))
-        assert calls == []
+            c.logits_hard(np.full(6, 5), np.full(6, 1))
+        assert made_ops == []
 
     def test_text_handles_empty_comment(self, rng):
         c = ClassifierText(rng, 34, 9)
@@ -929,9 +970,9 @@ class TestClassifierSoftHard:
                     [[], [5, 6], [16], [17, 18]]]
         vecs = []
         for part in comments:
-            ids, mask = pad_batch(part)
-            vecs.append(ad.concat([c.rnn(c.embed.w, ids, mask),
-                                   _masked_mean(c.embed(ids), mask)], axis=1))
+            ids, lengths = pad_batch(part)
+            vecs.append(ad.concat([c.rnn(c.embed.w, ids, lengths),
+                                   _masked_mean(c.embed(ids), lengths)], axis=1))
         want = c.out(ad.concat(vecs, axis=1)).data
         got = c.logits_hard(*pad_batch([row for part in comments for row in part])).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -942,7 +983,7 @@ class TestClassifierSoftHard:
         c = ClassifierText(rng, 34, 9)
         pool = [list(rng.integers(4, 34, size=n)) for n in (3, 5, 5, 8)]
         picks = rng.integers(0, len(pool), size=96)
-        ids, mask = pad_batch([pool[k] for k in picks])
+        ids, lengths = pad_batch([pool[k] for k in picks])
         seen = []
         gru_sequence = ad.gru_sequence
 
@@ -951,7 +992,7 @@ class TestClassifierSoftHard:
             return gru_sequence(table, ids, *args, **kwargs)
 
         monkeypatch.setattr(ad, "gru_sequence", counted)
-        c.logits_hard(ids, mask)
+        c.logits_hard(ids, lengths)
         distinct = len(np.unique(picks))
         assert [len(rows) for rows in seen] == [distinct, distinct]
         assert all(len(np.unique(rows, axis=0)) == distinct for rows in seen)

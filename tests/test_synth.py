@@ -6,7 +6,6 @@ import pytest
 
 from gloss.data import SUBSCORE_FIELDS, passes_filter
 from gloss.synth import (FIELD_MARKERS, GRADE_ADJECTIVES, N_GRADES,
-                         comment_grade, numeric_label_distribution,
                          overall_from_subscores, synth_numeric, synth_text,
                          text_comment_bank)
 
@@ -15,6 +14,23 @@ def reference_overall(subscores) -> int:
     """Independent restatement of the rating rule."""
     value = round(2 * (sum(subscores) / 5.0))
     return int(np.clip(value, 1, 10))
+
+
+def numeric_label_distribution() -> np.ndarray:
+    """Exact class distribution of the rating rule over all 6**5 score tuples."""
+    counts = np.zeros(10, dtype=np.float64)
+    for tup in itertools.product(range(6), repeat=5):
+        counts[overall_from_subscores(tup) - 1] += 1
+    return counts / counts.sum()
+
+
+_COMMENT_TO_GRADE = {tokens: grade for (grade, _), comments in text_comment_bank().items()
+                     for tokens in comments}
+
+
+def comment_grade(tokens) -> int:
+    """Invert the comment bank: exact token sequence back to its grade."""
+    return _COMMENT_TO_GRADE[tuple(tokens)]
 
 
 class TestNumericRule:
