@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -334,20 +334,22 @@ def _check_ids(ids: np.ndarray, n_rows: int) -> None:
 _CONV_BLOCK_BYTES = 1 << 18
 
 
-def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
+def conv_max(table: Tensor, ids, w: Tensor, lengths) -> Tensor:
     """Max over valid windows of a convolution over embedded ids, shape (B, F).
 
     ``table`` is a (V, E) table of embedding rows, ``ids`` a (B, T) array of
-    its row indices, ``w`` a (width * E, F) kernel and ``valid`` a (B, W) mask,
-    W = T - width + 1, with at least one valid window per row. Equal to
-    gathering each window's embeddings into a (B, W, width * E) array,
-    multiplying it by ``w``, setting the invalid windows' scores to -inf and
-    taking the max over windows; the gradient goes to each row's first
-    maximum, as ``Tensor.max`` sends it. Every row of ``table`` is projected
-    through each kernel offset once and a window's score is the sum of its
-    tokens' projected rows, so the product scales with V, not with
-    B * W * width; a caller passes the rows its ids use (``models`` passes
-    one row per distinct id of the batch).
+    its row indices, right-padded past each row's ``lengths``, and ``w`` a
+    (width * E, F) kernel. Window s of a row of length L is valid when it
+    ends inside the row, s + width <= L, so padding never wins the max;
+    window 0 is always valid, so a row shorter than the filter keeps it.
+    Equal to gathering each window's embeddings into a (B, W, width * E)
+    array, W = T - width + 1, multiplying it by ``w``, setting the invalid
+    windows' scores to -inf and taking the max over windows; the gradient
+    goes to each row's first maximum, as ``Tensor.max`` sends it. Every row
+    of ``table`` is projected through each kernel offset once and a
+    window's score is the sum of its tokens' projected rows, so the product
+    scales with V, not with B * W * width; a caller passes the rows its ids
+    use (``models`` passes one row per distinct id of the batch).
     """
     ids = np.asarray(ids)
     if table.ndim != 2 or ids.ndim != 2 or w.ndim != 2 or w.shape[0] % table.shape[1]:
@@ -357,13 +359,12 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
     n_embed = table.shape[1]
     width = w.shape[0] // n_embed
     n_windows = ids.shape[1] - width + 1
-    valid = np.asarray(valid, dtype=bool)
-    if width == 0 or n_windows < 1 or valid.shape != (ids.shape[0], n_windows):
-        raise ShapeError(f"conv_max mask shape {valid.shape} != "
-                         f"({ids.shape[0]}, {n_windows}) windows of width {width}")
-    if not valid.any(axis=1).all():
-        raise ValueError("conv_max needs at least one valid window per row")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if width == 0 or n_windows < 1 or lengths.shape != (ids.shape[0],):
+        raise ShapeError(f"conv_max needs windows of width {width} in {ids.shape} ids "
+                         f"and one length per row, got lengths of shape {lengths.shape}")
     _check_ids(ids, table.shape[0])
+    last = np.maximum(lengths - width, 0)  # each row's last valid window
     n_rows, n_filters = table.shape[0], w.shape[1]
     # (E, width * F): column block j is the kernel slice for window offset j
     kernel = w.data.reshape(width, n_embed, n_filters).transpose(1, 0, 2).reshape(n_embed, -1)
@@ -381,7 +382,7 @@ def conv_max(table: Tensor, ids, w: Tensor, valid) -> Tensor:
         scores = proj[:, 0][block[:, :n_windows]]
         for j in range(1, width):
             scores += proj[:, j][block[:, j:j + n_windows]]
-        scores[~valid[lo:hi]] = -np.inf
+        scores[np.arange(n_windows) > last[lo:hi, None]] = -np.inf
         # only the pooled output is checked: max passes a NaN score through
         np.max(scores, axis=1, out=data[lo:hi])
         if recording:
@@ -867,9 +868,9 @@ class Adam:
     """Adam with bias correction over a named parameter dict.
 
     Moment arrays mirror each parameter's shape; the shared step counter
-    strictly increases with every :meth:`step`. Parameters named in
-    :meth:`set_frozen` are skipped entirely, leaving their values (and
-    moments) bitwise unchanged.
+    strictly increases with every :meth:`step`. A parameter with no
+    gradient, a frozen one (``requires_grad=False``) among them, is skipped,
+    leaving its value and moments bitwise unchanged.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -882,15 +883,6 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._frozen: set[str] = set()
-
-    def set_frozen(self, names: Iterable[str]) -> None:
-        """Permanently exclude parameters from future updates."""
-        self._frozen.update(names)
-
-    @property
-    def frozen(self) -> frozenset[str]:
-        return frozenset(self._frozen)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -902,7 +894,7 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params.items():
-            if name in self._frozen or p.grad is None:
+            if p.grad is None:
                 continue
             g = p.grad
             if g.shape != p.data.shape:
@@ -925,7 +917,10 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        for name in self.params:
-            self._m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
-            self._v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)
+        for name, p in self.params.items():
+            for key, moments in ((f"adam.m.{name}", self._m), (f"adam.v.{name}", self._v)):
+                source = arrays.get(key)
+                if source is None or source.shape != p.shape or not np.isfinite(source).all():
+                    raise ValueError(f"missing, misshapen or non-finite {key}")
+                moments[name] = np.array(source, dtype=np.float64)
         self.step_count = int(step_count)

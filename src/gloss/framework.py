@@ -164,12 +164,6 @@ class TrainResult:
 # -- classifier pre-training -------------------------------------------------------
 
 
-def _freeze(classifier) -> None:
-    classifier.frozen = True
-    for tensor in classifier.parameters().values():
-        tensor.requires_grad = False
-
-
 def _classifier_logits(classifier, examples, form: str, vocab: Vocab | None) -> Tensor:
     if form == "numeric":
         scores = np.array([ex.subscores for ex in examples], dtype=np.int64)
@@ -258,7 +252,7 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
     if best_state is not None:
         for key, tensor in params.items():
             tensor.data[...] = best_state[key]
-    _freeze(classifier)
+    classifier.freeze()
 
     report = {"dev_top1": best_acc, "epochs_trained": epochs_run}
     for name, part in (("dev", split.dev), ("test", split.test)):
@@ -270,10 +264,6 @@ def pretrain_classifier(split: CorpusSplit, schema: str, seed: int = 0,
 
 
 # -- training ---------------------------------------------------------------------
-
-
-def _predictor_param_names(bundle: ModelBundle) -> list[str]:
-    return [f"predictor.{k}" for k in bundle.predictor.parameters()]
 
 
 def _gold_prob_cache(bundle: ModelBundle, classifier, examples) -> np.ndarray:
@@ -310,6 +300,9 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
     classifier; it is the same code path with the risk branch inert, so
     ablations compare identical arithmetic. Epoch RNG streams are derived
     from (seed, epoch), which makes checkpoint-resume bitwise exact.
+
+    A predictor frozen (``requires_grad=False``) once train ``L_p`` falls
+    under the freeze threshold stays frozen in later calls, as the classifier does.
     """
     if mode not in ("gef", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -335,7 +328,6 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
     n_batches = (len(split.train) + config.batch_size - 1) // config.batch_size
     total_steps = max(1, config.epochs * n_batches)
     anneal_steps = max(1, int(config.kl_anneal_frac * total_steps))
-    predictor_frozen = set(_predictor_param_names(bundle)) <= optimizer.frozen
     best_dev_lp = np.inf
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 
@@ -392,7 +384,7 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                 log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 log_fh.flush()
 
-            if not predictor_frozen:
+            if not bundle.predictor.frozen:
                 best_dev_lp = min(best_dev_lp, dev_lp)
                 threshold = config.predictor_freeze_threshold
                 if threshold is None and bundle.form == "text":
@@ -400,8 +392,7 @@ def train(bundle: ModelBundle, split: CorpusSplit, config: TrainConfig,
                     # the predictor stops once train L_p nears the dev optimum
                     threshold = 1.05 * best_dev_lp
                 if threshold is not None and breakdown.l_p < threshold:
-                    optimizer.set_frozen(_predictor_param_names(bundle))
-                    predictor_frozen = True
+                    bundle.predictor.freeze()
                     result.frozen_at_epoch = epoch
     except ad.NonFiniteError as err:
         raise TrainingDiverged(str(err)) from err
@@ -558,14 +549,16 @@ def evaluate(bundle: ModelBundle, examples, classifier=None, seed: int = 0,
 
 def save_bundle(path, bundle: ModelBundle, optimizer: Adam | None = None,
                 extra_meta: dict | None = None) -> None:
-    arrays = {f"model.{k}": t.data for k, t in bundle.parameters().items()}
+    params = bundle.parameters()
+    arrays = {f"model.{k}": t.data for k, t in params.items()}
     meta = bundle.meta()
     if optimizer is not None:
         arrays.update(optimizer.state_arrays())
         meta["optimizer"] = {"step_count": optimizer.step_count, "lr": optimizer.lr,
                              "beta1": optimizer.beta1, "beta2": optimizer.beta2,
                              "eps": optimizer.eps,
-                             "frozen": sorted(optimizer.frozen)}
+                             "frozen": sorted(k for k, t in params.items()
+                                              if not t.requires_grad)}
     if extra_meta:
         meta.update(extra_meta)
     checkpoint.save(path, arrays, meta)
@@ -585,11 +578,19 @@ def load_bundle(path) -> tuple[ModelBundle, dict, dict]:
 
 
 def resume_optimizer(bundle: ModelBundle, meta: dict, arrays: dict) -> Adam:
-    opt_meta = meta["optimizer"]
-    optimizer = Adam(bundle.parameters(), lr=opt_meta["lr"], beta1=opt_meta["beta1"],
-                     beta2=opt_meta["beta2"], eps=opt_meta["eps"])
-    optimizer.load_state_arrays(arrays, opt_meta["step_count"])
-    optimizer.set_frozen(opt_meta.get("frozen", ()))
+    """The optimizer saved with ``bundle``, its frozen parameters frozen
+    again; a ``CheckpointError`` if that state is missing or unusable."""
+    params = bundle.parameters()
+    try:
+        opt_meta = meta["optimizer"]
+        optimizer = Adam(params, lr=opt_meta["lr"], beta1=opt_meta["beta1"],
+                         beta2=opt_meta["beta2"], eps=opt_meta["eps"])
+        optimizer.load_state_arrays(arrays, opt_meta["step_count"])
+        frozen = [params[name] for name in opt_meta.get("frozen", ())]
+    except (KeyError, TypeError, ValueError) as err:
+        raise checkpoint.CheckpointError(f"bad optimizer state: {err!r}") from err
+    for tensor in frozen:
+        tensor.requires_grad = False
     return optimizer
 
 
@@ -629,5 +630,5 @@ def load_classifier(path):
         classifier.load_arrays(arrays)
     except (KeyError, TypeError, ValueError) as err:
         raise checkpoint.CheckpointError(f"{path}: bad classifier checkpoint: {err!r}") from err
-    _freeze(classifier)
+    classifier.freeze()
     return classifier, vocab, meta

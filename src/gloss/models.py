@@ -42,6 +42,14 @@ class Module:
                             out[f"{name}.{i}.{key}"] = tensor
         return out
 
+    def freeze(self) -> None:
+        for tensor in self.parameters().values():
+            tensor.requires_grad = False
+
+    @property
+    def frozen(self) -> bool:
+        return not any(t.requires_grad for t in self.parameters().values())
+
     def load_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, tensor in self.parameters().items():
             source = arrays.get(prefix + name)
@@ -267,15 +275,10 @@ class CnnEncoder(Module):
         ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=PAD)
         rows, ids = _distinct_lookup(self.embed.w, ids)
         pooled = []
-        for width, kernel in zip(self.config.cnn_filter_sizes, self.kernels):
-            # window s is valid when it ends inside the row (s + width <= L),
-            # so padding can never win the max; a row shorter than the
-            # filter keeps its first window
-            valid = (np.arange(ids.shape[1] - width + 1)
-                     <= np.maximum(lengths - width, 0)[:, None])
+        for kernel in self.kernels:
             # x -> x + b and relu are monotone, so relu(max(x) + b) is
             # bitwise max(relu(x + b)): pool first, then bias and relu on (B, F)
-            pooled.append(ad.relu(ad.conv_max(rows, ids, kernel.w, valid) + kernel.b))
+            pooled.append(ad.relu(ad.conv_max(rows, ids, kernel.w, lengths) + kernel.b))
         return ad.tanh(self.proj(ad.concat(pooled, axis=1)))
 
 
@@ -485,7 +488,6 @@ class ClassifierNumeric(Module):
         self.embed = Embedding(rng, len(SUBSCORE_FIELDS) * N_LEVELS, emb_dim)
         self.hidden = Linear(rng, len(SUBSCORE_FIELDS) * emb_dim, hidden)
         self.out = Linear(rng, hidden, n_classes)
-        self.frozen = False
 
     def logits_hard(self, subscores: np.ndarray) -> Tensor:
         subscores = np.asarray(subscores, dtype=np.int64)
@@ -514,7 +516,6 @@ class ClassifierText(Module):
         self.embed = Embedding(rng, vocab_size, emb_dim)
         self.rnn = BiGRU(rng, emb_dim, hidden)
         self.out = Linear(rng, 3 * (2 * hidden + emb_dim), n_classes)
-        self.frozen = False
 
     def logits_hard(self, ids: np.ndarray, lengths) -> Tensor:
         """(B, n_classes) logits from the right-padded (3B, T) ``ids`` of the

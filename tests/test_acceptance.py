@@ -50,9 +50,9 @@ def gradient_cases(rng) -> list:
     w4 = Tensor(rng.normal(size=4))
     w224 = Tensor(rng.normal(size=(2, 2, 4)))
     # width-2 windows over (2, 4) ids with a repeated token: row 0's last
-    # window is masked; row 1 keeps only its first (fallback) window
+    # window runs into padding; row 1, one token long, keeps its first window
     conv_ids = np.array([[0, 2, 1, 2], [1, 1, 0, 2]])
-    valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    conv_lengths = np.array([3, 1])
     w83 = Tensor(rng.normal(size=(8, 3)))
     w32 = Tensor(rng.normal(size=(3, 2)))
     w23 = Tensor(rng.normal(size=(2, 3)))
@@ -73,8 +73,8 @@ def gradient_cases(rng) -> list:
         lambda t: t.max(axis=1).sum(),
         lambda t: ad.slice_axis(t, 1, 1, 3).sum(),
         lambda t: ad.mul(ad.embedding_lookup(t, ids), w224).sum(),
-        lambda t: ad.mul(ad.conv_max(t, conv_ids, w83, valid), w23).sum(),
-        lambda t: ad.mul(ad.conv_max(w32, conv_ids, t.reshape(4, 3), valid), w23).sum(),
+        lambda t: ad.mul(ad.conv_max(t, conv_ids, w83, conv_lengths), w23).sum(),
+        lambda t: ad.mul(ad.conv_max(w32, conv_ids, t.reshape(4, 3), conv_lengths), w23).sum(),
     ]
 
     # Sequence ops over a batch of 3 sequences of 4 one-dimensional inputs;

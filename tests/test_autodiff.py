@@ -45,14 +45,15 @@ class TestGradientChecks:
     @pytest.mark.parametrize("point", range(3))
     def test_matmul_batched(self, rng, point):
         # the window product, through conv_max: width-2 windows over (2, 4)
-        # ids with a repeated token, one masked window and one fallback row
+        # ids with a repeated token; row 0's last window runs into padding
+        # and row 1, one token long, keeps only its first window
         ids = np.array([[0, 2, 1, 2], [1, 1, 0, 2]])
-        valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        lengths = np.array([3, 1])
         table, kernel = rng.normal(size=(3, 4)), rng.normal(size=(8, 2))
         g = Tensor(rng.normal(size=(2, 2)))
-        check_op(lambda t: ad.mul(ad.conv_max(t, ids, Tensor(kernel), valid), g).sum(),
+        check_op(lambda t: ad.mul(ad.conv_max(t, ids, Tensor(kernel), lengths), g).sum(),
                  table)
-        check_op(lambda t: ad.mul(ad.conv_max(Tensor(table), ids, t, valid), g).sum(),
+        check_op(lambda t: ad.mul(ad.conv_max(Tensor(table), ids, t, lengths), g).sum(),
                  kernel)
 
     @pytest.mark.parametrize("point", range(3))
@@ -294,24 +295,27 @@ class TestForwardValues:
 
 class TestConvMax:
     @staticmethod
-    def run(table, ids, w, valid, g):
+    def run(table, ids, w, lengths, g):
         """Output of conv_max and the gradients of sum(g * output)."""
         tt, wt = Tensor(table, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ad.conv_max(tt, ids, wt, valid)
+        out = ad.conv_max(tt, ids, wt, lengths)
         ad.mul(out, Tensor(g)).sum().backward()
         return out.data, tt.grad, wt.grad
 
     @staticmethod
-    def reference(table, ids, w, valid, g):
+    def reference(table, ids, w, lengths, g):
         """The plain window product: gathered (B, W, K) windows @ w, the
-        invalid windows set to -inf and the max over windows, then the
-        matrix product's gradient expressions applied to the gradient of
-        each row's first maximum and scattered back to the table."""
+        scores of windows that run past a row's length (all but the first
+        in a row shorter than the filter) set to -inf and the max over
+        windows, then the matrix product's gradient expressions applied to
+        the gradient of each row's first maximum and scattered back to the
+        table."""
         width = w.shape[0] // table.shape[1]
         window_ids = sliding_window_view(ids, width, axis=1)
         windows = table[window_ids].reshape(*window_ids.shape[:2], -1)
         scores = windows @ w
-        scores[valid == 0] = -np.inf
+        for row, length in zip(scores, lengths):
+            row[max(length - width + 1, 1):] = -np.inf
         d_scores = np.zeros_like(scores)
         np.put_along_axis(d_scores, scores.argmax(axis=1)[:, None], g[:, None], axis=1)
         d_table = np.zeros_like(table)
@@ -323,14 +327,13 @@ class TestConvMax:
 
     @staticmethod
     def ragged(rng, batch, steps, n_embed, n_filters, width, vocab):
+        """A batch whose first row is full and whose other rows have any
+        length from 0 to T, some shorter than the filter."""
         ids = rng.integers(0, vocab, size=(batch, steps))
-        n_windows = steps - width + 1
-        n_valid = rng.integers(0, n_windows + 1, size=batch)
-        n_valid[0] = n_windows
-        valid = (np.arange(n_windows)[None] < n_valid[:, None]).astype(float)
-        valid[n_valid == 0, 0] = 1.0  # the CNN encoder's fallback window
+        lengths = rng.integers(0, steps + 1, size=batch)
+        lengths[0] = steps
         return (rng.normal(size=(vocab, n_embed)), ids,
-                rng.normal(size=(width * n_embed, n_filters)) * 0.1, valid,
+                rng.normal(size=(width * n_embed, n_filters)) * 0.1, lengths,
                 rng.normal(size=(batch, n_filters)))
 
     def check_against_reference(self, args):
@@ -344,9 +347,9 @@ class TestConvMax:
         self.check_against_reference(self.ragged(rng, *shape))
 
     def test_all_ids_distinct(self, rng):
-        table, _, w, valid, g = self.ragged(rng, 6, 9, 4, 5, 3, 54)
+        table, _, w, lengths, g = self.ragged(rng, 6, 9, 4, 5, 3, 54)
         ids = rng.permutation(54).reshape(6, 9)
-        self.check_against_reference((table, ids, w, valid, g))
+        self.check_against_reference((table, ids, w, lengths, g))
 
     def test_token_in_several_windows_adds_up(self):
         # filter 0 reads a window's first token and filter 1 its second: in
@@ -354,19 +357,18 @@ class TestConvMax:
         # token 2 wins once at position 0 and once at position 2
         table = np.array([[0.0], [1.0], [2.0]])
         out, d_table, d_w = self.run(table, np.array([[1, 2, 1], [2, 1, 2]]), np.eye(2),
-                                     np.ones((2, 2)), np.array([[5.0, 7.0], [11.0, 13.0]]))
+                                     np.array([3, 3]), np.array([[5.0, 7.0], [11.0, 13.0]]))
         np.testing.assert_array_equal(out, [[2.0, 2.0], [2.0, 2.0]])
         np.testing.assert_array_equal(d_table, [[0.0], [0.0], [36.0]])
         np.testing.assert_array_equal(d_w, [[32.0, 20.0], [16.0, 40.0]])
 
     def test_ties_send_gradient_to_first_maximum(self):
         # row 0 repeats the window of token 3 and ties it with token 5's
-        # equal score: the gradient goes once, to the first; row 1's masked
+        # equal score: the gradient goes once, to the first; row 1's padded
         # windows score 0, above the valid -2, and must not win
         table = np.array([[0.0], [1.0], [2.0], [3.0], [5.0], [3.0]])
         ids = np.array([[3, 1, 3, 5, 4], [2, 2, 0, 0, 0]])
-        valid = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0]])
-        out, d_table, d_w = self.run(table, ids, np.array([[1.0, -1.0]]), valid,
+        out, d_table, d_w = self.run(table, ids, np.array([[1.0, -1.0]]), np.array([4, 2]),
                                      np.array([[5.0, 7.0], [11.0, 13.0]]))
         np.testing.assert_array_equal(out, [[3.0, -1.0], [2.0, -2.0]])
         np.testing.assert_array_equal(d_table[:, 0], [0.0, -7.0, -2.0, 5.0, 0.0, 0.0])
@@ -376,26 +378,22 @@ class TestConvMax:
     def test_index_error(self, bad_id):
         ids = np.array([[0, 1, bad_id]])
         with pytest.raises(IndexError):
-            ad.conv_max(Tensor(np.ones((3, 2))), ids, Tensor(np.ones((4, 2))), np.ones((1, 2)))
+            ad.conv_max(Tensor(np.ones((3, 2))), ids, Tensor(np.ones((4, 2))), np.array([3]))
 
     # ``windows`` is the shape of the ids the windows are cut from; the
     # table is (3, 2), so a kernel of 4 rows has width 2
-    @pytest.mark.parametrize("windows,w,valid", [
-        ((2, 3, 4), (4, 2), (2, 2)),
-        ((2, 3), (4, 2, 1), (2, 2)),
-        ((2, 3), (5, 2), (2, 2)),
-        ((2, 3), (4, 2), (2, 3)),
+    @pytest.mark.parametrize("windows,w,lengths", [
+        ((2, 3, 4), (4, 2), (2,)),
+        ((2, 3), (4, 2, 1), (2,)),
+        ((2, 3), (5, 2), (2,)),
+        ((2, 1), (4, 2), (2,)),
+        ((2, 3), (4, 2), (3,)),
+        ((2, 3), (4, 2), (2, 1)),
     ])
-    def test_shape_errors(self, windows, w, valid):
+    def test_shape_errors(self, windows, w, lengths):
         with pytest.raises(ShapeError):
             ad.conv_max(Tensor(np.ones((3, 2))), np.zeros(windows, dtype=int),
-                        Tensor(np.ones(w)), np.ones(valid))
-
-    def test_row_without_valid_window(self):
-        valid = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="valid window"):
-            ad.conv_max(Tensor(np.ones((3, 2))), np.zeros((2, 4), dtype=int),
-                        Tensor(np.ones((4, 2))), valid)
+                        Tensor(np.ones(w)), np.ones(lengths, dtype=int))
 
 
 class TestRowSums:
@@ -517,8 +515,7 @@ class TestTableAsGiven:
 
     E, H = 3, 4
     IDS = np.array([[2, 0, 2, 4], [1, 1, 3, 0], [4, 2, 0, 0]])  # rows 0-4 of 5
-    # conv_max's valid width-2 windows
-    VALID = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    LENGTHS = np.array([4, 3, 2])  # for conv_max
     OPS = ["conv_max", "lstm_sequence", "gru_sequence"]
 
     @classmethod
@@ -538,7 +535,7 @@ class TestTableAsGiven:
         and each weight."""
         params = [Tensor(a, requires_grad=True) for a in [table] + weights]
         if op == "conv_max":
-            out = ad.conv_max(params[0], ids, params[1], cls.VALID)
+            out = ad.conv_max(params[0], ids, params[1], cls.LENGTHS)
         elif op == "lstm_sequence":
             out = ad.lstm_sequence(params[0], ids, *params[1:])
         else:
@@ -885,14 +882,14 @@ class TestAdam:
 
     def test_frozen_param_bitwise_constant(self):
         p = Tensor([1.0], requires_grad=True)
-        q = Tensor([1.0], requires_grad=True)
+        q = Tensor([1.0], requires_grad=False)
         opt = Adam({"p": p, "q": q}, lr=0.1)
-        opt.set_frozen(["q"])
         for _ in range(5):
-            p.grad = np.array([1.0])
-            q.grad = np.array([1.0])
+            opt.zero_grad()
+            ad.mul(p, q).sum().backward()
+            assert q.grad is None
             opt.step()
-        assert q.data[0] == 1.0
+        assert q.data[0] == 1.0 and opt.state_arrays()["adam.m.q"][0] == 0.0
         assert p.data[0] != 1.0
 
     def test_shape_mismatch(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gloss import autodiff as ad
 from gloss import framework as fw
 from gloss.autodiff import Tensor
+from gloss.checkpoint import CheckpointError
 from gloss.data import N_CLASSES, build_vocab, filter_and_split
 from gloss.framework import (LossBreakdown, ProbTriple, TrainConfig,
                              TrainingDiverged, evaluate, explanation_factor,
@@ -477,14 +478,110 @@ class TestTrainer:
         result = train(bundle, split, config, classifier=classifier,
                        mode="gef", optimizer=opt)
         assert result.frozen_at_epoch is not None
-        frozen_names = set(fw._predictor_param_names(bundle))
-        assert frozen_names <= opt.frozen
+        assert bundle.predictor.frozen
         digest = params_digest(bundle.predictor)
         extra_cfg = TrainConfig.for_schema("skytrax", epochs=5, seed=10, lr=2e-3,
                                            predictor_freeze_threshold=2.5)
         train(bundle, split, extra_cfg, classifier=classifier, mode="gef",
               optimizer=opt, start_epoch=4)
         assert params_digest(bundle.predictor) == digest
+
+    def test_frozen_predictor_takes_no_gradient(self, numeric_world):
+        split, vocab, enc, classifier = numeric_world
+        bundle = ModelBundle("skytrax", vocab, enc, None, seed=10)
+        opt = ad.Adam(bundle.parameters(), lr=2e-3)
+        config = dict(seed=10, lr=2e-3, predictor_freeze_threshold=100.0)
+        result = train(bundle, split, TrainConfig.for_schema("skytrax", epochs=1, **config),
+                       classifier=classifier, mode="gef", optimizer=opt)
+        assert result.frozen_at_epoch == 0 and bundle.predictor.frozen
+        names = [f"predictor.{k}" for k in bundle.predictor.parameters()]
+        moments = [f"adam.{m}.{name}" for m in "mv" for name in names]
+        before = {k: opt.state_arrays()[k].copy() for k in moments}
+        grads = []
+        step = opt.step
+
+        def recorded_step():
+            grads.append({k: opt.params[k].grad for k in names + ["generator.heads.0.w"]})
+            step()
+
+        opt.step = recorded_step
+        train(bundle, split, TrainConfig.for_schema("skytrax", epochs=2, **config),
+              classifier=classifier, mode="gef", optimizer=opt, start_epoch=1)
+        assert grads and all(g["generator.heads.0.w"] is not None for g in grads)
+        assert all(g[name] is None for g in grads for name in names)
+        after = opt.state_arrays()
+        for key in moments:
+            assert np.array_equal(after[key].view(np.uint64), before[key].view(np.uint64))
+
+    @staticmethod
+    def freeze_config(epochs):
+        """The predictor freezes after epoch 1: train L_p reads 2.274, then 2.198."""
+        return TrainConfig.for_schema("skytrax", epochs=epochs, seed=9, batch_size=64,
+                                      lr=2e-3, predictor_freeze_threshold=2.21)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, numeric_world):
+        split, vocab, enc, classifier = numeric_world
+        bundle = ModelBundle("skytrax", vocab, enc, None, seed=9)
+        result = train(bundle, split, self.freeze_config(4), classifier=classifier, mode="gef")
+        assert result.frozen_at_epoch == 1
+        return bundle, result
+
+    # the checkpoint comes before the freeze epoch or right after it
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_resume_across_the_freeze_epoch_bitwise(self, numeric_world, uninterrupted,
+                                                    tmp_path, k):
+        split, vocab, enc, classifier = numeric_world
+        full, res_full = uninterrupted
+        first = ModelBundle("skytrax", vocab, enc, None, seed=9)
+        opt = ad.Adam(first.parameters(), lr=2e-3)
+        res_first = train(first, split, self.freeze_config(k), classifier=classifier,
+                          mode="gef", optimizer=opt)
+        save_bundle(tmp_path / "part.ckpt", first, optimizer=opt)
+
+        resumed, meta, arrays = load_bundle(tmp_path / "part.ckpt")
+        frozen = ["predictor.out.b", "predictor.out.w"] if k > 1 else []
+        assert meta["optimizer"]["frozen"] == frozen
+        opt2 = resume_optimizer(resumed, meta, arrays)
+        assert resumed.predictor.frozen == (k > 1)
+        res_rest = train(resumed, split, self.freeze_config(4), classifier=classifier,
+                         mode="gef", optimizer=opt2, start_epoch=k)
+        assert res_first.step_losses + res_rest.step_losses == res_full.step_losses
+        assert resumed.predictor.frozen
+        for (ka, ta), (kb, tb) in zip(full.parameters().items(), resumed.parameters().items()):
+            assert ka == kb and np.array_equal(ta.data.view(np.uint64), tb.data.view(np.uint64))
+
+    @staticmethod
+    def _no_optimizer(meta, arrays):
+        del meta["optimizer"]
+
+    @staticmethod
+    def _missing_moment(meta, arrays):
+        del arrays["adam.m.predictor.out.w"]
+
+    @staticmethod
+    def _misshapen_moment(meta, arrays):
+        arrays["adam.v.predictor.out.w"] = np.zeros(1)
+
+    @staticmethod
+    def _nan_moment(meta, arrays):
+        arrays["adam.m.encoder.rnn.w_h"][0, 0] = np.nan
+
+    @staticmethod
+    def _unknown_frozen_name(meta, arrays):
+        meta["optimizer"]["frozen"] = ["predictor.out.w", "predictor.hidden.w"]
+
+    @pytest.mark.parametrize("fault", ["_no_optimizer", "_missing_moment", "_misshapen_moment",
+                                       "_nan_moment", "_unknown_frozen_name"])
+    def test_resume_rejects_bad_optimizer_state(self, tmp_path, fault):
+        split, vocab, enc = small_numeric_setup(n=60)
+        bundle = ModelBundle("skytrax", vocab, enc, None, seed=1)
+        save_bundle(tmp_path / "b.ckpt", bundle, optimizer=ad.Adam(bundle.parameters()))
+        resumed, meta, arrays = load_bundle(tmp_path / "b.ckpt")
+        assert not resume_optimizer(resumed, meta, arrays).step_count
+        getattr(self, fault)(meta, arrays)
+        with pytest.raises(CheckpointError):
+            resume_optimizer(resumed, meta, arrays)
 
 
 class TestTextTrainer:
