@@ -3,11 +3,13 @@
 A small dynamic-graph engine: every operation wraps its output in a new
 :class:`Tensor` that remembers its inputs and a local backward rule, and
 ``Tensor.backward()`` replays the recorded graph in reverse topological
-order. The graph is rebuilt on every forward pass. A whole LSTM or GRU
-recurrence over a padded batch is a single op (:func:`lstm_sequence`,
-:func:`gru_sequence`) with hand-written backprop through time, and so is
-a CNN filter's convolution over embedded ids with its max-pool
-(:func:`conv_max`).
+order. The graph is rebuilt on every forward pass, and a recorded graph
+can be backpropagated once: backward frees each op's saved buffers and
+intermediate gradient as soon as that op's gradient is taken. A whole
+LSTM or GRU recurrence over a padded batch is a single op
+(:func:`lstm_sequence`, :func:`gru_sequence`) with hand-written backprop
+through time, and so is a CNN filter's convolution over embedded ids with
+its max-pool (:func:`conv_max`).
 
 Everything is float64 and single-threaded by design: the models in this
 package are desk-scale and the test suite leans on finite-difference
@@ -82,9 +84,9 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 class Tensor:
     """Dense float64 array participating in the gradient graph.
 
-    ``grad`` is populated (and accumulated across repeated backward calls)
-    only for tensors with ``requires_grad=True`` or tensors on a path from
-    such a leaf to the loss.
+    ``grad`` is populated only for tensors with ``requires_grad=True``
+    or tensors on a path from such a leaf to the loss; a leaf's grad
+    accumulates across the backward passes of separate graphs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -120,11 +122,13 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate grads of every reachable requires_grad leaf.
+        """Add this scalar's gradient into every reachable requires_grad leaf.
 
-        Repeated calls without a reset keep accumulating into leaf grads;
-        grads of recorded intermediates are rebuilt from scratch each pass
-        so one pass never re-propagates another's contribution.
+        The pass consumes the recorded graph: once a node's backward has
+        run, its ``grad`` is None and its closure, with the forward buffers
+        it saved, is freed, so a graph can be backpropagated once and a
+        second pass raises ``RuntimeError``. Leaf grads accumulate across
+        the passes of separate graphs.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -152,8 +156,13 @@ class Tensor:
                 node.grad = None
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                # drop the gradient and the closure, with the forward
+                # buffers it saved; ``data`` and ``_parents`` stay
+                node.grad = None
+                node._backward = _spent
 
     # -- operator sugar ------------------------------------------------------
 
@@ -182,6 +191,11 @@ class Tensor:
 
     def argmax(self, axis: int = -1) -> np.ndarray:
         return np.argmax(self.data, axis=axis)
+
+
+def _spent(g: np.ndarray) -> None:
+    """The backward rule of a node that a backward pass has consumed."""
+    raise RuntimeError("backward already ran through this graph")
 
 
 def _lift(value) -> Tensor:
@@ -621,11 +635,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # (T, 4, B, H). h and c share one (2, slots, B, H) block; under a tape it
 # keeps every step after a zero slot 0, and without one a single slot is
 # updated in place and each h copied out.
-# Backward builds each step's (4, B, H) gate gradient and copies it once
-# into the (T, B, 4H) array that feeds the recurrent and weight products.
 # The GRU's (T+1, B, H) state block holds h0 and the state after each step,
 # so step t reads slot t and writes slot t + 1. Every step writes into buffers
-# allocated once per call. Each value is computed by the same float
+# allocated once per call.
+#
+# Like every op, a taped sequence op is backpropagated once, and its backward
+# reuses the forward's buffers as it goes: the LSTM copies each step's
+# (4, B, H) gate gradient once over that step's activations, which it has
+# read for the last time, so the (T, B, 4H) array that feeds the recurrent
+# and weight products is the activations' memory; the GRU writes d(z, r)
+# over the step's gates and d(cand) over its candidate. Then the tape frees
+# them with the closure. Each value is computed by the same float
 # operations, in the same order, as in a plain loop, so outputs and
 # gradients are bitwise those of that loop (tests/test_recurrence_bitwise.py
 # keeps one per cell).
@@ -658,10 +678,13 @@ def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
     return not math.isfinite(2.0 * bound)
 
 
-def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, d_proj: np.ndarray) -> None:
-    """Gradients of the table and W_x from the (T, B, n) pre-activation
-    gradient at the (T, B) time-major ``ids``, summed per table row."""
-    flat = _row_sums(ids[..., None], d_proj, table.shape[0])
+def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, *parts: np.ndarray) -> None:
+    """Gradients of the table and W_x from the pre-activation gradient at
+    the (T, B) time-major ``ids``, given as (T, B, n_i) parts of its columns
+    in order; each part is summed per table row, so the parts are never
+    joined into one (T, B, n) block."""
+    flat = np.concatenate([_row_sums(ids[..., None], part, table.shape[0])
+                           for part in parts], axis=1)
     if w_x.requires_grad:
         _accumulate(w_x, table.data.T @ flat)
     if table.requires_grad:
@@ -726,7 +749,9 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor) -> Te
     def backward(grad):
         grad = grad.reshape(batch, steps, nh).transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
-        d_gates = np.empty((steps, batch, 4 * nh))
+        # step t's gate gradient overwrites acts[t], read for the last time
+        # just before
+        d_gates = acts.reshape(steps, batch, 4 * nh)
         # one block, which left less heap behind than five arrays: [dh, dc]
         # passed to the step before, the step's new [h, c]'s gradient, the
         # step's gate gradients gate-major, sigmoid derivatives, scratch
@@ -827,35 +852,40 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
         grad = grad.reshape(batch, steps, nh).transpose(1, 0, 2)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         w_hn_t = np.ascontiguousarray(w_hn.data.T)
-        d_proj = np.empty((steps, batch, 3 * nh))
         dh, dh_new = np.zeros((2, batch, nh))  # to the step before, to the step's state
         for t in range(steps - 1, -1, -1):
             dh += grad[t]
             # the step's state takes the carried gradient; the step before, zero
             dh, dh_new = dh_new, dh
             dh.fill(0.0)
-            zr = zr_all[t]
+            # d(z, r) overwrites zr_all[t] and d(cand) cand_all[t], so every
+            # factor read from them is taken first
+            zr, cand = zr_all[t], cand_all[t]
             z, r = zr[:, :nh], zr[:, nh:]
-            hp, cand = block[t], cand_all[t]
-            dp = d_proj[t]
-            np.multiply(dh_new - dh_new * z, 1.0 - cand * cand, out=dp[:, 2 * nh:])
-            d_rh = dp[:, 2 * nh:] @ w_hn_t
-            np.multiply(dh_new, hp - cand, out=dp[:, :nh])
-            np.multiply(d_rh, hp, out=dp[:, nh:2 * nh])
-            dp[:, :2 * nh] *= zr * (1.0 - zr)
-            dh += z * dh_new
-            dh += d_rh * r
-            dh += dp[:, :2 * nh] @ w_h_t
-        flat = d_proj.reshape(steps * batch, 3 * nh)
+            hp = block[t]
+            h_minus_cand = hp - cand
+            d_sig = zr * (1.0 - zr)
+            dh_z = z * dh_new
+            np.multiply(dh_new - dh_new * z, 1.0 - cand * cand, out=cand)
+            d_rh = cand @ w_hn_t
+            dh_r = d_rh * r
+            np.multiply(dh_new, h_minus_cand, out=zr[:, :nh])
+            np.multiply(d_rh, hp, out=zr[:, nh:])
+            zr *= d_sig
+            dh += dh_z
+            dh += dh_r
+            dh += zr @ w_h_t
+        d_zr = zr_all.reshape(steps * batch, 2 * nh)
+        d_cand = cand_all.reshape(steps * batch, nh)
         if w_h.requires_grad:
-            _accumulate(w_h, block[:steps].reshape(-1, nh).T @ flat[:, :2 * nh])
+            _accumulate(w_h, block[:steps].reshape(-1, nh).T @ d_zr)
         if w_hn.requires_grad:
-            _accumulate(w_hn, rh_all.reshape(-1, nh).T @ flat[:, 2 * nh:])
+            _accumulate(w_hn, rh_all.reshape(-1, nh).T @ d_cand)
         if b_x.requires_grad:
-            _accumulate(b_x, flat.sum(axis=0))
+            _accumulate(b_x, np.concatenate([d_zr.sum(axis=0), d_cand.sum(axis=0)]))
         if h0 is not None and h0.requires_grad:
             _accumulate(h0, dh)
-        _input_grads(table, w_x, ids, d_proj)
+        _input_grads(table, w_x, ids, zr_all, cand_all)
 
     return _make(_batch_major(block[1:]), parents, backward if record else None,
                  "gru_sequence")
@@ -917,10 +947,26 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
+        """Resume the moments and step counter; ``ValueError`` unless they,
+        and the hyperparameters given to the constructor, can take a step:
+        a count that is an integer >= 0, lr and eps finite and > 0, betas in
+        [0, 1) and no negative second moment."""
+        if type(step_count) is not int or step_count < 0:
+            raise ValueError(f"step_count must be an integer >= 0, got {step_count!r}")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         for name, p in self.params.items():
             for key, moments in ((f"adam.m.{name}", self._m), (f"adam.v.{name}", self._v)):
                 source = arrays.get(key)
                 if source is None or source.shape != p.shape or not np.isfinite(source).all():
                     raise ValueError(f"missing, misshapen or non-finite {key}")
+                if moments is self._v and (source < 0).any():
+                    raise ValueError(f"negative second moment in {key}")
                 moments[name] = np.array(source, dtype=np.float64)
-        self.step_count = int(step_count)
+        self.step_count = step_count

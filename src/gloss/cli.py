@@ -118,11 +118,12 @@ def _schema(args) -> str:
     return args.schema
 
 
-def _check_out_dir(path) -> None:
-    """Fail before any training when the directory of --out does not exist."""
+def _check_out_dir(path, flag: str = "--out") -> None:
+    """Fail before any input is read or any work done when the directory
+    that ``flag`` writes ``path`` into does not exist."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
-        raise CliError(f"--out {path}: directory {directory} does not exist")
+        raise CliError(f"{flag} {path}: directory {directory} does not exist")
 
 
 def _load_corpus(path, schema: str, args) -> list:
@@ -166,6 +167,7 @@ def cmd_synth(args) -> int:
     schema = _schema(args)
     if args.n is None:
         raise CliError("--n is required")
+    _check_out_dir(args.out)
     generate = synth_numeric if schema == "skytrax" else synth_text
     # the generators take no default seed
     examples = generate(args.n, 0 if args.seed is None else args.seed)
@@ -238,6 +240,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.json:
+        _check_out_dir(args.json, "--json")
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.corpus, schema, args)
@@ -277,6 +281,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     bundle, meta, _ = framework.load_bundle(args.checkpoint)
     schema = meta["schema"]
     examples = _load_corpus(args.input, schema, args)

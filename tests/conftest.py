@@ -5,7 +5,10 @@ gradient the engine produces; it never touches the tape.
 """
 from __future__ import annotations
 
+import contextlib
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 # gloss sets its one-thread BLAS default at import, which only takes effect
 # if numpy has not loaded yet, so it comes first
@@ -37,6 +40,37 @@ def finite_difference_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom))
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace allocations (numpy reports its buffers to tracemalloc) over the
+    block. The yielded namespace gets ``current`` and ``peak``, in bytes,
+    when the block ends; tracing stops however it ends."""
+    usage = SimpleNamespace(current=None, peak=None)
+    tracemalloc.start()
+    try:
+        yield usage
+        usage.current, usage.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(autouse=True)
+def engine_state_restored():
+    """Fail a test that leaves tracemalloc tracing, which slows every later
+    test and skews their memory bounds, or grad recording off; either is
+    undone first, so that later tests run as usual."""
+    yield
+    leaks = []
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
+        leaks.append("tracemalloc tracing")
+    if not ad._grad_enabled:
+        ad._grad_enabled = True
+        leaks.append("grad recording off")
+    if leaks:
+        pytest.fail(f"the test left {' and '.join(leaks)}")
 
 
 @pytest.fixture

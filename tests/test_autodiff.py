@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gloss import autodiff as ad
 from gloss.autodiff import Adam, NonFiniteError, ShapeError, Tensor
 
-from conftest import finite_difference_grad, relative_error
+from conftest import finite_difference_grad, relative_error, traced_memory
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-3
@@ -655,18 +654,41 @@ def test_no_grad_sequence_peak_memory(rng, cell):
     n = (4 if cell == "lstm" else 3) * nh
     w_x, b = Tensor(rng.normal(size=(dim, n)) * 0.1), Tensor(rng.normal(size=n) * 0.1)
     w_h = Tensor(rng.normal(size=(nh, 4 * nh if cell == "lstm" else 2 * nh)) * 0.1)
-    tracemalloc.start()
-    try:
-        with ad.no_grad():
-            if cell == "lstm":
-                out = ad.lstm_sequence(table, ids, w_x, w_h, b)
-            else:
-                out = ad.gru_sequence(table, ids, w_x, b, w_h, Tensor(np.eye(nh) * 0.1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_memory() as usage, ad.no_grad():
+        if cell == "lstm":
+            out = ad.lstm_sequence(table, ids, w_x, w_h, b)
+        else:
+            out = ad.gru_sequence(table, ids, w_x, b, w_h, Tensor(np.eye(nh) * 0.1))
     assert out.shape == (batch * steps, nh)
-    assert peak < 3 * out.data.nbytes
+    assert usage.peak < 3 * out.data.nbytes
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_backward_frees_sequence_buffers(rng, cell):
+    """A taped sequence op's saved buffers and every intermediate gradient
+    are freed by backward, although the caller still holds the graph: what
+    stays traced is the op's output, the product's output and the leaves'
+    gradients, below four times the (B*T, H) output (about eleven times
+    when backward kept them)."""
+    batch, steps, vocab, dim, nh = 32, 40, 51, 48, 64
+    ids = rng.integers(0, vocab, size=(batch, steps))
+    table = Tensor(rng.normal(size=(vocab, dim)), requires_grad=True)
+    n = (4 if cell == "lstm" else 3) * nh
+    w_x = Tensor(rng.normal(size=(dim, n)) * 0.1, requires_grad=True)
+    b = Tensor(rng.normal(size=n) * 0.1, requires_grad=True)
+    w_h = Tensor(rng.normal(size=(nh, 4 * nh if cell == "lstm" else 2 * nh)) * 0.1,
+                 requires_grad=True)
+    w_hn = Tensor(np.eye(nh) * 0.1, requires_grad=True)
+    g = Tensor(rng.normal(size=(batch * steps, nh)))
+    with traced_memory() as usage:
+        if cell == "lstm":
+            out = ad.lstm_sequence(table, ids, w_x, w_h, b)
+        else:
+            out = ad.gru_sequence(table, ids, w_x, b, w_h, w_hn)
+        loss = ad.mul(out, g).sum()
+        loss.backward()
+    assert out.shape == (batch * steps, nh) and loss._parents[0]._parents[0] is out
+    assert usage.current < 4 * out.data.nbytes
 
 
 class TestTapeSemantics:
@@ -689,13 +711,42 @@ class TestTapeSemantics:
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
 
-    def test_repeated_backward_accumulates(self):
+    def test_second_backward_raises(self):
         t = Tensor([2.0], requires_grad=True)
         loss = ad.mul(t, t).sum()
         loss.backward()
         first = t.grad.copy()
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            loss.backward()
+        np.testing.assert_array_equal(t.grad, first)
+
+    def test_separate_graphs_still_accumulate(self):
+        t = Tensor([2.0], requires_grad=True)
+        ad.mul(t, t).sum().backward()
+        ad.mul(t, Tensor([3.0])).sum().backward()
+        np.testing.assert_array_equal(t.grad, [4.0 + 3.0])
+
+    def test_backward_releases_intermediates(self, rng):
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w_x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        ids = rng.integers(0, 5, size=(2, 4))
+        seq = ad.gru_sequence(table, ids, w_x, Tensor(np.zeros(6)),
+                              Tensor(rng.normal(size=(2, 4))), Tensor(np.eye(2)))
+        hidden = ad.tanh(ad.matmul(seq, Tensor(rng.normal(size=(2, 3)))))
+        loss = ad.cross_entropy(hidden, ids.reshape(-1) % 3).mean()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(p for p in node._parents if id(p) not in nodes)
+        recorded = [n for n in nodes.values() if n._backward is not None]
+        assert len(recorded) == 5  # gru_sequence, matmul, tanh, cross_entropy, mean
         loss.backward()
-        np.testing.assert_array_equal(t.grad, 2 * first)
+        for node in recorded:
+            assert node.grad is None and node._backward is ad._spent
+            assert node.data is not None and node._parents
+        for leaf in (table, w_x):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
     def test_detach_blocks_gradient(self):
         # a Tensor wrapped around another's data is a constant on the tape

@@ -351,21 +351,30 @@ class TestSettings:
                        else "error: unknown schema 'skytrack': expected pcmag or skytrax\n")
         assert not out.exists() and not train_calls
 
-    @pytest.mark.parametrize("command", ["pretrain-c", "train"])
+    @pytest.mark.parametrize("command", ["synth", "pretrain-c", "train", "eval", "explain"])
     def test_missing_out_directory_exits_1_before_training(self, small_corpus, tmp_path,
                                                            capsys, monkeypatch, command):
-        trained = []
-        monkeypatch.setattr(framework, "train", lambda *args, **kw: trained.append(args))
-        monkeypatch.setattr(framework, "pretrain_classifier",
-                            lambda *args, **kw: trained.append(args))
-        out = tmp_path / "missing" / "m.ckpt"
+        done = []  # every input read and every generation or training run
+        for owner, name in ((framework, "train"), (framework, "pretrain_classifier"),
+                            (framework, "load_bundle"), (cli, "_load_corpus"),
+                            (cli, "synth_numeric")):
+            def record(*args, name=name, **kwargs):
+                done.append(name)
+                raise cli.CliError(f"{name} ran")
+            monkeypatch.setattr(owner, name, record)
+        out = tmp_path / "missing" / "m.out"
+        ckpt = tmp_path / "m.ckpt"
+        flag = "--json" if command == "eval" else "--out"
+        args = {"synth": ("--schema", "skytrax", "--n", "5"),
+                "pretrain-c": ("--corpus", small_corpus, "--schema", "skytrax"),
+                "train": ("--corpus", small_corpus, "--schema", "skytrax", "--mode", "baseline"),
+                "eval": ("--checkpoint", ckpt, "--corpus", small_corpus),
+                "explain": ("--checkpoint", ckpt, "--input", small_corpus)}[command]
         capsys.readouterr()
-        assert run_cli(command, "--corpus", small_corpus, "--schema", "skytrax",
-                       "--out", out, "--quiet",
-                       *(("--mode", "baseline") if command == "train" else ())) == 1
-        assert capsys.readouterr().err == (f"error: --out {out}: directory {out.parent} "
+        assert run_cli(command, *args, flag, out, "--quiet") == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {out}: directory {out.parent} "
                                            "does not exist\n")
-        assert trained == []
+        assert done == [] and not out.parent.exists()
 
     def test_eval_split_seed_precedence(self, numeric_corpus, trained_model, tmp_path,
                                         monkeypatch):

@@ -571,8 +571,42 @@ class TestTrainer:
     def _unknown_frozen_name(meta, arrays):
         meta["optimizer"]["frozen"] = ["predictor.out.w", "predictor.hidden.w"]
 
+    @staticmethod
+    def _negative_second_moment(meta, arrays):
+        # the next step would take its square root
+        arrays["adam.v.encoder.rnn.w_h"][0, 0] = -1.0
+
+    # each would resume silently: a step count of -1 divides by zero at the
+    # next step's bias correction, and an lr of -1 ascends the loss
+    @staticmethod
+    def _negative_step_count(meta, arrays):
+        meta["optimizer"]["step_count"] = -1
+
+    @staticmethod
+    def _fractional_step_count(meta, arrays):
+        meta["optimizer"]["step_count"] = 2.5
+
+    @staticmethod
+    def _negative_lr(meta, arrays):
+        meta["optimizer"]["lr"] = -1.0
+
+    @staticmethod
+    def _infinite_eps(meta, arrays):
+        meta["optimizer"]["eps"] = float("inf")
+
+    @staticmethod
+    def _beta1_of_one(meta, arrays):
+        meta["optimizer"]["beta1"] = 1.0
+
+    @staticmethod
+    def _negative_beta2(meta, arrays):
+        meta["optimizer"]["beta2"] = -0.5
+
     @pytest.mark.parametrize("fault", ["_no_optimizer", "_missing_moment", "_misshapen_moment",
-                                       "_nan_moment", "_unknown_frozen_name"])
+                                       "_nan_moment", "_unknown_frozen_name",
+                                       "_negative_second_moment", "_negative_step_count",
+                                       "_fractional_step_count", "_negative_lr",
+                                       "_infinite_eps", "_beta1_of_one", "_negative_beta2"])
     def test_resume_rejects_bad_optimizer_state(self, tmp_path, fault):
         split, vocab, enc = small_numeric_setup(n=60)
         bundle = ModelBundle("skytrax", vocab, enc, None, seed=1)
