@@ -339,7 +339,7 @@ def _row_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
 
 def _check_ids(ids: np.ndarray, n_rows: int) -> None:
     """``IndexError`` for an id outside [0, n_rows)."""
-    if ids.min() < 0 or ids.max() >= n_rows:
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise IndexError(f"embedding index out of range [0, {n_rows})")
 
 
@@ -651,6 +651,15 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # keeps one per cell).
 
 
+def _projection(table: np.ndarray, w_x: np.ndarray, b: np.ndarray, opname: str) -> np.ndarray:
+    """The input projection ``table @ w_x + b``, checked after the bias, so
+    that an overflowing sum raises."""
+    proj = table @ w_x
+    proj += b
+    _check_finite(proj, opname)
+    return proj
+
+
 def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, opname: str):
     """The (T, B) time-major ids and the projection ``table @ w_x + b``."""
     ids = np.asarray(ids)
@@ -658,24 +667,31 @@ def _sequence_input(table: Tensor, ids, w_x: Tensor, b: Tensor, opname: str):
         raise ShapeError(f"{opname} expects a (V, E) table, (B, T) ids and (E, n) "
                          f"weights, got {table.shape}, {ids.shape} and {w_x.shape}")
     _check_ids(ids, table.shape[0])
-    proj = table.data @ w_x.data
-    proj += b.data
-    # checked after the bias, so that an overflowing sum raises
-    _check_finite(proj, opname)
-    return np.ascontiguousarray(ids.T), proj
+    return np.ascontiguousarray(ids.T), _projection(table.data, w_x.data, b.data, opname)
+
+
+def _recurrent_bound(h0, *w_hs: np.ndarray) -> float:
+    """A bound on every element of ``h @ w_h``, summed over ``w_hs``, for
+    states of elements at most max(1, max|h0|) (1 without ``h0``). Each
+    max|x| is bounded by the Frobenius norm, one BLAS dot (a square that
+    overflows only turns the checks on), and an element of ``h @ w_h`` by
+    ||h|| ||w_h|| (the Cauchy-Schwarz inequality)."""
+    h_sq = 1.0 if h0 is None else 1.0 + float(np.vdot(h0, h0))  # >= max(1, max|h0|)^2
+    norm = sum(math.sqrt(np.vdot(w_h, w_h)) for w_h in w_hs)
+    return math.sqrt(h_sq * w_hs[0].shape[0]) * norm
+
+
+def _overflow_possible(proj: np.ndarray, recurrent_bound: float) -> bool:
+    """Whether a step's ``proj`` row plus a recurrent product within
+    ``recurrent_bound`` may overflow: the bound must stay finite doubled, a
+    margin for rounding."""
+    return not math.isfinite(2.0 * (math.sqrt(np.vdot(proj, proj)) + recurrent_bound))
 
 
 def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
     """Whether a step's ``proj`` row plus ``h @ w_h`` may overflow, for states
-    of elements at most max(1, max|h0|) (1 without ``h0``). Each max|x| is
-    bounded by the Frobenius norm, one BLAS dot (a square that overflows only
-    turns the checks on), and an element of ``h @ w_h`` by ||h|| ||w_h|| (the
-    Cauchy-Schwarz inequality). The bound must stay finite doubled, a margin
-    for rounding."""
-    h_sq = 1.0 if h0 is None else 1.0 + float(np.vdot(h0, h0))  # >= max(1, max|h0|)^2
-    norm = sum(math.sqrt(np.vdot(w_h, w_h)) for w_h in w_hs)
-    bound = math.sqrt(np.vdot(proj, proj)) + math.sqrt(h_sq * w_hs[0].shape[0]) * norm
-    return not math.isfinite(2.0 * bound)
+    of elements at most max(1, max|h0|)."""
+    return _overflow_possible(proj, _recurrent_bound(h0, *w_hs))
 
 
 def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, *parts: np.ndarray) -> None:
@@ -802,6 +818,40 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor) -> Te
                  "lstm_sequence")
 
 
+def gru_step(h: np.ndarray, proj_t: np.ndarray, w_h: np.ndarray, w_hn: np.ndarray,
+             zr: np.ndarray, rh: np.ndarray, cand: np.ndarray, out: np.ndarray,
+             check: str | None) -> None:
+    """One GRU step over a batch, on plain arrays and off the tape: writes
+    into ``out`` (which may be ``h``) the state after the step from the
+    (B, H) state ``h`` and ``proj_t``, the step's (B, 3H) rows of the biased
+    input projection.
+
+    ``zr`` (B, 2H) gets the [update, reset] gates, ``rh`` (B, H) the
+    reset-gated state and ``cand`` (B, H) the candidate, which backward
+    reads. With ``check`` the op name to report, the pre-activations are
+    checked before the squash; pass None when the recurrent products cannot
+    overflow (see :func:`_may_overflow`). Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``. :func:`gru_sequence`
+    loops over it, and so does greedy decoding, whose next input depends on
+    the step's output; it is not an op, so it is not in ``__all__``.
+    """
+    nh = w_hn.shape[0]
+    np.matmul(h, w_h, out=zr)
+    zr += proj_t[:, :2 * nh]
+    if check:
+        _check_finite(zr, check)
+    _sigmoid(zr, zr)
+    np.multiply(zr[:, nh:], h, out=rh)
+    np.matmul(rh, w_hn, out=cand)
+    cand += proj_t[:, 2 * nh:]
+    if check:
+        _check_finite(cand, check)
+    np.tanh(cand, out=cand)
+    np.subtract(h, cand, out=out)
+    out *= zr[:, :nh]
+    out += cand
+
+
 def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
                  h0: Tensor | None = None) -> Tensor:
     """GRU over a batch; returns (B*T, H) states, row b*T + t the state of
@@ -831,22 +881,9 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
         check = _may_overflow(proj, None if h0 is None else h0.data, w_h.data, w_hn.data)
         for t in range(steps):
             k = t if record else 0
-            h = block[t]
             np.take(proj, ids[t], axis=0, out=proj_t, mode="clip")
-            zr = np.matmul(h, w_h.data, out=zr_all[k])
-            zr += proj_t[:, :2 * nh]
-            if check:
-                _check_finite(zr, "gru_sequence")
-            _sigmoid(zr, zr)
-            rh = np.multiply(zr[:, nh:], h, out=rh_all[k])
-            cand = np.matmul(rh, w_hn.data, out=cand_all[k])
-            cand += proj_t[:, 2 * nh:]
-            if check:
-                _check_finite(cand, "gru_sequence")
-            np.tanh(cand, out=cand)
-            new = np.subtract(h, cand, out=block[t + 1])
-            new *= zr[:, :nh]
-            new += cand
+            gru_step(block[t], proj_t, w_h.data, w_hn.data, zr_all[k], rh_all[k],
+                     cand_all[k], block[t + 1], "gru_sequence" if check else None)
 
     def backward(grad):
         grad = grad.reshape(batch, steps, nh).transpose(1, 0, 2)
@@ -889,6 +926,50 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
 
     return _make(_batch_major(block[1:]), parents, backward if record else None,
                  "gru_sequence")
+
+
+class GruDecoder:
+    """A GRU with a linear readout, stepped one position at a time on plain
+    arrays and off the tape: greedy decoding, where each step's input is
+    read off the step before's output.
+
+    The weights, the step buffers and the state-and-weight part of the
+    overflow bound are set up once: a GRU state stays within
+    max(1, max|h0|), so the bound from ``h0`` holds at every step. A step
+    then projects the table it is given, runs :func:`gru_step` in place on
+    the state and reads the logits out. Callers build it and run the steps
+    under ``np.errstate(over="ignore", invalid="ignore")``: an inf or nan
+    can only come from an overflow, on which a step's checks raise.
+    """
+
+    def __init__(self, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn: Tensor,
+                 w_out: Tensor, b_out: Tensor, h0: Tensor):
+        batch, nh = h0.shape
+        self.w_x, self.b_x, self.w_h, self.w_hn = w_x.data, b_x.data, w_h.data, w_hn.data
+        self.w_out, self.b_out = w_out.data, b_out.data
+        self.h = np.array(h0.data)  # the state, updated in place
+        self._zr = np.empty((batch, 2 * nh))
+        self._rh = np.empty((batch, nh))
+        self._cand = np.empty((batch, nh))
+        self._proj_t = np.empty((batch, 3 * nh))
+        self._logits = np.empty((batch, self.w_out.shape[1]))
+        self._recurrent = _recurrent_bound(self.h, self.w_h, self.w_hn)
+
+    def step(self, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Advance row b of the state by row ``ids[b]`` of the (V, E)
+        ``table`` and return the (B, n) logits ``h @ w_out + b_out``, in a
+        buffer that the next step overwrites."""
+        proj = _projection(table, self.w_x, self.b_x, "GruDecoder.step")
+        np.take(proj, ids, axis=0, out=self._proj_t, mode="clip")
+        check = _overflow_possible(proj, self._recurrent)
+        gru_step(self.h, self._proj_t, self.w_h, self.w_hn, self._zr, self._rh, self._cand,
+                 self.h, "GruDecoder.step" if check else None)
+        logits = np.matmul(self.h, self.w_out, out=self._logits)
+        logits += self.b_out
+        # one check after the bias: the bias is finite, so a non-finite
+        # product stays non-finite
+        _check_finite(logits, "GruDecoder.step")
+        return logits
 
 
 # -- optimizer ---------------------------------------------------------------

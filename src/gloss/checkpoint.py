@@ -11,7 +11,7 @@ Layout, in one file:
 Dimensions and offsets are plain ASCII decimal numbers. Offsets are
 relative to the first payload byte, and each tensor starts where the one
 before it ends. Round-trips are bit exact: arrays are written with
-``tobytes()`` and read back with ``frombuffer`` on the same dtype. ``save``
+``tobytes()`` and read back into arrays of the same dtype. ``save``
 writes a temporary file beside the target and renames it into place, so an
 existing checkpoint is never left half overwritten.
 """
@@ -68,52 +68,56 @@ def load(path) -> tuple[dict[str, np.ndarray], dict | None]:
 
     Raises :class:`CheckpointError` unless the header is well formed, every
     name and the meta line appear once, and the tensors tile the payload
-    exactly, in header order.
+    exactly, in header order. The header is read line by line and each
+    tensor straight from the file into its own array, so the payload is
+    copied once.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header_end = _find_data_line(blob)
-    try:
-        header = blob[:header_end].decode("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise CheckpointError(f"{path}: header is not UTF-8") from err
-    payload = blob[header_end + len(b"data\n"):]
-    if not header or header[0] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic line")
-    meta = None
-    arrays: dict[str, np.ndarray] = {}
-    size = 0  # payload bytes claimed so far
-    for line in header[1:]:
-        if line.startswith("meta "):
-            if meta is not None:
-                raise CheckpointError(f"{path}: second meta line")
-            try:
-                meta = json.loads(line[len("meta "):])
-            except (ValueError, RecursionError) as err:  # RecursionError: deep nesting
-                raise CheckpointError(f"{path}: bad meta line") from err
-            if not isinstance(meta, dict):
-                raise CheckpointError(f"{path}: meta is not a JSON object")
-        elif line.startswith("tensor "):
-            try:
-                _, name, dims, offset = line.split(" ")
-                shape = tuple(_natural(d) for d in dims.split(","))
-            except ValueError as err:
-                raise CheckpointError(f"{path}: bad tensor line {line!r}") from err
-            if name in arrays:
-                raise CheckpointError(f"{path}: duplicate tensor {name}")
-            if offset != str(size):  # the running size in plain decimal, as save writes it
-                raise CheckpointError(f"{path}: offset {offset} for {name}, expected {size}")
-            start, size = size, size + 8 * math.prod(shape)  # exact: np.prod would wrap at 2**63
-            if size > len(payload):
+        try:
+            header = _read_header(fh).decode("utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: header is not UTF-8") from err
+        payload_size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if not header or header[0] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic line")
+        meta = None
+        arrays: dict[str, np.ndarray] = {}
+        size = 0  # payload bytes claimed so far
+        for line in header[1:]:
+            if line.startswith("meta "):
+                if meta is not None:
+                    raise CheckpointError(f"{path}: second meta line")
+                try:
+                    meta = json.loads(line[len("meta "):])
+                except (ValueError, RecursionError) as err:  # RecursionError: deep nesting
+                    raise CheckpointError(f"{path}: bad meta line") from err
+                if not isinstance(meta, dict):
+                    raise CheckpointError(f"{path}: meta is not a JSON object")
+            elif line.startswith("tensor "):
+                try:
+                    _, name, dims, offset = line.split(" ")
+                    shape = tuple(_natural(d) for d in dims.split(","))
+                except ValueError as err:
+                    raise CheckpointError(f"{path}: bad tensor line {line!r}") from err
+                if name in arrays:
+                    raise CheckpointError(f"{path}: duplicate tensor {name}")
+                if offset != str(size):  # the running size in plain decimal, as save writes it
+                    raise CheckpointError(f"{path}: offset {offset} for {name}, expected {size}")
+                size += 8 * math.prod(shape)  # exact: np.prod would wrap at 2**63
+                if size > payload_size:
+                    raise CheckpointError(f"{path}: payload truncated for {name}")
+                try:
+                    arrays[name] = np.empty(shape, dtype="<f8")
+                except ValueError as err:  # an empty shape with dimensions numpy cannot hold
+                    raise CheckpointError(f"{path}: bad shape for {name}") from err
+            else:
+                raise CheckpointError(f"{path}: unrecognized header line {line!r}")
+        if size != payload_size:
+            raise CheckpointError(f"{path}: {payload_size - size} trailing payload bytes")
+        # the tensors tile the payload in header order, so they are read in turn
+        for name, arr in arrays.items():
+            if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: payload truncated for {name}")
-            try:
-                arrays[name] = np.frombuffer(payload[start:size], dtype="<f8").reshape(shape).copy()
-            except ValueError as err:  # an empty shape with dimensions numpy cannot hold
-                raise CheckpointError(f"{path}: bad shape for {name}") from err
-        else:
-            raise CheckpointError(f"{path}: unrecognized header line {line!r}")
-    if size != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - size} trailing payload bytes")
     return arrays, meta
 
 
@@ -125,11 +129,11 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _find_data_line(blob: bytes) -> int:
-    marker = b"\ndata\n"
-    idx = blob.find(marker)
-    if idx < 0:
-        if blob.startswith(b"data\n"):
-            return 0
-        raise CheckpointError("no data marker found")
-    return idx + 1
+def _read_header(fh) -> bytes:
+    """The header's bytes, up to the ``data`` line, which is read past."""
+    lines = []
+    for line in fh:
+        if line == b"data\n":
+            return b"".join(lines)
+        lines.append(line)
+    raise CheckpointError("no data marker found")

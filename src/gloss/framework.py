@@ -26,13 +26,13 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Adam, Tensor
-from .data import (CorpusSplit, N_CLASSES, POLARITIES, SUBSCORE_LETTERS,
+from .data import (CorpusSplit, N_CLASSES, POLARITIES, SUBSCORE_FIELDS, SUBSCORE_LETTERS,
                    Vocab, pad_batch)
 # corpus_bleu is not called here, but perfbench/tracing.py patches it by
 # this module's name, so it stays importable from here
 from .metrics import bleu_counts, bleu_scores, corpus_bleu, topk_accuracy  # noqa: F401
 from .models import (ClassifierNumeric, ClassifierText, CvaeConfig,
-                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle, N_LEVELS)
+                     EncoderConfig, FORM_BY_SCHEMA, ModelBundle, N_LEVELS, UNDRAWN)
 
 
 class TrainingDiverged(RuntimeError):
@@ -477,8 +477,14 @@ def predict_and_explain(bundle: ModelBundle, examples, batch_size: int = 128):
 
     Returns ``(probs, explanations)``. Numeric explanations are an (n, 5)
     int array of scores; text explanations a dict mapping polarity to
-    decoded token-id lists.
+    decoded token-id lists; no examples give empty ones.
     """
+    if not examples:
+        probs = np.empty((0, N_CLASSES[bundle.schema]))
+        if bundle.form == "numeric":
+            return probs, np.empty((0, len(SUBSCORE_FIELDS)), dtype=np.intp)
+        return probs, {pol: [] for pol in POLARITIES}
+
     def batch_outputs(exs):
         v_e = bundle.encode_reviews(exs)
         probs = bundle.predictor.probs(v_e).data
@@ -565,12 +571,16 @@ def save_bundle(path, bundle: ModelBundle, optimizer: Adam | None = None,
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict, dict]:
-    """Rebuild a bundle from its checkpoint; returns (bundle, meta, arrays)."""
+    """Rebuild a bundle from its checkpoint; returns (bundle, meta, arrays).
+
+    The bundle's parameters are the loaded ``model.*`` arrays themselves;
+    no weight is drawn only to be overwritten.
+    """
     arrays, meta = checkpoint.load(path)
     if meta is None or meta.get("kind") != "bundle":
         raise checkpoint.CheckpointError(f"{path} is not a model bundle checkpoint")
     try:
-        bundle = ModelBundle.from_meta(meta)
+        bundle = ModelBundle.from_meta(meta, draw=False)
         bundle.load_arrays(arrays, prefix="model.")
     except (KeyError, TypeError, ValueError) as err:
         raise checkpoint.CheckpointError(f"{path}: bad bundle checkpoint: {err!r}") from err
@@ -615,17 +625,17 @@ def load_classifier(path):
     arrays, meta = checkpoint.load(path)
     if meta is None or meta.get("kind") != "classifier":
         raise checkpoint.CheckpointError(f"{path} is not a classifier checkpoint")
-    rng = np.random.default_rng(0)
     vocab = None
     try:
         n_classes = N_CLASSES[meta["schema"]]
         dims = meta["dims"]
         if meta["form"] == "text":
             vocab = Vocab(itos=list(meta["vocab"]))
-            classifier = ClassifierText(rng, len(vocab), n_classes,
+            # the checkpoint supplies every weight, so none is drawn
+            classifier = ClassifierText(UNDRAWN, len(vocab), n_classes,
                                         emb_dim=dims["emb_dim"], hidden=dims["hidden"])
         else:
-            classifier = ClassifierNumeric(rng, n_classes, emb_dim=dims["emb_dim"],
+            classifier = ClassifierNumeric(UNDRAWN, n_classes, emb_dim=dims["emb_dim"],
                                            hidden=dims["hidden"])
         classifier.load_arrays(arrays)
     except (KeyError, TypeError, ValueError) as err:

@@ -51,7 +51,12 @@ class Module:
         return not any(t.requires_grad for t in self.parameters().values())
 
     def load_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, tensor in self.parameters().items():
+        """Make each parameter's data the array stored under its name after
+        ``prefix``, which the module then shares; a ``ValueError`` if one is
+        missing, misshapen or not finite, or if a name under ``prefix``
+        belongs to no parameter."""
+        params = self.parameters()
+        for name, tensor in params.items():
             source = arrays.get(prefix + name)
             if source is None:
                 raise ValueError(f"missing tensor {prefix + name}")
@@ -59,7 +64,25 @@ class Module:
                 raise ValueError(f"shape mismatch for {prefix + name}")
             if not np.isfinite(source).all():
                 raise ValueError(f"non-finite values in {prefix + name}")
-            tensor.data[...] = source
+            tensor.data = np.asarray(source, dtype=np.float64)
+        for key in arrays:
+            if key.startswith(prefix) and key[len(prefix):] not in params:
+                raise ValueError(f"unexpected tensor {key}")
+
+
+class _Undrawn:
+    """A stand-in for the generator of a module whose every weight a
+    checkpoint supplies: each draw is a read-only zero view of the asked
+    shape, which takes no memory, for :meth:`Module.load_arrays` to replace."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
+
+
+UNDRAWN = _Undrawn()
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -452,18 +475,28 @@ class TextCvae(Module):
         Row i, under control id ``controls[i]``, yields its tokens before
         the first EOS. The golden explanation is absent at test time, so the
         latent is the prior network's mean, which keeps decoding deterministic.
+        The decoder is set up once (:class:`autodiff.GruDecoder`); every step
+        runs over all rows, finished ones too, so that its products keep one
+        shape and bits.
         """
         with ad.no_grad():
             cond = self.condition(v_e, controls)
             mu_p, _ = self.prior(cond)
-            h = self._decode_hidden(mu_p, cond)
-            batch = v_e.shape[0]
-            tokens = np.full(batch, BOS, dtype=np.int64)
-            finished = np.zeros(batch, dtype=bool)
-            steps = []
+            h0 = self._decode_hidden(mu_p, cond)
+        embed, ctrl = self.embed.w.data, self.ctrl.w.data
+        batch = v_e.shape[0]
+        tokens = np.full(batch, BOS, dtype=np.int64)
+        finished = np.zeros(batch, dtype=bool)
+        steps = []
+        with np.errstate(over="ignore", invalid="ignore"):  # see GruDecoder
+            decoder = ad.GruDecoder(self.dec.w_x, self.dec.b_x, self.dec.w_h, self.dec.w_hn,
+                                    self.dec_out.w, self.dec_out.b, h0)
             for _ in range(self.config.max_len):
-                h = self.dec(*self._dec_input(tokens[:, None], controls), h0=h)
-                tokens = self.dec_out(h).argmax(axis=1)
+                # a [token; control] row per distinct pair, as in _dec_input
+                pairs, ids = np.unique(tokens * N_CONTROLS + controls, return_inverse=True)
+                table = np.concatenate([embed[pairs // N_CONTROLS], ctrl[pairs % N_CONTROLS]],
+                                       axis=1)
+                tokens = decoder.step(table, ids).argmax(axis=1)
                 steps.append(tokens)
                 finished |= tokens == EOS
                 if finished.all():
@@ -543,14 +576,16 @@ class ModelBundle(Module):
     """Encoder + predictor + explanation generator for one schema."""
 
     def __init__(self, schema: str, vocab: Vocab, encoder_config: EncoderConfig,
-                 cvae_config: CvaeConfig | None, seed: int):
+                 cvae_config: CvaeConfig | None, seed: int, *, draw: bool = True):
+        """Weights drawn from ``seed``; with ``draw=False``, placeholders that
+        :meth:`load_arrays` replaces, and nothing is drawn."""
         self.schema = schema
         self.form = FORM_BY_SCHEMA[schema]
         self.vocab = vocab
         self.encoder_config = encoder_config
         self.cvae_config = cvae_config
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else UNDRAWN
         self.encoder = build_encoder(encoder_config, rng)
         self.predictor = Predictor(rng, encoder_config.hidden_dim, N_CLASSES[schema])
         if self.form == "numeric":
@@ -577,7 +612,7 @@ class ModelBundle(Module):
         return out
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "ModelBundle":
+    def from_meta(cls, meta: dict, *, draw: bool = True) -> "ModelBundle":
         cvae = CvaeConfig(**meta["cvae"]) if "cvae" in meta else None
         return cls(meta["schema"], Vocab(itos=list(meta["vocab"])),
-                   EncoderConfig(**meta["encoder"]), cvae, seed=meta["seed"])
+                   EncoderConfig(**meta["encoder"]), cvae, seed=meta["seed"], draw=draw)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from gloss import autodiff as ad
-from gloss.models import ModelBundle
+from gloss.data import BOS, EOS
+from gloss.models import CvaeConfig, ModelBundle, TextCvae
 
 
 def finite_difference_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -40,6 +41,43 @@ def finite_difference_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def toy_cvae(rng, vocab_size=34, cond=16):
+    """A small comment CVAE over ``vocab_size`` tokens whose decoding stops
+    at 12 tokens."""
+    config = CvaeConfig(latent_dim=6, control_dim=4, decoder_hidden=12,
+                        comment_hidden=8, embedding_dim=10, mlp_hidden=8,
+                        max_len=12)
+    return TextCvae(rng, vocab_size, cond, config)
+
+
+def reference_greedy_decode(cvae, v_e, ctrl_ids):
+    """Greedy decoding with a per-row Python stop check: each row keeps the
+    tokens before its first EOS, at most ``max_len`` of them."""
+    with ad.no_grad():
+        cond = cvae.condition(v_e, ctrl_ids)
+        h = cvae._decode_hidden(cvae.prior(cond)[0], cond)
+        batch = v_e.shape[0]
+        ctrl = cvae.ctrl(ctrl_ids)
+        tokens = np.full(batch, BOS, dtype=np.int64)
+        finished = np.zeros(batch, dtype=bool)
+        out = [[] for _ in range(batch)]
+        for _ in range(cvae.config.max_len):
+            # each row's own [token; control] row, with identity ids
+            x = ad.concat([cvae.embed(tokens), ctrl], axis=1)
+            h = cvae.dec(x, np.arange(batch)[:, None], h0=h)
+            tokens = cvae.dec_out(h).argmax(axis=1)
+            for i in range(batch):
+                if finished[i]:
+                    continue
+                if tokens[i] == EOS:
+                    finished[i] = True
+                else:
+                    out[i].append(int(tokens[i]))
+            if finished.all():
+                break
+    return out
 
 
 @contextlib.contextmanager

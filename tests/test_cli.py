@@ -739,6 +739,27 @@ def poisoned(path, out, value):
     return out
 
 
+SERVING = Path(__file__).parent / "data" / "serving"
+
+
+@pytest.mark.parametrize("part,stray", [("model", "model.encoder.rnn.w_stray"),
+                                        ("classifier", "out.w_stray")])
+def test_tensor_that_no_parameter_reads_exits_1(tmp_path, capsys, part, stray):
+    """A committed skytrax checkpoint with one extra tensor is invalid input:
+    ``gloss eval`` exits 1 and names the tensor."""
+    paths = {"model": SERVING / "skytrax-lstm.ckpt",
+             "classifier": SERVING / "skytrax-classifier.ckpt"}
+    arrays, meta = checkpoint.load(paths[part])
+    arrays[stray] = np.zeros(3)
+    paths[part] = tmp_path / f"{part}.ckpt"
+    checkpoint.save(paths[part], arrays, meta)
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", paths["model"], "--corpus", SERVING / "skytrax.jsonl",
+                   "--classifier", paths["classifier"], "--quiet") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and f"unexpected tensor {stray}" in err
+
+
 class TestNonFiniteExitCodes:
     """A checkpoint with non-finite weights is invalid input (exit 1); a
     non-finite value computed from finite inputs is divergence (exit 2).

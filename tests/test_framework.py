@@ -2,6 +2,8 @@ import hashlib
 import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gloss import autodiff as ad
+from gloss import checkpoint
 from gloss import framework as fw
 from gloss.autodiff import Tensor
 from gloss.checkpoint import CheckpointError
@@ -23,7 +26,7 @@ from gloss.models import (ClassifierNumeric, ClassifierText, CvaeConfig,
                           EncoderConfig, ModelBundle, NumericGenerator)
 from gloss.synth import synth_numeric, synth_text
 
-from conftest import finite_difference_grad, relative_error
+from conftest import finite_difference_grad, relative_error, traced_memory
 
 
 class TestScalarContract:
@@ -779,6 +782,17 @@ class TestPredictAndExplain:
             assert explained == ref_explained
             assert all(len(explained[pol]) == len(examples) for pol in explained)
 
+    @pytest.mark.parametrize("schema, kind", [("skytrax", "bow"), ("pcmag", "gru")])
+    def test_no_examples_give_empty_outputs(self, schema, kind):
+        bundle, examples = _serving_bundle(schema, kind, n=20)
+        probs, explained = fw.predict_and_explain(bundle, [])
+        some_probs, some_explained = fw.predict_and_explain(bundle, examples[:2])
+        assert probs.shape == (0, N_CLASSES[schema]) and probs.dtype == some_probs.dtype
+        if bundle.form == "numeric":
+            assert explained.shape == (0, 5) and explained.dtype == some_explained.dtype
+        else:
+            assert explained == {pol: [] for pol in some_explained}
+
     def test_evaluate_encodes_each_batch_once(self, encoder_calls):
         bundle, examples = _serving_bundle("skytrax", "bow", n=130)
         evaluate(bundle, examples, batch_size=64)
@@ -818,6 +832,58 @@ class TestPersistence:
         save_classifier(path, classifier, "pcmag", vocab=vocab)
         loaded, cls_vocab, meta = load_classifier(path)
         assert cls_vocab.itos == vocab.itos
+
+
+SERVING = Path(__file__).parent / "data" / "serving"
+
+
+class NoDraws(np.random.Generator):
+    """A generator whose every draw raises."""
+
+    def _draw(self, *args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+    uniform = normal = standard_normal = integers = random = choice = _draw
+    permutation = permuted = shuffle = _draw
+
+
+class TestServingLoads:
+    """What loading the committed serving checkpoints costs and rejects."""
+
+    def test_loads_draw_no_weight(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args, **kwargs: NoDraws(np.random.PCG64(0)))
+        meta = checkpoint.load(SERVING / "skytrax-lstm.ckpt")[1]
+        with pytest.raises(AssertionError, match="drawn"):  # the patch reaches the models
+            ModelBundle.from_meta(meta)
+        for name in ("pcmag-gru", "skytrax-cnn", "skytrax-lstm"):
+            assert load_bundle(SERVING / f"{name}.ckpt")[0].parameters()
+        for schema in ("pcmag", "skytrax"):
+            assert load_classifier(SERVING / f"{schema}-classifier.ckpt")[0].frozen
+
+    def test_loaded_bundle_shares_the_loaded_arrays(self):
+        bundle, _, arrays = load_bundle(SERVING / "pcmag-gru.ckpt")
+        assert all(t.data is arrays[f"model.{name}"] and t.data.flags.writeable
+                   for name, t in bundle.parameters().items())
+
+    def test_checkpoint_load_peak_stays_under_twice_the_payload(self):
+        path = SERVING / "pcmag-gru.ckpt"
+        payload = sum(a.nbytes for a in checkpoint.load(path)[0].values())
+        with traced_memory() as usage:
+            checkpoint.load(path)
+        assert usage.peak < 2 * payload
+
+    @pytest.mark.parametrize("name,stray,load", [
+        ("skytrax-lstm", "model.encoder.rnn.w_stray", load_bundle),
+        ("skytrax-classifier", "out.w_stray", load_classifier)], ids=["bundle", "classifier"])
+    def test_tensor_that_no_parameter_reads_is_rejected(self, tmp_path, name, stray, load):
+        arrays, meta = checkpoint.load(SERVING / f"{name}.ckpt")
+        load(SERVING / f"{name}.ckpt")
+        arrays[stray] = np.zeros(3)
+        path = tmp_path / f"{name}.ckpt"
+        checkpoint.save(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=re.escape(f"unexpected tensor {stray}")):
+            load(path)
 
 
 def test_every_engine_op_is_called_by_a_model_path(monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from gloss.models import (GRU, LSTM, BiGRU, ClassifierNumeric, ClassifierText,
                           NumericGenerator, Predictor, TextCvae, _distinct_rows,
                           _masked_mean, build_encoder)
 
-from conftest import finite_difference_grad, relative_error
+from conftest import finite_difference_grad, reference_greedy_decode, relative_error, toy_cvae
 
 
 def toy_vocab(n_extra: int = 30) -> Vocab:
@@ -481,13 +484,6 @@ def identity_input(x: np.ndarray) -> tuple[Tensor, np.ndarray]:
     return Tensor(x.reshape(batch * steps, dim)), np.arange(batch * steps).reshape(batch, steps)
 
 
-def toy_cvae(rng, vocab_size=34, cond=16):
-    config = CvaeConfig(latent_dim=6, control_dim=4, decoder_hidden=12,
-                        comment_hidden=8, embedding_dim=10, mlp_hidden=8,
-                        max_len=12)
-    return TextCvae(rng, vocab_size, cond, config)
-
-
 class TestCvae:
     def test_kl_zero_when_posterior_equals_prior(self, rng):
         mu = Tensor(rng.normal(size=(5, 6)))
@@ -593,6 +589,49 @@ class TestCvae:
         assert cvae.config.max_len in lengths and min(lengths) < cvae.config.max_len
         assert out == reference_greedy_decode(cvae, v_e, ctrl)
 
+    def test_decode_of_no_rows_is_empty(self, rng):
+        cvae = toy_cvae(rng)
+        assert cvae.decode(Tensor(np.zeros((0, 16))), np.zeros(0, dtype=np.int64)) == []
+
+    @staticmethod
+    def overflowing(cvae, part: str) -> None:
+        """Weights under which a decode step's product leaves the float range.
+        "w_hn": every reset-gated weight 1.5e308, with the initial state
+        driven to 1, so the candidate's pre-activation sums positive terms of
+        1.5e308 times the reset gates. "embedding": the BOS row ±1e308, signed
+        as the W_x column with the largest absolute sum over the embedding
+        rows, which exceeds 1.8, so that column's projection overflows."""
+        if part == "w_hn":
+            cvae.dec_init.b.data[:] = 20.0  # tanh(x + 20) rounds to 1
+            cvae.dec.w_hn.data[:] = 1.5e308
+        else:
+            dim = cvae.config.embedding_dim
+            w_x = cvae.dec.w_x.data[:dim]
+            col = np.abs(w_x).sum(axis=0).argmax()
+            assert np.abs(w_x[:, col]).sum() > 1.8
+            cvae.embed.w.data[BOS] = 1e308 * np.sign(w_x[:, col])
+
+    @pytest.mark.parametrize("part", ["w_hn", "embedding"])
+    def test_decode_overflow_raises_without_warning(self, rng, part):
+        cvae = toy_cvae(rng)
+        self.overflowing(cvae, part)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError):
+                cvae.decode(Tensor(rng.normal(size=(6, 16))), np.arange(6) % 3)
+
+    def test_decode_with_recurrent_checks_on_matches_reference(self, rng):
+        # w_hn x 1e300 makes the overflow bound infinite, so every step is
+        # checked; |rh| <= 1 keeps rh @ w_hn near 1e300, so none raises
+        cvae = toy_cvae(rng)
+        cvae.dec.w_hn.data *= 1e300
+        v_e = Tensor(rng.normal(size=(6, 16)))
+        ctrl = np.arange(6) % 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cvae.decode(v_e, ctrl)
+        assert out == reference_greedy_decode(cvae, v_e, ctrl)
+
 
 class TestDistinctIds:
     """``models`` picks each input's distinct ids once and hands the ops a
@@ -631,19 +670,36 @@ class TestDistinctIds:
         assert np.array_equal(tables[0].data.view(np.uint64), want.view(np.uint64))
 
     def test_greedy_decode_picks_distinct_ids_once_per_step(self, rng, monkeypatch):
+        """Each decode step projects one table of the distinct (token,
+        control) pairs: one ``np.unique`` per GRU step, and each step's
+        table has one row per distinct pair of the tokens it reads."""
         cvae = toy_cvae(rng)
         v_e = Tensor(rng.normal(size=(4, 16)))
-        steps = []
-        gru_sequence = ad.gru_sequence
+        controls = np.arange(4) % 3
+        tables, steps = [], []
+        step, gru_step = ad.GruDecoder.step, ad.gru_step
 
-        def recorded(table, ids, *args, **kwargs):
-            steps.append(ids)
-            return gru_sequence(table, ids, *args, **kwargs)
+        def recorded_step(decoder, table, ids):
+            tables.append((table, ids))
+            return step(decoder, table, ids)
 
-        monkeypatch.setattr(ad, "gru_sequence", recorded)
+        def recorded_gru_step(*args):
+            steps.append(args[0].shape)
+            gru_step(*args)
+
+        monkeypatch.setattr(ad.GruDecoder, "step", recorded_step)
+        monkeypatch.setattr(ad, "gru_step", recorded_gru_step)
         uniques = self.count_unique(monkeypatch)
-        cvae.decode(v_e, np.arange(4) % 3)
-        assert len(steps) > 1 and len(uniques) == len(steps)
+        cvae.decode(v_e, controls)
+        assert len(steps) > 1 and len(uniques) == len(steps) == len(tables)
+        assert all(shape == (4, cvae.config.decoder_hidden) for shape in steps)
+        monkeypatch.undo()
+        # the first step reads BOS under each of the three controls
+        table, ids = tables[0]
+        want = np.concatenate([cvae.embed.w.data[np.full(4, BOS)], cvae.ctrl.w.data[controls]],
+                              axis=1)
+        assert len(table) == 3 and np.array_equal(table[ids], want)
+        assert all(len(np.unique(table, axis=0)) == len(table) for table, _ in tables)
 
     def test_classifier_masked_mean_reads_only_distinct_rows(self, rng, monkeypatch):
         """Three 32-row polarities drawn from 4 comments: the mean embedding
@@ -784,34 +840,6 @@ class RecordingRng:
     def standard_normal(self, shape):
         self.draws.append(self.rng.standard_normal(shape))
         return self.draws[-1]
-
-
-def reference_greedy_decode(cvae, v_e, ctrl_ids):
-    """Greedy decoding with a per-row Python stop check: each row keeps the
-    tokens before its first EOS, at most ``max_len`` of them."""
-    with ad.no_grad():
-        cond = cvae.condition(v_e, ctrl_ids)
-        h = cvae._decode_hidden(cvae.prior(cond)[0], cond)
-        batch = v_e.shape[0]
-        ctrl = cvae.ctrl(ctrl_ids)
-        tokens = np.full(batch, BOS, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
-        out = [[] for _ in range(batch)]
-        for _ in range(cvae.config.max_len):
-            # each row's own [token; control] row, with identity ids
-            x = ad.concat([cvae.embed(tokens), ctrl], axis=1)
-            h = cvae.dec(x, np.arange(batch)[:, None], h0=h)
-            tokens = cvae.dec_out(h).argmax(axis=1)
-            for i in range(batch):
-                if finished[i]:
-                    continue
-                if tokens[i] == EOS:
-                    finished[i] = True
-                else:
-                    out[i].append(int(tokens[i]))
-            if finished.all():
-                break
-    return out
 
 
 def repeated_rows(rng, case: str, batch: int = 9, steps: int = 6, vocab: int = 12):
@@ -1023,6 +1051,36 @@ class TestBundle:
                                       b.parameters().items()):
             assert ka == kb
             np.testing.assert_array_equal(ta.data, tb.data)
+
+    # sha256 of each parameter's name and bytes, in ``parameters()`` order,
+    # for seed 5 (first 32 hex digits): the draws a fresh bundle makes
+    INIT_DIGESTS = {("skytrax", "bow"): "77efb4507ba6dc2b500525edf86426ff",
+                    ("skytrax", "lstm"): "c5147e2e7303751899770eb320b5df36",
+                    ("skytrax", "cnn"): "b99439673bc54b0f52bbd0c5a86d9e47",
+                    ("pcmag", "gru"): "4be0f09146e86b408710f192620f778c"}
+
+    @pytest.mark.parametrize("schema,kind", sorted(INIT_DIGESTS))
+    def test_seeded_bundle_draws_pinned_initial_bits(self, schema, kind):
+        vocab = toy_vocab()
+        cnn = dict(cnn_filters=5, cnn_filter_sizes=(2, 3)) if kind == "cnn" else {}
+        enc = EncoderConfig(kind=kind, vocab_size=len(vocab), embedding_dim=10,
+                            hidden_dim=12, **cnn)
+        cvae = None
+        if schema == "pcmag":
+            cvae = CvaeConfig(latent_dim=4, control_dim=3, decoder_hidden=8,
+                              comment_hidden=6, embedding_dim=8, mlp_hidden=6)
+        digest = hashlib.sha256()
+        for name, t in ModelBundle(schema, vocab, enc, cvae, seed=5).parameters().items():
+            digest.update(name.encode())
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest()[:32] == self.INIT_DIGESTS[schema, kind]
+
+    def test_undrawn_bundle_has_read_only_zero_placeholders(self):
+        # every matrix is drawn, so undrawn it is a read-only zero view;
+        # biases start at zero either way
+        bundle = ModelBundle.from_meta(self._bundle("pcmag").meta(), draw=False)
+        for t in bundle.parameters().values():
+            assert not t.data.any() and t.data.flags.writeable == (t.data.ndim == 1)
 
     def test_meta_roundtrip(self):
         for schema in ("skytrax", "pcmag"):

@@ -9,6 +9,11 @@ projection time-major before the loop and compute the sigmoid as
 with the ids of its rows, padded or reversed as the models pass them. Each computes every value by the same float
 operations in the same order as its ``autodiff`` op, so outputs and
 gradients must match exactly, not to a tolerance.
+
+Greedy decoding steps the GRU cell that ``gru_sequence`` loops over
+(``autodiff.gru_step``) through ``autodiff.GruDecoder``; each of its steps
+must give the state and logits of a one-step ``gru_sequence`` call from the
+state before it, bit for bit.
 """
 from __future__ import annotations
 
@@ -17,6 +22,9 @@ import pytest
 
 from gloss import autodiff as ad
 from gloss.autodiff import Tensor
+from gloss.data import EOS
+
+from conftest import reference_greedy_decode, toy_cvae
 
 
 def _one_exp_sigmoid(x, out=None):
@@ -260,3 +268,45 @@ def test_gru_sequence_matches_reference_bitwise(batch, steps, dim, nh, padding, 
     got, want = (_run(call(op), arrays, g, taped)
                  for op in (ad.gru_sequence, reference_gru_sequence))
     _assert_bitwise(["output", "x", "w_x", "b_x", "w_h", "w_hn", "h0"], got, want)
+
+
+# (batch, EOS bias): one row; twelve rows under a small EOS bias, some of
+# which stop early while others run to the cap; and 96 rows, the serving
+# workload's three polarities of 32 examples
+DECODE_CASES = [(1, None), (12, 0.05), (96, None)]
+
+
+@pytest.mark.parametrize("batch,eos_bias", DECODE_CASES)
+def test_greedy_decode_steps_match_one_step_gru_sequence_bitwise(batch, eos_bias,
+                                                                 monkeypatch):
+    rng = np.random.default_rng(batch)
+    cvae = toy_cvae(rng)
+    if eos_bias is not None:
+        cvae.dec_out.b.data[EOS] = eos_bias
+    v_e = Tensor(rng.normal(size=(batch, 16)))
+    controls = np.arange(batch) % 3
+    calls = []
+    step = ad.GruDecoder.step
+
+    def recorded(decoder, table, ids):
+        before = decoder.h.copy()
+        logits = step(decoder, table, ids)
+        calls.append((table, ids, before, decoder.h.copy(), logits.copy()))
+        return logits
+
+    monkeypatch.setattr(ad.GruDecoder, "step", recorded)
+    out = cvae.decode(v_e, controls)
+    monkeypatch.undo()
+    assert out == reference_greedy_decode(cvae, v_e, controls)
+    if eos_bias is not None:
+        lengths = {len(row) for row in out}
+        assert cvae.config.max_len in lengths and min(lengths) < cvae.config.max_len
+    # decoding stops at the step where the last row reads EOS, or at the cap
+    assert len(calls) == min(max(len(row) for row in out) + 1, cvae.config.max_len)
+    dec = cvae.dec
+    with ad.no_grad():
+        for table, ids, before, after, logits in calls:
+            state = ad.gru_sequence(Tensor(table), ids[:, None], dec.w_x, dec.b_x, dec.w_h,
+                                    dec.w_hn, h0=Tensor(before))
+            _assert_bitwise(["state", "logits"], [after, logits],
+                            [state.data, cvae.dec_out(state).data])
