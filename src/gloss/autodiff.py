@@ -625,8 +625,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # An LSTM state is a gated tanh and a GRU state a convex mix of h0 or the
 # state before it and a tanh, so |h| <= 1 (LSTM) or max(1, max|h0|)
 # (GRU) bounds each recurrent product; only a call whose bound
-# (_may_overflow) is not finite checks each step's pre-activations before
-# the squash.
+# (_recurrent_bound, _overflow_possible) is not finite checks each step's
+# pre-activations before the squash.
 #
 # The LSTM keeps its per-step work gate-major, so that each elementwise
 # call runs over contiguous memory: its projection is (4, rows, H), so a
@@ -688,12 +688,6 @@ def _overflow_possible(proj: np.ndarray, recurrent_bound: float) -> bool:
     return not math.isfinite(2.0 * (math.sqrt(np.vdot(proj, proj)) + recurrent_bound))
 
 
-def _may_overflow(proj: np.ndarray, h0, *w_hs: np.ndarray) -> bool:
-    """Whether a step's ``proj`` row plus ``h @ w_h`` may overflow, for states
-    of elements at most max(1, max|h0|)."""
-    return _overflow_possible(proj, _recurrent_bound(h0, *w_hs))
-
-
 def _input_grads(table: Tensor, w_x: Tensor, ids: np.ndarray, *parts: np.ndarray) -> None:
     """Gradients of the table and W_x from the pre-activation gradient at
     the (T, B) time-major ``ids``, given as (T, B, n_i) parts of its columns
@@ -742,7 +736,7 @@ def lstm_sequence(table: Tensor, ids, w_x: Tensor, w_h: Tensor, b: Tensor) -> Te
     pre = np.empty((4, batch, nh))  # gate pre-activations
     # an inf or nan can only come from an overflow, on which ``check`` raises
     with np.errstate(over="ignore", invalid="ignore"):
-        check = _may_overflow(proj, None, w_h.data)
+        check = _overflow_possible(proj, _recurrent_bound(None, w_h.data))
         for t in range(steps):
             k = t if record else 0
             prev = hc[:, k]
@@ -830,7 +824,7 @@ def gru_step(h: np.ndarray, proj_t: np.ndarray, w_h: np.ndarray, w_hn: np.ndarra
     reset-gated state and ``cand`` (B, H) the candidate, which backward
     reads. With ``check`` the op name to report, the pre-activations are
     checked before the squash; pass None when the recurrent products cannot
-    overflow (see :func:`_may_overflow`). Callers run it under
+    overflow (see :func:`_overflow_possible`). Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``. :func:`gru_sequence`
     loops over it, and so does greedy decoding, whose next input depends on
     the step's output; it is not an op, so it is not in ``__all__``.
@@ -878,7 +872,8 @@ def gru_sequence(table: Tensor, ids, w_x: Tensor, b_x: Tensor, w_h: Tensor, w_hn
     proj_t = np.empty((batch, 3 * nh))  # a step's rows of proj, taken by id
     # an inf or nan can only come from an overflow, on which ``check`` raises
     with np.errstate(over="ignore", invalid="ignore"):
-        check = _may_overflow(proj, None if h0 is None else h0.data, w_h.data, w_hn.data)
+        check = _overflow_possible(
+            proj, _recurrent_bound(None if h0 is None else h0.data, w_h.data, w_hn.data))
         for t in range(steps):
             k = t if record else 0
             np.take(proj, ids[t], axis=0, out=proj_t, mode="clip")

@@ -480,6 +480,7 @@ def predict_and_explain(bundle: ModelBundle, examples, batch_size: int = 128):
     decoded token-id lists; no examples give empty ones.
     """
     if not examples:
+        # the encoders reject an empty batch, so no batch can give the types
         probs = np.empty((0, N_CLASSES[bundle.schema]))
         if bundle.form == "numeric":
             return probs, np.empty((0, len(SUBSCORE_FIELDS)), dtype=np.intp)
@@ -580,7 +581,7 @@ def load_bundle(path) -> tuple[ModelBundle, dict, dict]:
     if meta is None or meta.get("kind") != "bundle":
         raise checkpoint.CheckpointError(f"{path} is not a model bundle checkpoint")
     try:
-        bundle = ModelBundle.from_meta(meta, draw=False)
+        bundle = ModelBundle.from_meta(meta)
         bundle.load_arrays(arrays, prefix="model.")
     except (KeyError, TypeError, ValueError) as err:
         raise checkpoint.CheckpointError(f"{path}: bad bundle checkpoint: {err!r}") from err

@@ -612,7 +612,9 @@ class ModelBundle(Module):
         return out
 
     @classmethod
-    def from_meta(cls, meta: dict, *, draw: bool = True) -> "ModelBundle":
+    def from_meta(cls, meta: dict) -> "ModelBundle":
+        """The bundle a checkpoint's meta describes, undrawn, for
+        :meth:`load_arrays` to fill."""
         cvae = CvaeConfig(**meta["cvae"]) if "cvae" in meta else None
         return cls(meta["schema"], Vocab(itos=list(meta["vocab"])),
-                   EncoderConfig(**meta["encoder"]), cvae, seed=meta["seed"], draw=draw)
+                   EncoderConfig(**meta["encoder"]), cvae, seed=meta["seed"], draw=False)

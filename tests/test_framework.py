@@ -851,11 +851,11 @@ class TestServingLoads:
     """What loading the committed serving checkpoints costs and rejects."""
 
     def test_loads_draw_no_weight(self, monkeypatch):
+        _, vocab, enc = small_numeric_setup(n=60)
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *args, **kwargs: NoDraws(np.random.PCG64(0)))
-        meta = checkpoint.load(SERVING / "skytrax-lstm.ckpt")[1]
         with pytest.raises(AssertionError, match="drawn"):  # the patch reaches the models
-            ModelBundle.from_meta(meta)
+            ModelBundle("skytrax", vocab, enc, None, seed=0)
         for name in ("pcmag-gru", "skytrax-cnn", "skytrax-lstm"):
             assert load_bundle(SERVING / f"{name}.ckpt")[0].parameters()
         for schema in ("pcmag", "skytrax"):

@@ -1078,7 +1078,7 @@ class TestBundle:
     def test_undrawn_bundle_has_read_only_zero_placeholders(self):
         # every matrix is drawn, so undrawn it is a read-only zero view;
         # biases start at zero either way
-        bundle = ModelBundle.from_meta(self._bundle("pcmag").meta(), draw=False)
+        bundle = ModelBundle.from_meta(self._bundle("pcmag").meta())
         for t in bundle.parameters().values():
             assert not t.data.any() and t.data.flags.writeable == (t.data.ndim == 1)
 
